@@ -11,13 +11,7 @@ from .dpos import DPOS, DPOSResult
 from .order import complete_order, priorities_from_order
 from .os_dpos import OSDPOS, OSDPOSResult, SearchOptions, default_split_counts
 from .placer import PlacementError, apply_placement
-from .ranks import (
-    compute_ranks,
-    critical_path,
-    max_comm_fn,
-    max_weight_fn,
-    rank_order,
-)
+from .ranks import compute_ranks, critical_path, rank_order
 from .session import FastTSession, fits_on_single_device
 from .strategy import Strategy
 
@@ -42,8 +36,6 @@ __all__ = [
     "critical_path",
     "default_split_counts",
     "fits_on_single_device",
-    "max_comm_fn",
-    "max_weight_fn",
     "priorities_from_order",
     "rank_order",
 ]

@@ -13,32 +13,16 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..cluster import Topology
 from ..costmodel import CommunicationCostModel, ComputationCostModel, CostCache
 from ..graph import Graph, Operation
 from ..obs import Observability, get_obs
-from .ranks import compute_ranks, critical_path, max_comm_fn, max_weight_fn
+from .ranks import compute_ranks, critical_path
 from .strategy import Strategy
 
 _INF = float("inf")
-
-
-@dataclass
-class _Costs:
-    """The lookup functions one DPOS run schedules against.
-
-    Either thin wrappers over the graph and cost models (uncached path)
-    or memoized lookups from a shared :class:`CostCache` — the values are
-    identical, only the work to produce them differs.
-    """
-
-    time: Callable[[Operation, str], float]
-    predecessors: Callable[[Operation], List[Operation]]
-    edge_bytes: Callable[[Operation, Operation], int]
-    pair_time: Callable[[str, str, int], float]
-    persistent_bytes: Callable[[Operation], int]
 
 
 @dataclass
@@ -87,15 +71,21 @@ class _DeviceSchedule:
         """
         if not self.starts:
             return ready
+        ends = self.ends
         if not insertion:
-            return max(ready, self.ends[-1])
-        # Start scanning at the first interval that could constrain us.
-        i = bisect.bisect_left(self.ends, ready)
-        prev_end = ready if i == 0 else max(ready, self.ends[i - 1])
-        for j in range(i, len(self.starts)):
-            if prev_end + duration <= self.starts[j]:
+            last = ends[-1]
+            return last if last > ready else ready
+        # Start scanning at the first interval that could constrain us;
+        # bisect_left guarantees every earlier interval ends before ready.
+        i = bisect.bisect_left(ends, ready)
+        prev_end = ready
+        starts = self.starts
+        for j in range(i, len(starts)):
+            if prev_end + duration <= starts[j]:
                 return prev_end
-            prev_end = max(prev_end, self.ends[j])
+            end = ends[j]
+            if end > prev_end:
+                prev_end = end
         return prev_end
 
     def insert(self, start: float, duration: float) -> None:
@@ -149,8 +139,9 @@ class DPOS:
         """Compute placement, execution order, and estimated finish time.
 
         ``cost_cache`` (shared across the candidate evaluations of one
-        OS-DPOS search) serves memoized cost and adjacency lookups; the
-        result is identical with or without it.
+        OS-DPOS search) serves memoized cost and adjacency lookups; without
+        one, the run builds a fresh cache.  The result is identical either
+        way.
         """
         obs = self.obs
         with obs.tracer.span(
@@ -162,6 +153,11 @@ class DPOS:
                 "cached": cost_cache is not None,
             },
         ):
+            if cost_cache is None:
+                cost_cache = CostCache(
+                    graph, self.computation, self.communication,
+                    self.topology.device_names,
+                )
             result = self._run(graph, cost_cache)
         if obs.enabled:
             obs.metrics.counter("dpos.runs").inc()
@@ -174,48 +170,29 @@ class DPOS:
         """Alias of :meth:`run` — the uniform search entry-point name."""
         return self.run(graph, cost_cache=cost_cache)
 
-    def _run(
-        self, graph: Graph, cost_cache: Optional[CostCache]
-    ) -> DPOSResult:
+    def _run(self, graph: Graph, costs: CostCache) -> DPOSResult:
         devices = self.topology.device_names
-        if cost_cache is not None:
-            weight = cost_cache.weight
-            comm = cost_cache.edge_comm
-            successors = cost_cache.successors
-            topo = cost_cache.topological_order()
-            costs = _Costs(
-                time=cost_cache.time,
-                predecessors=cost_cache.predecessors,
-                edge_bytes=cost_cache.edge_bytes,
-                pair_time=cost_cache.pair_time,
-                persistent_bytes=cost_cache.persistent_bytes,
-            )
-        else:
-            weight = max_weight_fn(self.computation, devices)
-            comm = max_comm_fn(graph, self.communication, devices)
-            successors = graph.successors
-            topo = graph.topological_order(canonical=True)
-            costs = _Costs(
-                time=self.computation.time,
-                predecessors=graph.predecessors,
-                edge_bytes=graph.edge_bytes,
-                pair_time=self.communication.time,
-                persistent_bytes=lambda op: op.persistent_bytes,
-            )
+        capacities = self.capacities
+        insertion = self.insertion_scheduling
+        time = costs.time
+        pair_time = costs.pair_time
+        edge_bytes = costs.edge_bytes
+        predecessors = costs.predecessors
+        topo = costs.topological_order()
         ranks = compute_ranks(
-            graph, weight, comm, order=topo, successors=successors
+            graph, costs.weight, costs.edge_comm, order=topo,
+            successors=costs.successors,
         )
-        cp_ops = critical_path(graph, ranks, successors=successors)
+        cp_ops = critical_path(graph, ranks, successors=costs.successors)
         cp_names: Set[str] = {op.name for op in cp_ops}
         # Placement sequence: decreasing rank; among equal ranks, the
         # critical-path op goes first ("the next operation to be placed is
         # always the entry operation in the new critical path"), so a
         # same-rank sibling cannot grab the CP device's next slot; then
-        # (canonical) topological index so predecessors precede successors.
-        topo_index = {op.name: i for i, op in enumerate(topo)}
+        # (canonical) topological index so predecessors precede successors
+        # (the sort is stable over the topological order).
         sequence = sorted(
-            ranks,
-            key=lambda n: (-ranks[n], n not in cp_names, topo_index[n]),
+            topo, key=lambda op: (-ranks[op.name], op.name not in cp_names)
         )
 
         mem_used: Dict[str, int] = {d: 0 for d in devices}
@@ -246,7 +223,7 @@ class DPOS:
         progress_stride = (
             max(1, len(sequence) // 8) if events.enabled else 0
         )
-        for seq_index, name in enumerate(sequence):
+        for seq_index, op in enumerate(sequence):
             if progress_stride and seq_index % progress_stride == 0:
                 events.emit(
                     "dpos.progress",
@@ -254,57 +231,72 @@ class DPOS:
                     placed=seq_index,
                     total=len(sequence),
                 )
-            op = graph.get_op(name)
+            name = op.name
             need = costs.persistent_bytes(op)
             forced = (
                 group_device.get(op.colocation_group)
                 if op.colocation_group is not None
                 else None
             )
-            reason = ""
-            alts: Optional[List] = None
             if forced is not None:
-                target = forced
-                if recording:
-                    reason = "colocated"
-                    alts = [PlacementAlternative(
-                        device=target, chosen=True,
-                        note=f"colocation group {op.colocation_group!r}",
-                    )]
+                reason = "colocated"
+                candidates: Sequence[str] = (forced,)
             elif name in cp_names:
-                if mem_used[cp_device] + need > self.capacities[cp_device]:
+                if mem_used[cp_device] + need > capacities[cp_device]:
                     cp_alts = [] if recording else None
                     cp_device = self._select_cp_device(
                         cp_pending, cp_placed, devices, mem_used, costs,
                         exclude={cp_device}, collect=cp_alts,
                     )
-                target = cp_device
-                if recording:
-                    reason = "critical-path"
-                    alts = [
-                        PlacementAlternative(
-                            device=a.device, score=a.score,
-                            feasible=a.feasible,
-                            chosen=a.device == target, note=a.note,
-                        )
-                        for a in (cp_alts or [])
-                    ]
+                reason = "critical-path"
+                candidates = (cp_device,)
             else:
-                alts = [] if recording else None
-                target = self._min_eft_device(
-                    op, devices, mem_used, need, placement,
-                    finish_times, schedules, costs, collect=alts,
-                )
-                if recording:
-                    reason = "min-eft"
-                    for a in alts:  # type: ignore[union-attr]
-                        a.chosen = a.device == target
-                    if not any(a.feasible for a in alts):  # type: ignore[union-attr]
-                        reason = "memory-overflow"
-            start = self._schedule_on(
-                op, target, placement, finish_times, schedules[target], costs
+                # Alg. 1 lines 12-19: min-EFT device among those with memory.
+                reason = "min-eft"
+                candidates = [
+                    d for d in devices if mem_used[d] + need <= capacities[d]
+                ]
+                if not candidates:
+                    # Out of planning memory everywhere: overflow to the
+                    # device with the most remaining room rather than
+                    # failing the whole strategy computation.
+                    reason = "memory-overflow"
+                    candidates = (
+                        max(devices, key=lambda d: capacities[d] - mem_used[d]),
+                    )
+
+            # Read each placed predecessor once; a predecessor not yet
+            # placed can only happen for zero-rank ties, and its data is
+            # treated as available immediately.
+            arrivals: List[Tuple[str, float, int]] = []
+            for pred in predecessors(op):
+                pred_dev = placement.get(pred.name)
+                if pred_dev is not None:
+                    arrivals.append(
+                        (pred_dev, finish_times[pred.name], edge_bytes(pred, op))
+                    )
+            # One sweep prices every candidate: ready time, idle slot, EFT.
+            target = ""
+            start = duration = 0.0
+            best_eft = _INF
+            priced: Optional[Dict[str, Tuple[float, float]]] = (
+                {} if recording else None
             )
-            duration = costs.time(op, target)
+            for dev in candidates:
+                ready = 0.0
+                for pred_dev, arrival, num_bytes in arrivals:
+                    if pred_dev != dev:
+                        arrival += pair_time(pred_dev, dev, num_bytes)
+                    if arrival > ready:
+                        ready = arrival
+                dev_duration = time(op, dev)
+                est = schedules[dev].earliest_slot(ready, dev_duration, insertion)
+                eft = est + dev_duration
+                if priced is not None:
+                    priced[dev] = (est, eft)
+                if not target or eft < best_eft:
+                    target, start, duration, best_eft = dev, est, dev_duration, eft
+
             schedules[target].insert(start, duration)
             placement[name] = target
             start_times[name] = start
@@ -315,16 +307,40 @@ class DPOS:
             if name in cp_names:
                 cp_placed.add(name)
             if recording:
-                alts = alts or []
+                if reason == "colocated":
+                    # A forced op skips scoring; record its realized
+                    # finish so every decision carries a scored choice.
+                    alts = [PlacementAlternative(
+                        device=target, score=start + duration, start=start,
+                        chosen=True,
+                        note=f"colocation group {op.colocation_group!r}",
+                    )]
+                elif reason == "critical-path":
+                    alts = [
+                        PlacementAlternative(
+                            device=a.device, score=a.score,
+                            feasible=a.feasible,
+                            chosen=a.device == target, note=a.note,
+                        )
+                        for a in (cp_alts or [])
+                    ]
+                else:
+                    alts = [
+                        PlacementAlternative(
+                            device=d, score=priced[d][1], start=priced[d][0],
+                            chosen=d == target,
+                        )
+                        if reason == "min-eft" and d in priced
+                        else PlacementAlternative(
+                            device=d, feasible=False, chosen=d == target,
+                            note="out of memory",
+                        )
+                        for d in devices
+                    ]
                 if not any(a.chosen for a in alts):
                     alts.append(PlacementAlternative(
                         device=target, chosen=True, note="memory fallback",
                     ))
-                if reason == "colocated":
-                    # A forced op skips scoring; record its realized
-                    # finish so every decision carries a scored choice.
-                    alts[0].score = start + duration
-                    alts[0].start = start
                 decisions[name] = PlacementDecision(  # type: ignore[index]
                     op_name=name,
                     device=target,
@@ -363,7 +379,7 @@ class DPOS:
         cp_placed: Set[str],
         devices: Sequence[str],
         mem_used: Dict[str, int],
-        costs: _Costs,
+        costs: CostCache,
         exclude: Optional[Set[str]] = None,
         collect: Optional[List] = None,
     ) -> str:
@@ -425,79 +441,3 @@ class DPOS:
                 )
             return fallback
         return best[3]
-
-    def _min_eft_device(
-        self,
-        op: Operation,
-        devices: Sequence[str],
-        mem_used: Dict[str, int],
-        need: int,
-        placement: Dict[str, str],
-        finish_times: Dict[str, float],
-        schedules: Dict[str, _DeviceSchedule],
-        costs: _Costs,
-        collect: Optional[List] = None,
-    ) -> str:
-        """Alg. 1 lines 12-19: min-EFT device among those with memory.
-
-        ``collect`` (provenance recording only) receives one
-        :class:`~repro.obs.provenance.PlacementAlternative` per device,
-        scored by the EFT the selection compared.
-        """
-        if collect is not None:
-            from ..obs.provenance import PlacementAlternative
-        best_dev: Optional[str] = None
-        best_eft = _INF
-        feasible = False
-        for dev in devices:
-            if mem_used[dev] + need > self.capacities[dev]:
-                if collect is not None:
-                    collect.append(PlacementAlternative(
-                        device=dev, feasible=False, note="out of memory",
-                    ))
-                continue
-            feasible = True
-            est = self._schedule_on(
-                op, dev, placement, finish_times, schedules[dev], costs
-            )
-            eft = est + costs.time(op, dev)
-            if collect is not None:
-                collect.append(PlacementAlternative(
-                    device=dev, score=eft, start=est,
-                ))
-            if eft < best_eft:
-                best_eft = eft
-                best_dev = dev
-        if not feasible:
-            # Out of planning memory everywhere: overflow to the device
-            # with the most remaining room rather than failing the whole
-            # strategy computation.
-            return max(devices, key=lambda d: self.capacities[d] - mem_used[d])
-        assert best_dev is not None
-        return best_dev
-
-    def _schedule_on(
-        self,
-        op: Operation,
-        device: str,
-        placement: Dict[str, str],
-        finish_times: Dict[str, float],
-        schedule: _DeviceSchedule,
-        costs: _Costs,
-    ) -> float:
-        """EST of ``op`` on ``device`` given committed predecessors."""
-        ready = 0.0
-        for pred in costs.predecessors(op):
-            pred_dev = placement.get(pred.name)
-            if pred_dev is None:
-                # Predecessor not yet placed can only happen for zero-rank
-                # ties; treat its data as available immediately.
-                continue
-            arrival = finish_times[pred.name]
-            if pred_dev != device:
-                arrival += costs.pair_time(
-                    pred_dev, device, costs.edge_bytes(pred, op)
-                )
-            ready = max(ready, arrival)
-        duration = costs.time(op, device)
-        return schedule.earliest_slot(ready, duration, self.insertion_scheduling)

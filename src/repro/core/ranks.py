@@ -13,49 +13,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..costmodel import CommunicationCostModel, ComputationCostModel, CostCache
 from ..graph import Graph, Operation
 
 #: (op) -> execution-time estimate used as ``w_i``.
 WeightFn = Callable[[Operation], float]
 #: (src op, dst op) -> communication-time estimate used as ``c_ij``.
 CommFn = Callable[[Operation, Operation], float]
-
-
-def max_weight_fn(
-    computation: ComputationCostModel, devices: Sequence[str]
-) -> WeightFn:
-    """``w_i``: maximal computation time over all candidate devices."""
-
-    def weight(op: Operation) -> float:
-        return computation.max_time(op, devices)
-
-    return weight
-
-
-def max_comm_fn(
-    graph: Graph,
-    communication: CommunicationCostModel,
-    devices: Sequence[str],
-) -> CommFn:
-    """``c_ij``: maximal transfer time over all distinct device pairs."""
-    pairs = [(a, b) for a in devices for b in devices if a != b]
-
-    def comm(src: Operation, dst: Operation) -> float:
-        num_bytes = graph.edge_bytes(src, dst)
-        return communication.max_time(num_bytes, pairs)
-
-    return comm
-
-
-def cached_weight_fn(cache: CostCache) -> WeightFn:
-    """``w_i`` served from a :class:`~repro.costmodel.CostCache`."""
-    return cache.weight
-
-
-def cached_comm_fn(cache: CostCache) -> CommFn:
-    """``c_ij`` served from a :class:`~repro.costmodel.CostCache`."""
-    return cache.edge_comm
 
 
 def compute_ranks(
@@ -76,12 +39,12 @@ def compute_ranks(
     successors_of = successors if successors is not None else graph.successors
     ranks: Dict[str, float] = {}
     for op in reversed(order):
-        succs = successors_of(op)
-        if not succs:
-            ranks[op.name] = weight(op)
-            continue
-        best = max(comm(op, succ) + ranks[succ.name] for succ in succs)
-        ranks[op.name] = weight(op) + best
+        tail: Optional[float] = None
+        for succ in successors_of(op):
+            value = comm(op, succ) + ranks[succ.name]
+            if tail is None or value > tail:
+                tail = value
+        ranks[op.name] = weight(op) if tail is None else weight(op) + tail
     return ranks
 
 

@@ -10,9 +10,10 @@ invalidation of exactly the ops a split touched (the transaction journal
 reports them), so candidate evaluation cost tracks the split size rather
 than the graph size.
 
-The cache is read-through: every value it returns is computed by the same
-underlying cost-model calls DPOS would make without it, so cached and
-uncached searches return bit-identical strategies.
+The cache is read-through: every value it returns is computed by the
+underlying cost-model calls themselves, so a DPOS run over a fresh cache
+and one over a cache shared by a whole search return bit-identical
+strategies.  DPOS reads every cost through one.
 """
 
 from __future__ import annotations
@@ -66,6 +67,9 @@ class CostCache:
         # graph-independent memos (the models are frozen during a search)
         self._comm_by_bytes: Dict[int, float] = {}
         self._pair_time: Dict[Tuple[str, str, int], float] = {}
+        # canonical topological order, valid while graph.version matches
+        self._topo: List[Operation] = []
+        self._topo_version: Optional[int] = None
         # observability: misses are counted unconditionally (the increment
         # is noise next to the cost-model call each miss already makes);
         # per-lookup counting is opt-in via enable_stats() so the default
@@ -175,8 +179,13 @@ class CostCache:
     def topological_order(self) -> List[Operation]:
         """Canonical (name-tie-broken) Kahn order via cached adjacency.
 
-        Matches ``graph.topological_order(canonical=True)`` exactly.
+        Matches ``graph.topological_order(canonical=True)`` exactly.  The
+        order is memoized on ``graph.version`` (a structural mutation
+        counter), so every reader of one committed graph shares it;
+        callers must not mutate the returned list.
         """
+        if self._topo_version == self.graph.version:
+            return self._topo
         indegree: Dict[str, int] = {}
         for op in self.graph:
             indegree[op.name] = len(self.predecessors(op))
@@ -195,6 +204,7 @@ class CostCache:
                 f"graph {self.graph.name!r} contains a cycle; FastT only "
                 "handles DAGs — unroll while-loops before scheduling"
             )
+        self._topo, self._topo_version = order, self.graph.version
         return order
 
     # ------------------------------------------------------------------

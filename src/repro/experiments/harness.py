@@ -164,10 +164,13 @@ def _export_summary(result: "TrialResult") -> None:
     (the perf regression gate) compares between two ``--trace-dir``
     runs; unlike the trace exports it is (re)written even when the
     trial came from the disk cache, so a cached run still produces a
-    complete gate input.
+    complete gate input.  A cached trial's wall-clock was measured by
+    whatever code wrote the cache entry, so it is written as null with
+    ``cached: true`` rather than presented as a new measurement.
     """
     if not _TRACE_DIR:
         return
+    cached = bool(result.extra.get("cached"))
     write_gate_summary(
         os.path.join(_TRACE_DIR, f"{_trial_stem(result)}.summary.json"),
         model=result.model,
@@ -182,8 +185,11 @@ def _export_summary(result: "TrialResult") -> None:
             else result.iteration_time
         ),
         speed=None if result.speed != result.speed else result.speed,
-        search_seconds=result.search_seconds or None,
-        algorithm_seconds=result.algorithm_seconds or None,
+        search_seconds=None if cached else result.search_seconds or None,
+        algorithm_seconds=(
+            None if cached else result.algorithm_seconds or None
+        ),
+        cached=cached,
         devices_used=result.devices_used,
         calibration=result.extra.get("calibration"),
     )
@@ -284,6 +290,9 @@ def cached_trial(key: Dict[str, object], fn: Callable[[], TrialResult]) -> Trial
     :data:`CACHE_SCHEMA_VERSION`; a stored file whose recorded schema
     disagrees (including pre-versioning files) is deleted and recomputed.
 
+    A result read from the cache carries ``extra["cached"] = True``:
+    its wall-clock fields are as old as the entry.
+
     The digest comes from :func:`repro.serve.store.request_fingerprint`
     — the same convention keying the strategy store and the service's
     request coalescing, so one cache identity means the same trial
@@ -300,7 +309,9 @@ def cached_trial(key: Dict[str, object], fn: Callable[[], TrialResult]) -> Trial
                 stored = json.load(handle)
             if stored.get("schema") == CACHE_SCHEMA_VERSION:
                 _logger.debug("trial cache hit %s (%s)", digest, key)
-                return TrialResult.from_json(stored["result"])
+                result = TrialResult.from_json(stored["result"])
+                result.extra["cached"] = True
+                return result
         except (json.JSONDecodeError, KeyError, TypeError):
             pass  # corrupt or incompatible: fall through and recompute
         _logger.info("trial cache entry %s is stale; recomputing", digest)

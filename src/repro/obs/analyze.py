@@ -957,7 +957,8 @@ def compare_runs(
     time, search wall-clock) regresses when the candidate exceeds the
     baseline by more than ``tolerance`` (a fraction, e.g. 0.05 = 5%).
     Search wall-clock gets 4x the tolerance — it is host-noise-bound,
-    unlike the deterministic simulated step time.
+    unlike the deterministic simulated step time — and is skipped when
+    either side recorded it as null (a trial served from the cache).
     """
     base = load_gate_summaries(baseline_dir)
     cand = load_gate_summaries(candidate_dir)
@@ -967,6 +968,10 @@ def compare_runs(
         for metric, field_name in GATE_METRICS.items():
             b = base[key].get(field_name) if in_base else None
             c = cand[key].get(field_name) if in_cand else None
+            if metric == "search_seconds" and (
+                (in_base and b is None) or (in_cand and c is None)
+            ):
+                continue
             b = float(b) if isinstance(b, (int, float)) else None
             c = float(c) if isinstance(c, (int, float)) else None
             if b is not None and (b != b or b <= 0.0):

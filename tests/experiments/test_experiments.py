@@ -154,6 +154,42 @@ class TestTrialCache:
         ))
         assert result.model == "fresh"
 
+    def test_cached_trial_summary_carries_no_wall_clock(
+        self, tmp_path, monkeypatch
+    ):
+        import json
+
+        from repro.experiments import harness
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setattr(harness, "_TRACE_DIR", str(tmp_path))
+
+        def fake_fastt(model, num_gpus, num_servers, batch, **kwargs):
+            return TrialResult(
+                model=model.name, method="fastt", num_gpus=num_gpus,
+                num_servers=num_servers, global_batch=batch,
+                iteration_time=0.5, search_seconds=3.0,
+                algorithm_seconds=1.0,
+            )
+
+        monkeypatch.setitem(harness._RUNNERS, "fastt", fake_fastt)
+        summary = tmp_path / "lenet_fastt_2x1.summary.json"
+        first = harness.trial("lenet", "fastt", 2)
+        fresh = json.loads(summary.read_text())
+        assert not first.extra.get("cached")
+        assert fresh["cached"] is False
+        assert fresh["search_seconds"] == 3.0
+        assert fresh["algorithm_seconds"] == 1.0
+
+        second = harness.trial("lenet", "fastt", 2)
+        cached = json.loads(summary.read_text())
+        assert second.extra["cached"] is True
+        assert cached["cached"] is True
+        assert cached["search_seconds"] is None
+        assert cached["algorithm_seconds"] is None
+        # Simulated quality is deterministic, so the cache may report it.
+        assert cached["iteration_time"] == 0.5
+
 
 class TestTrialRunners:
     def test_dp_trial_on_lenet(self):

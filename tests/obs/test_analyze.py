@@ -342,6 +342,16 @@ class TestRegressionGate:
         assert report.ok
         assert {e.status for e in report.entries} == {"new"}
 
+    def test_null_wall_clock_is_skipped_not_compared(self, tmp_path):
+        self._summaries(tmp_path / "base", 1.0, search_seconds=10.0)
+        # A cached candidate trial: deterministic step time, no wall-clock.
+        self._summaries(tmp_path / "cand", 1.0, search_seconds=None)
+        report = compare_runs(str(tmp_path / "base"), str(tmp_path / "cand"))
+        assert report.ok
+        assert [e.metric for e in report.entries] == ["step_time"]
+        reverse = compare_runs(str(tmp_path / "cand"), str(tmp_path / "base"))
+        assert [e.metric for e in reverse.entries] == ["step_time"]
+
     def test_wrong_schema_summaries_skipped(self, tmp_path):
         (tmp_path / "d").mkdir()
         (tmp_path / "d" / "x.summary.json").write_text(
