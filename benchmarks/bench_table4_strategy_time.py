@@ -16,7 +16,7 @@ import time
 from conftest import export_rows, label
 
 from repro.cluster import cluster_for
-from repro.core import DPOS, OSDPOS
+from repro.core import DPOS, OSDPOS, SearchOptions
 from repro.costmodel import OracleCommunicationModel, OracleComputationModel
 from repro.experiments import run_fastt_trial
 from repro.experiments.paper_reference import TABLE4_STRATEGY_TIME
@@ -45,7 +45,9 @@ def _timed_search(model_name, num_gpus, **kwargs):
     graph = build_single_device_training_graph(
         model.builder, model.global_batch, name=f"{model_name}_bench"
     )
-    search = OSDPOS(dpos, max_candidate_ops=4, **kwargs)
+    search = OSDPOS(
+        dpos, options=SearchOptions(max_candidate_ops=4, **kwargs)
+    )
     start = time.perf_counter()
     result = search.run(graph)
     return time.perf_counter() - start, result

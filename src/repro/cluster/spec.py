@@ -277,10 +277,11 @@ def two_tier_spec(
     inter: Sequence,
     name: str = "two-tier",
 ) -> ClusterSpec:
-    """The legacy two-tier world, expressed as a link graph.
+    """The two-tier world (``intra`` inside a server, ``inter`` across
+    servers), expressed as a link graph.
 
-    Reproduces the old ``Topology(devices, intra_server=, inter_server=)``
-    semantics *exactly*, channel strings included:
+    ``intra``/``inter`` are ``(kind, bandwidth, latency)`` tuples such as
+    :data:`~repro.cluster.topology.NVLINK`.  Channel strings are fixed:
 
     * each device's intra-server traffic leaves through one egress
       channel ``"{kind}:{device}->*"`` (a hub-and-spoke per server: a
@@ -288,8 +289,9 @@ def two_tier_spec(
     * every cross-server pair gets a direct edge sharing the per-server-
       pair NIC channel ``"{kind}:s{a}->s{b}"``.
 
-    Single-hop routes through this graph therefore resolve to the same
-    ``LinkSpec`` the old two-way ``if`` returned.
+    Every device pair therefore resolves to one contended link carrying
+    exactly the ``intra`` (same server) or ``inter`` (cross-server)
+    values.
     """
     iname, ibw, ilat = intra
     ename, ebw, elat = inter

@@ -15,11 +15,9 @@ transfer crosses.  Contention happens per *channel*: a route may cross
 several shared channels (GPU egress, PCIe host bridge, NIC) and the
 simulator serializes transfers on each of them independently.
 
-The legacy constructor ``Topology(devices, intra_server=, inter_server=)``
-still works: it builds the equivalent two-tier link graph (and warns when
-the keyword tiers are spelled out).  Routes through that graph resolve to
-byte-identical ``LinkSpec``s, so existing presets keep their exact
-simulated behaviour.
+A bare device list, ``Topology(devices)``, builds the default two-tier
+link graph (NVLink inside a server, Ethernet across servers); custom
+tiers go through :func:`~repro.cluster.spec.two_tier_spec`.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -132,41 +129,18 @@ class Route:
 class Topology:
     """Resolves the route between any two devices of a cluster.
 
-    Accepts either a :class:`ClusterSpec` (the link-graph model) or the
-    legacy ``(devices, intra_server=, inter_server=)`` form, which is
-    kept as a deprecation shim: it builds the equivalent two-tier spec
-    and resolves to byte-identical links.
+    Accepts either a :class:`ClusterSpec` (the link-graph model) or a
+    bare device list, which gets the default two-tier spec
+    (:data:`NVLINK` inside a server, :data:`ETHERNET` across servers).
     """
 
-    def __init__(
-        self,
-        devices: Union[ClusterSpec, Sequence[Device]],
-        intra_server: Sequence = None,
-        inter_server: Sequence = None,
-    ) -> None:
+    def __init__(self, devices: Union[ClusterSpec, Sequence[Device]]) -> None:
         if isinstance(devices, ClusterSpec):
-            if intra_server is not None or inter_server is not None:
-                raise TypeError(
-                    "intra_server=/inter_server= only apply to the legacy "
-                    "device-list form; encode links in the ClusterSpec"
-                )
             spec = devices
         else:
-            if intra_server is not None or inter_server is not None:
-                warnings.warn(
-                    "Topology(devices, intra_server=, inter_server=) is "
-                    "deprecated; describe the interconnect with a "
-                    "ClusterSpec (repro.cluster.spec) or use a preset",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
             if not devices:
                 raise ValueError("a topology needs at least one device")
-            spec = two_tier_spec(
-                devices,
-                intra_server if intra_server is not None else NVLINK,
-                inter_server if inter_server is not None else ETHERNET,
-            )
+            spec = two_tier_spec(devices, NVLINK, ETHERNET)
         spec.validate()
         self.spec = spec
         self.devices: List[Device] = list(spec.devices)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
@@ -50,77 +49,20 @@ class FastTConfig:
 
     Attributes mirror the paper's system knobs; defaults follow Sec. 4/6.
     The strategy-search knobs live in ``search`` (a
-    :class:`~repro.core.os_dpos.SearchOptions`); the old flat spellings
-    (``enable_splitting=``, ``split_counts=``, ``max_candidate_ops=``,
-    ``naive_search=``, ``search_workers=``) still work but emit
-    :class:`DeprecationWarning`.
+    :class:`~repro.core.os_dpos.SearchOptions`).
     """
 
     profiling_steps: int = 2
     max_rounds: int = 5
     min_rounds: int = 2
     stability_tolerance: float = 0.08
-    #: Knobs of the OS-DPOS strategy search (splitting, pruning, workers).
+    #: Knobs of the OS-DPOS strategy search (splitting, pruning, coarsening).
     search: SearchOptions = field(default_factory=SearchOptions)
     memory_fraction: float = 0.9
     restart_overhead_seconds: float = 5.0
     enable_order_enforcement: bool = True
     enable_rollback: bool = True
     measure_steps: int = 3
-
-
-#: Old flat FastTConfig knob -> SearchOptions field it moved to.
-_DEPRECATED_SEARCH_KNOBS = {
-    "enable_splitting": "enable_splitting",
-    "split_counts": "split_counts",
-    "max_candidate_ops": "max_candidate_ops",
-    "naive_search": "naive",
-    "search_workers": "workers",
-}
-
-
-def _warn_search_knob(old: str, new: str) -> None:
-    warnings.warn(
-        f"FastTConfig.{old} is deprecated; use "
-        f"FastTConfig(search=SearchOptions({new}=...)) / config.search.{new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-_config_dataclass_init = FastTConfig.__init__
-
-
-def _config_init(self, *args, **kwargs):
-    moved = {}
-    for old, new in _DEPRECATED_SEARCH_KNOBS.items():
-        if old in kwargs:
-            _warn_search_knob(old, new)
-            moved[new] = kwargs.pop(old)
-    _config_dataclass_init(self, *args, **kwargs)
-    for new, value in moved.items():
-        setattr(self.search, new, value)
-
-
-_config_init.__wrapped__ = _config_dataclass_init  # type: ignore[attr-defined]
-FastTConfig.__init__ = _config_init  # type: ignore[assignment]
-
-
-def _deprecated_search_alias(old: str, new: str) -> property:
-    def getter(self):
-        _warn_search_knob(old, new)
-        return getattr(self.search, new)
-
-    def setter(self, value):
-        _warn_search_knob(old, new)
-        setattr(self.search, new, value)
-
-    return property(getter, setter, doc=f"Deprecated alias of search.{new}.")
-
-
-for _old, _new in _DEPRECATED_SEARCH_KNOBS.items():
-    setattr(FastTConfig, _old, _deprecated_search_alias(_old, _new))
-del _old, _new
 
 
 @dataclass
@@ -204,7 +146,7 @@ class StrategyCalculator:
     observability sinks, calibration predictions — lives on a
     :class:`~repro.core.context.SearchContext`; pass one explicitly (the
     multi-tenant path, see :mod:`repro.serve`) or let the constructor
-    adopt the given ``topology``/``perf_model``/``config``/``obs`` into
+    wrap the given ``topology``/``perf_model``/``config``/``obs`` in
     a fresh one (the legacy path, byte-identical to the pre-context
     engine).  One calculator serves one request; concurrent requests
     each build their own calculator over their own context.
@@ -240,10 +182,9 @@ class StrategyCalculator:
             # computation model learns heterogeneous device speeds
             # through the relative compute scales, and the communication
             # model prices unprofiled pairs from the topology's route
-            # times instead of zero.  Bound methods pickle with their
-            # instance, which the search_workers process pool requires.
-            context = SearchContext.adopt(
-                topology, perf_model, config or FastTConfig(), obs
+            # times instead of zero.
+            context = SearchContext.create(
+                topology, perf_model=perf_model, config=config, obs=obs
             )
         elif topology is not None or perf_model is not None:
             raise TypeError(

@@ -31,7 +31,6 @@ copied — they are never written after construction.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -111,57 +110,23 @@ class SearchContext:
         obs: Optional[Observability] = None,
         warm_start: Optional[WarmStartSeed] = None,
     ) -> "SearchContext":
-        """Build a fresh context: new cost models, new RNG stream.
+        """Build a fresh context around ``perf_model``, with empty cost models.
 
-        ``perf_model`` is used as a *template*: the context gets its own
-        instance (same seed, same noise level) so that concurrent
-        requests never share a jitter stream.  Cost models start empty,
-        exactly as a fresh :class:`StrategyCalculator` used to build
-        them.
+        ``perf_model`` is used as given, so its (possibly part-consumed)
+        jitter stream carries on; callers that need a private RNG stream
+        per request pass their own replica (see
+        :meth:`FastTSession.new_context
+        <repro.core.session.FastTSession.new_context>`).  Without one, the
+        context gets a default noisy :class:`PerfModel` of ``topology``.
         """
         from .calculator import FastTConfig
 
-        config = config or FastTConfig()
         if perf_model is None:
             perf_model = PerfModel(topology, noise_sigma=0.02)
-        else:
-            perf_model = dataclasses.replace(
-                perf_model, efficiency=dict(perf_model.efficiency)
-            )
         return cls(
             topology=topology,
             perf_model=perf_model,
-            config=config,
-            obs=get_obs(obs),
-            computation=ComputationCostModel(
-                device_scale=topology.relative_compute_scales()
-            ),
-            communication=CommunicationCostModel(
-                pair_class=topology.pair_class, topology=topology
-            ),
-            warm_start=warm_start,
-        )
-
-    @classmethod
-    def adopt(
-        cls,
-        topology: Topology,
-        perf_model: PerfModel,
-        config: "FastTConfig",
-        obs: Optional[Observability] = None,
-        warm_start: Optional[WarmStartSeed] = None,
-    ) -> "SearchContext":
-        """Wrap *existing* collaborators without replicating the RNG.
-
-        This is the legacy single-tenant path: the session's own
-        perf model keeps its (possibly part-consumed) jitter stream, so
-        results stay byte-identical to the pre-context engine.  New
-        multi-tenant callers should prefer :meth:`create`.
-        """
-        return cls(
-            topology=topology,
-            perf_model=perf_model,
-            config=config,
+            config=config or FastTConfig(),
             obs=get_obs(obs),
             computation=ComputationCostModel(
                 device_scale=topology.relative_compute_scales()

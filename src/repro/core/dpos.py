@@ -164,12 +164,6 @@ class DPOS:
             obs.metrics.gauge("dpos.last_finish_time").set(result.finish_time)
         return result
 
-    def search(
-        self, graph: Graph, cost_cache: Optional[CostCache] = None
-    ) -> DPOSResult:
-        """Alias of :meth:`run` — the uniform search entry-point name."""
-        return self.run(graph, cost_cache=cost_cache)
-
     def _run(self, graph: Graph, costs: CostCache) -> DPOSResult:
         devices = self.topology.device_names
         capacities = self.capacities

@@ -20,24 +20,16 @@ strategies:
   a :class:`~repro.costmodel.CostCache` invalidated only for the ops a
   split touched, and (with ``prune=True``) a placement-independent
   lower bound skips the DPOS rerun for candidates that provably cannot
-  beat the incumbent finish time.  ``workers=N`` additionally fans the
-  surviving candidates of each op out to worker processes.
+  beat the incumbent finish time.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..cluster import Topology
-from ..costmodel import (
-    CommunicationCostModel,
-    ComputationCostModel,
-    CostCache,
-)
+from ..costmodel import CostCache
 from ..graph import Graph, Operation
 from ..graph.coarsen import CoarsePlan, SuperComputationModel, contract_graph
 from ..graph.rewrite import (
@@ -52,10 +44,6 @@ from .context import WarmStartSeed
 from .dpos import DPOS, DPOSResult
 from .ranks import compute_ranks, critical_path
 from .strategy import Strategy
-
-#: "No explicit value" marker for OSDPOS kwargs that fall back to
-#: :class:`SearchOptions` fields.
-_UNSET = object()
 
 
 @dataclass
@@ -80,8 +68,6 @@ class SearchOptions:
             (kept for the equivalence suite and benchmark baselines).
         prune: Skip candidates the lower bound proves hopeless
             (incremental path only; never changes the strategy).
-        workers: Fan surviving candidates out to this many worker
-            processes (incremental path only).
         coarsen: Hierarchical search over a contracted graph
             (:func:`~repro.graph.contract_graph`).  ``True`` forces it,
             ``False`` disables it (exact search, byte-identical to the
@@ -99,14 +85,11 @@ class SearchOptions:
     max_candidate_ops: Optional[int] = 12
     naive: bool = False
     prune: bool = True
-    workers: Optional[int] = None
     coarsen: object = "auto"
     coarsen_threshold: int = 5000
     coarsen_target: int = 256
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be a positive integer or None")
         if self.coarsen not in (True, False, "auto"):
             raise ValueError('coarsen must be True, False, or "auto"')
         if self.coarsen_threshold < 1:
@@ -122,7 +105,7 @@ def _search_options_kwonly_init(self, *args, **kwargs):
     if args:
         raise TypeError(
             "SearchOptions takes keyword arguments only, e.g. "
-            "SearchOptions(max_candidate_ops=6, workers=2)"
+            "SearchOptions(max_candidate_ops=6, split_counts=[2])"
         )
     _search_options_init(self, **kwargs)
 
@@ -223,142 +206,41 @@ class _OpOutcome:
     attempted: int
 
 
-def _worker_init(recursion_limit: int) -> None:
-    sys.setrecursionlimit(recursion_limit)
-
-
-def _evaluate_candidate(
-    dpos: DPOS, graph: Graph, op_name: str, dim: str, num_splits: int
-) -> Optional[DPOSResult]:
-    """Evaluate one split candidate in a worker process (``workers=N``).
-
-    The worker receives its own pickled copy of the working graph, so it
-    applies the split destructively; DPOS output is a pure function of
-    graph content, hence identical to the in-process evaluation.
-    """
-    try:
-        split_operation(graph, graph.get_op(op_name), dim, num_splits)
-    except SplitError:
-        return None
-    cache = CostCache(
-        graph, dpos.computation, dpos.communication, dpos.topology.device_names
-    )
-    return dpos.run(graph, cost_cache=cache)
-
-
 class OSDPOS:
     """Alg. 2 — operation-splitting search over a :class:`DPOS` engine.
 
-    The constructor mirrors :class:`DPOS`: either pass a configured
-    ``dpos`` instance, or the same ``topology``/``computation``/
-    ``communication``/``memory_fraction`` parameters DPOS takes and one
-    is built internally.  All search knobs are keyword-only and can be
-    given either individually or bundled as a :class:`SearchOptions`
-    (individual kwargs win over ``options`` fields).
-
     Args:
         dpos: The placement/ordering engine (carries cluster+cost models).
-        topology: Cluster to place onto (alternative to ``dpos``).
-        computation: Computation cost model (alternative to ``dpos``).
-        communication: Communication cost model (alternative to ``dpos``).
-        memory_fraction: Planner memory headroom when building the
-            internal DPOS.
-        options: Bundled :class:`SearchOptions`; without it the engine
-            defaults to the paper's full-critical-path walk
+        options: The search knobs (:class:`SearchOptions`); without them
+            the engine defaults to the paper's full-critical-path walk
             (``max_candidate_ops=None``).
-        split_counts: Candidate split numbers; default
-            :func:`default_split_counts` of the cluster size.
-        max_candidate_ops: Cap on how many critical-path ops are examined.
-        naive: Use the reference copy-per-candidate evaluation path (no
-            transactions, no cache, no pruning).  Kept for the
-            equivalence suite and benchmark baselines.
-        prune: Skip a candidate's DPOS rerun when the lower bound proves
-            it cannot beat the incumbent finish time (incremental path
-            only; never changes the returned strategy).
-        workers: Evaluate each op's surviving candidates in this many
-            worker processes (incremental path only; the cost models
-            must be picklable, which the oracle models are).
         obs: Observability hook (spans per search/op, search counters and
             cache hit/miss metrics); defaults to the zero-cost no-op.
     """
 
     def __init__(
         self,
-        dpos: Optional[DPOS] = None,
+        dpos: DPOS,
         *,
-        topology: Optional[Topology] = None,
-        computation: Optional[ComputationCostModel] = None,
-        communication: Optional[CommunicationCostModel] = None,
-        memory_fraction: float = 0.9,
         options: Optional[SearchOptions] = None,
-        split_counts: object = _UNSET,
-        max_candidate_ops: object = _UNSET,
-        naive: object = _UNSET,
-        prune: object = _UNSET,
-        workers: object = _UNSET,
-        coarsen: object = _UNSET,
-        coarsen_threshold: object = _UNSET,
-        coarsen_target: object = _UNSET,
         obs: Optional[Observability] = None,
     ) -> None:
-        if dpos is None:
-            if topology is None or computation is None or communication is None:
-                raise TypeError(
-                    "OSDPOS needs either a DPOS instance or all of "
-                    "topology=, computation=, communication="
-                )
-            dpos = DPOS(
-                topology, computation, communication,
-                memory_fraction=memory_fraction,
-                obs=obs,
-            )
-        elif topology is not None or computation is not None \
-                or communication is not None:
-            raise TypeError(
-                "pass either dpos or topology/computation/communication, "
-                "not both"
-            )
+        if options is None:
+            options = SearchOptions(max_candidate_ops=None)
         self.dpos = dpos
         self.obs = get_obs(obs)
-
-        base = options if options is not None \
-            else SearchOptions(max_candidate_ops=None)
-        if split_counts is _UNSET:
-            split_counts = base.split_counts
-        if max_candidate_ops is _UNSET:
-            max_candidate_ops = base.max_candidate_ops
-        if naive is _UNSET:
-            naive = base.naive
-        if prune is _UNSET:
-            prune = base.prune
-        if workers is _UNSET:
-            workers = base.workers
-        if coarsen is _UNSET:
-            coarsen = base.coarsen
-        if coarsen_threshold is _UNSET:
-            coarsen_threshold = base.coarsen_threshold
-        if coarsen_target is _UNSET:
-            coarsen_target = base.coarsen_target
-        if not base.enable_splitting:
-            split_counts = []
-
-        num_devices = len(dpos.topology.devices)
-        self.split_counts = (
-            list(split_counts)  # type: ignore[arg-type]
-            if split_counts is not None
-            else default_split_counts(num_devices)
-        )
-        self.max_candidate_ops = max_candidate_ops
-        self.naive = bool(naive)
-        self.prune = bool(prune)
-        if workers is not None and workers < 1:  # type: ignore[operator]
-            raise ValueError("workers must be a positive integer or None")
-        self.workers = workers
-        if coarsen not in (True, False, "auto"):
-            raise ValueError('coarsen must be True, False, or "auto"')
-        self.coarsen = coarsen
-        self.coarsen_threshold = int(coarsen_threshold)  # type: ignore[call-overload]
-        self.coarsen_target = int(coarsen_target)  # type: ignore[call-overload]
+        if not options.enable_splitting:
+            self.split_counts: List[int] = []
+        elif options.split_counts is not None:
+            self.split_counts = list(options.split_counts)
+        else:
+            self.split_counts = default_split_counts(len(dpos.topology.devices))
+        self.max_candidate_ops = options.max_candidate_ops
+        self.naive = options.naive
+        self.prune = options.prune
+        self.coarsen = options.coarsen
+        self.coarsen_threshold = options.coarsen_threshold
+        self.coarsen_target = options.coarsen_target
 
     # ------------------------------------------------------------------
     def run(
@@ -432,12 +314,6 @@ class OSDPOS:
                     metrics.counter(name).inc(value)
             metrics.gauge("search.finish_time_estimate").set(result.finish_time)
         return result
-
-    #: Public alias: ``search()`` is the documented entry point shared
-    #: with :meth:`DPOS.search`; ``run()`` is kept for existing callers.
-    def search(self, graph: Graph) -> OSDPOSResult:
-        """Alias of :meth:`run` (consistent with :meth:`DPOS.search`)."""
-        return self.run(graph)
 
     # ------------------------------------------------------------------
     # Telemetry (no-ops unless the obs hook carries a live event bus)
@@ -909,103 +785,84 @@ class OSDPOS:
         pruned = 0
         rejected = 0
 
-        executor: Optional[ProcessPoolExecutor] = None
-        try:
-            if self.split_counts:
-                if self.workers is not None:
-                    # Deep graphs recurse when pickled (tensor -> producer
-                    # -> inputs -> ...); raise the limit in both the
-                    # submitting process and the workers.
-                    limit = max(
-                        sys.getrecursionlimit(), 8 * working.num_ops + 1000
-                    )
-                    sys.setrecursionlimit(limit)
-                    executor = ProcessPoolExecutor(
-                        max_workers=self.workers,
-                        initializer=_worker_init,
-                        initargs=(limit,),
-                    )
-                bounds = _SearchBounds(cache) if self.prune else None
-                cp_ops = self._placement_critical_path(
-                    working, best, cache=cache
+        if self.split_counts:
+            bounds = _SearchBounds(cache) if self.prune else None
+            cp_ops = self._placement_critical_path(
+                working, best, cache=cache
+            )
+            if self.max_candidate_ops is not None:
+                cp_ops = cp_ops[: self.max_candidate_ops]
+            search.set_candidate_ops(cp_ops)
+            tracer = self.obs.tracer
+            for op_index, op_name in enumerate(cp_ops):
+                if op_name not in working:
+                    continue  # consumed by an earlier committed split
+                op = working.get_op(op_name)
+                if not op.is_splittable:
+                    continue
+                rnd = search.begin_op(op_name, incumbent=best.finish_time)
+                self._emit_op_start(
+                    op_name, op_index, len(cp_ops), best.finish_time
                 )
-                if self.max_candidate_ops is not None:
-                    cp_ops = cp_ops[: self.max_candidate_ops]
-                search.set_candidate_ops(cp_ops)
-                tracer = self.obs.tracer
-                for op_index, op_name in enumerate(cp_ops):
-                    if op_name not in working:
-                        continue  # consumed by an earlier committed split
-                    op = working.get_op(op_name)
-                    if not op.is_splittable:
-                        continue
-                    rnd = search.begin_op(op_name, incumbent=best.finish_time)
-                    self._emit_op_start(
-                        op_name, op_index, len(cp_ops), best.finish_time
+                with tracer.span(
+                    f"evaluate:{op_name}", cat="search.candidates"
+                ):
+                    outcome = self._evaluate_op(
+                        working, op, cache, bounds, best.finish_time, rnd
                     )
-                    with tracer.span(
-                        f"evaluate:{op_name}", cat="search.candidates"
-                    ):
-                        outcome = self._evaluate_op(
-                            working, op, cache, bounds, best.finish_time,
-                            executor, rnd,
-                        )
-                    evaluated += outcome.evaluated
-                    pruned += outcome.pruned
-                    if outcome.attempted == 0:
-                        rnd.no_candidates()
-                        self._emit_op_finish(op_name, "no-candidates")
-                        continue  # no structurally possible split
-                    if (
-                        outcome.best is not None
-                        and outcome.best[1].finish_time < best.finish_time
-                    ):
-                        decision, result = outcome.best
-                        txn = SplitTransaction(
-                            working, op, decision.dim, decision.num_splits
-                        )
-                        txn.apply()
-                        rnd.accept(
-                            decision.dim, decision.num_splits,
-                            sub_ops=[o.name for o in txn.sub_ops],
-                            makespan=result.finish_time,
-                        )
-                        cache.invalidate(txn.commit())
-                        split_list.append(decision)
-                        best = result
-                        tracer.instant(
-                            f"commit-split:{op_name}",
-                            cat="search",
-                            args={
-                                "dim": decision.dim,
-                                "num_splits": decision.num_splits,
-                                "finish_time": result.finish_time,
-                            },
-                        )
-                        self._emit_commit(decision, best.finish_time)
-                        self._emit_op_finish(
-                            op_name, "accepted", best.finish_time
-                        )
-                        if self.prune:
-                            bounds = _SearchBounds(cache)
-                    else:
-                        rnd.reject(
-                            best_makespan=(
-                                None if outcome.best is None
-                                else outcome.best[1].finish_time
-                            )
-                        )
-                        rejected += 1
-                        self._emit_op_finish(
-                            op_name,
-                            "rejected",
+                evaluated += outcome.evaluated
+                pruned += outcome.pruned
+                if outcome.attempted == 0:
+                    rnd.no_candidates()
+                    self._emit_op_finish(op_name, "no-candidates")
+                    continue  # no structurally possible split
+                if (
+                    outcome.best is not None
+                    and outcome.best[1].finish_time < best.finish_time
+                ):
+                    decision, result = outcome.best
+                    txn = SplitTransaction(
+                        working, op, decision.dim, decision.num_splits
+                    )
+                    txn.apply()
+                    rnd.accept(
+                        decision.dim, decision.num_splits,
+                        sub_ops=[o.name for o in txn.sub_ops],
+                        makespan=result.finish_time,
+                    )
+                    cache.invalidate(txn.commit())
+                    split_list.append(decision)
+                    best = result
+                    tracer.instant(
+                        f"commit-split:{op_name}",
+                        cat="search",
+                        args={
+                            "dim": decision.dim,
+                            "num_splits": decision.num_splits,
+                            "finish_time": result.finish_time,
+                        },
+                    )
+                    self._emit_commit(decision, best.finish_time)
+                    self._emit_op_finish(
+                        op_name, "accepted", best.finish_time
+                    )
+                    if self.prune:
+                        bounds = _SearchBounds(cache)
+                else:
+                    rnd.reject(
+                        best_makespan=(
                             None if outcome.best is None
-                            else outcome.best[1].finish_time,
+                            else outcome.best[1].finish_time
                         )
-                        break  # first non-improving CP op stops the search
-        finally:
-            if executor is not None:
-                executor.shutdown()
+                    )
+                    rejected += 1
+                    self._emit_op_finish(
+                        op_name,
+                        "rejected",
+                        None if outcome.best is None
+                        else outcome.best[1].finish_time,
+                    )
+                    break  # first non-improving CP op stops the search
 
         return self._package(
             working, best, split_list, evaluated, rejected, pruned,
@@ -1019,20 +876,13 @@ class OSDPOS:
         cache: CostCache,
         bounds: Optional[_SearchBounds],
         incumbent: float,
-        executor: Optional[ProcessPoolExecutor],
         rnd,
     ) -> _OpOutcome:
-        """Apply/evaluate/undo every (dim, count) candidate of one op.
-
-        With an ``executor``, candidates that survive the bound check are
-        fanned out to worker processes; results are reduced in submission
-        order so tie-breaking matches the serial path exactly.
-        """
+        """Apply/evaluate/undo every (dim, count) candidate of one op."""
         best: Optional[Tuple[SplitDecision, DPOSResult]] = None
         evaluated = 0
         pruned = 0
         attempted = 0
-        survivors: List[Tuple[str, int]] = []
         for dim, count in itertools.product(
             sorted(op.split_dims), self.split_counts
         ):
@@ -1064,37 +914,12 @@ class OSDPOS:
                     )
                     cache.invalidate(txn.undo())
                     continue
-            if executor is not None:
-                cache.invalidate(txn.undo())
-                survivors.append((dim, count))
-                continue
             result = self.dpos.run(working, cost_cache=cache)
             evaluated += 1
             rnd.candidate(dim, count, "rejected", makespan=result.finish_time)
             cache.invalidate(txn.undo())
             if best is None or result.finish_time < best[1].finish_time:
                 best = (txn.decision, result)
-        if executor is not None and survivors:
-            futures = [
-                executor.submit(
-                    _evaluate_candidate, self.dpos, working, op.name, dim, count
-                )
-                for dim, count in survivors
-            ]
-            for (dim, count), future in zip(survivors, futures):
-                result = future.result()
-                if result is None:
-                    rnd.candidate(dim, count, "infeasible")
-                    continue
-                evaluated += 1
-                rnd.candidate(
-                    dim, count, "rejected", makespan=result.finish_time
-                )
-                if best is None or result.finish_time < best[1].finish_time:
-                    decision = SplitDecision(
-                        op_name=op.name, dim=dim, num_splits=count
-                    )
-                    best = (decision, result)
         return _OpOutcome(best, evaluated, pruned, attempted)
 
     def _candidate_lower_bound(

@@ -17,6 +17,7 @@ checkpoint/restart, and then "trains" under the surviving strategy.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from typing import List, Optional
 
@@ -171,7 +172,9 @@ class FastTSession:
         """
         return SearchContext.create(
             self.topology,
-            perf_model=self.perf_model,
+            perf_model=dataclasses.replace(
+                self.perf_model, efficiency=dict(self.perf_model.efficiency)
+            ),
             config=self.config,
             obs=obs if obs is not None else self.obs,
             warm_start=warm_start,
@@ -186,7 +189,7 @@ class FastTSession:
 
         Without ``context`` this is the legacy single-tenant path: one
         memoized run over the session's own perf model and freshly
-        adopted cost models (byte-identical to the pre-context engine).
+        created cost models (byte-identical to the pre-context engine).
         With an explicit ``context`` (see :meth:`new_context`) the run
         uses *only* that context's state, is safe to invoke from
         multiple threads on distinct contexts, and always executes —

@@ -88,20 +88,6 @@ class CommunicationCostModel:
         # samples — so the critical sections stay short).
         self._lock = threading.RLock()
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Locks don't pickle; the model otherwise does (bound methods of
-        # the shared cost models travel into worker processes via the
-        # experiment harness).  Flush pending refits so the copy starts
-        # from a consistent snapshot.
-        with self._lock:
-            state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     # ------------------------------------------------------------------
     def observe(self, src: str, dst: str, num_bytes: int, duration: float) -> None:
         """Record one profiled transfer."""

@@ -117,19 +117,6 @@ class EventBus:
         # read_event_log's duplicate check).
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> Dict[str, object]:
-        # Locks don't pickle; process-parallel search workers receive a
-        # copy of the bus (via DPOS.obs) and re-arm a fresh lock on
-        # their side.  Seq/epoch travel so worker-side emissions stay
-        # well-formed, though workers normally run un-subscribed.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     def subscribe(self, subscriber: Subscriber) -> Subscriber:
         """Register a callback; returns it (decorator-friendly)."""
         with self._lock:

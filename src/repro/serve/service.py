@@ -106,7 +106,9 @@ def new_request_id() -> str:
 _CONFIG_FIELDS = frozenset(
     f for f in FastTConfig.__dataclass_fields__ if f != "search"
 )
-_SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__)
+#: ``naive`` is the equivalence suite's reference path: the same strategy
+#: at several times the cost, under a second fingerprint.
+_SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__) - {"naive"}
 
 
 class RequestError(ValueError):

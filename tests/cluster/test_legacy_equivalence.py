@@ -1,7 +1,7 @@
 """Regression: the link-graph refactor preserves the two-tier world.
 
-The old ``Topology(devices, intra_server=, inter_server=)`` constructor
-now builds a hub-and-spoke link graph; these tests pin the equivalence —
+A bare device list, ``Topology(devices)``, builds a hub-and-spoke
+two-tier link graph; these tests pin its equivalence to the presets —
 same ``LinkSpec``s field for field, same uncontended transfer times, and
 byte-identical strategies and simulated step times end-to-end.
 """
@@ -16,6 +16,7 @@ from repro.cluster import (
     make_devices,
     single_server,
     two_servers,
+    two_tier_spec,
 )
 
 
@@ -71,10 +72,7 @@ class TestExplicitTierValues:
     def test_custom_tier_tuples_resolve_exactly(self):
         intra = ("nvlink", 20e9, 4e-6)
         inter = ("ethernet", 5e9, 50e-6)
-        with pytest.warns(DeprecationWarning):
-            topo = Topology(
-                make_devices([2, 2]), intra_server=intra, inter_server=inter
-            )
+        topo = Topology(two_tier_spec(make_devices([2, 2]), intra, inter))
         same = topo.link("/server:0/gpu:0", "/server:0/gpu:1")
         assert (same.name, same.bandwidth, same.latency) == intra
         assert same.shared_channel == "nvlink:/server:0/gpu:0->*"

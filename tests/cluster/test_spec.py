@@ -12,8 +12,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cluster import (
-    ETHERNET,
-    NVLINK,
     PCIE,
     ClusterSpec,
     LinkDef,
@@ -26,7 +24,6 @@ from repro.cluster import (
     multi_server,
     pcie_server,
     topology_from,
-    two_tier_spec,
 )
 
 
@@ -229,19 +226,10 @@ class TestRoutes:
 
 
 class TestLegacyShim:
-    def test_explicit_tiers_warn(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            Topology(make_devices([2]), intra_server=NVLINK)
-
     def test_bare_device_list_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             Topology(make_devices([2, 2]))
-
-    def test_spec_rejects_tier_kwargs(self):
-        spec = two_tier_spec(make_devices([2]), NVLINK, ETHERNET)
-        with pytest.raises(TypeError, match="legacy"):
-            Topology(spec, intra_server=NVLINK)
 
     def test_preset_string_dispatch(self):
         assert topology_from("pcie:4").spec.name == "pcie-server-4"

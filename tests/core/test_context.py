@@ -119,8 +119,8 @@ class TestContextCreation:
         assert context.perf_model.topology is topo2
         assert context.warm_start is None
 
-    def test_adopt_keeps_perf_model_instance(self, topo2, perf2):
+    def test_create_keeps_perf_model_instance(self, topo2, perf2):
         config = _fast_config()
-        context = SearchContext.adopt(topo2, perf2, config)
+        context = SearchContext.create(topo2, perf_model=perf2, config=config)
         assert context.perf_model is perf2
         assert context.config is config

@@ -25,7 +25,7 @@ import sys
 import pytest
 
 from repro.cluster import cluster_for
-from repro.core import DPOS, OSDPOS
+from repro.core import DPOS, OSDPOS, SearchOptions
 from repro.costmodel import OracleCommunicationModel, OracleComputationModel
 from repro.graph import build_single_device_training_graph
 from repro.hardware import PerfModel
@@ -95,9 +95,8 @@ def _decisions_record(decisions):
 
 def _osdpos_case(model_name, cluster, **dpos_kwargs):
     dpos = _dpos(cluster, **dpos_kwargs)
-    result = OSDPOS(dpos, max_candidate_ops=MAX_CANDIDATE_OPS).run(
-        _graph(model_name)
-    )
+    options = SearchOptions(max_candidate_ops=MAX_CANDIDATE_OPS)
+    result = OSDPOS(dpos, options=options).run(_graph(model_name))
     return _strategy_record(result.strategy, result.finish_time)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import DPOS, OSDPOS, default_split_counts
+from repro.core import DPOS, OSDPOS, SearchOptions, default_split_counts
 from repro.costmodel import (
     OracleCommunicationModel,
     OracleComputationModel,
@@ -101,7 +101,8 @@ class TestSplitSearch:
         g = heavy_matmul_graph()
         comp, comm = _oracle(topo4)
         dpos = DPOS(topo4, comp, comm)
-        result = OSDPOS(dpos, split_counts=[]).run(g)
+        options = SearchOptions(max_candidate_ops=None, split_counts=[])
+        result = OSDPOS(dpos, options=options).run(g)
         assert result.split_list == []
         assert result.finish_time == pytest.approx(
             dpos.run(g.copy()).finish_time
@@ -110,7 +111,9 @@ class TestSplitSearch:
     def test_max_candidate_ops_limits_search(self, topo4):
         g = heavy_matmul_graph()
         comp, comm = _oracle(topo4)
-        limited = OSDPOS(DPOS(topo4, comp, comm), max_candidate_ops=0).run(g)
+        limited = OSDPOS(
+            DPOS(topo4, comp, comm), options=SearchOptions(max_candidate_ops=0)
+        ).run(g)
         assert limited.split_list == []
 
     def test_materialize_reproduces_rewritten_graph(self, topo4):
@@ -129,7 +132,9 @@ class TestOnTrainingGraphs:
         perf = PerfModel(topo2)
         comp = OracleComputationModel(perf)
         comm = OracleCommunicationModel(perf)
-        result = OSDPOS(DPOS(topo2, comp, comm), max_candidate_ops=3).run(graph)
+        result = OSDPOS(
+            DPOS(topo2, comp, comm), options=SearchOptions(max_candidate_ops=3)
+        ).run(graph)
         from repro.sim import ExecutionSimulator
 
         trace = ExecutionSimulator(result.graph, topo2, perf).run_step(

@@ -1,8 +1,7 @@
 """Naive vs incremental OS-DPOS: the strategies must be byte-identical.
 
 The incremental engine (transactional split apply/undo, cost caching,
-lower-bound pruning, optional worker processes) is a pure performance
-layer — on every model in the zoo and every cluster preset it must
+lower-bound pruning) is a pure performance layer — on every model in the zoo and every cluster preset it must
 return exactly the strategy the retained ``naive=True`` reference path
 computes, and its evaluated + pruned counters must account for every
 candidate the naive path scores.
@@ -11,7 +10,7 @@ candidate the naive path scores.
 import pytest
 
 from repro.cluster import cluster_for
-from repro.core import DPOS, OSDPOS
+from repro.core import DPOS, OSDPOS, SearchOptions
 from repro.costmodel import OracleCommunicationModel, OracleComputationModel
 from repro.graph import build_single_device_training_graph
 from repro.hardware import PerfModel
@@ -35,7 +34,8 @@ def _search_pair(model_name, num_gpus):
 
     def run(**kwargs):
         dpos = DPOS(topo, comp, comm)
-        search = OSDPOS(dpos, max_candidate_ops=MAX_CANDIDATE_OPS, **kwargs)
+        options = SearchOptions(max_candidate_ops=MAX_CANDIDATE_OPS, **kwargs)
+        search = OSDPOS(dpos, options=options)
         return search.run(fresh_graph())
 
     return run
@@ -68,14 +68,6 @@ def test_incremental_matches_naive(model_name, num_gpus):
     assert naive.candidates_pruned == 0
 
 
-@pytest.mark.parametrize("model_name", ["lenet", "alexnet"])
-def test_parallel_workers_match_naive(model_name):
-    run = _search_pair(model_name, 4)
-    naive = run(naive=True)
-    fast = run(workers=2)
-    assert _strategy_fingerprint(fast) == _strategy_fingerprint(naive)
-
-
 def test_incremental_leaves_input_graph_untouched():
     topo = cluster_for(4)
     perf = PerfModel(topo)
@@ -85,14 +77,8 @@ def test_incremental_leaves_input_graph_untouched():
         model.builder, model.global_batch, name="lenet_untouched"
     )
     names_before = [op.name for op in graph.ops]
-    result = OSDPOS(dpos, max_candidate_ops=MAX_CANDIDATE_OPS).run(graph)
+    options = SearchOptions(max_candidate_ops=MAX_CANDIDATE_OPS)
+    result = OSDPOS(dpos, options=options).run(graph)
     assert [op.name for op in graph.ops] == names_before
     assert result.graph is not graph
 
-
-def test_workers_must_be_positive():
-    topo = cluster_for(2)
-    perf = PerfModel(topo)
-    dpos = DPOS(topo, OracleComputationModel(perf), OracleCommunicationModel(perf))
-    with pytest.raises(ValueError):
-        OSDPOS(dpos, workers=0)

@@ -45,7 +45,10 @@ def _search(topo, graph, obs, **kwargs):
     perf = PerfModel(topo)
     comp = OracleComputationModel(perf)
     comm = OracleCommunicationModel(perf)
-    return OSDPOS(DPOS(topo, comp, comm, obs=obs), obs=obs, **kwargs).run(graph)
+    options = SearchOptions(max_candidate_ops=None, **kwargs)
+    return OSDPOS(
+        DPOS(topo, comp, comm, obs=obs), options=options, obs=obs
+    ).run(graph)
 
 
 @pytest.fixture

@@ -41,6 +41,12 @@ class TestNormalize:
         with pytest.raises(RequestError):
             normalize_request(_request(config={"search": {"bogus": 1}}))
 
+    @pytest.mark.parametrize("option", [{"workers": 2}, {"naive": True}])
+    def test_rejects_non_tenant_search_options(self, option):
+        config = dict(FAST_CONFIG, search={"max_candidate_ops": 2, **option})
+        with pytest.raises(RequestError, match="unknown search option"):
+            normalize_request(_request(config=config))
+
     def test_canonical_form_is_order_insensitive(self):
         a = normalize_request(_request())
         b = normalize_request({
@@ -174,3 +180,17 @@ class TestErrors:
         service = _service(tmp_path)
         with pytest.raises(RequestError):
             service.submit({"model": "lenet"})
+
+    @pytest.mark.parametrize("option", [{"workers": 2}, {"naive": True}])
+    def test_non_tenant_search_option_rejected_next_request_answered(
+        self, tmp_path, option
+    ):
+        service = _service(tmp_path)
+        config = dict(FAST_CONFIG, search={"max_candidate_ops": 2, **option})
+        with pytest.raises(RequestError, match="unknown search option"):
+            service.submit(_request(config=config))
+        assert service.stats.searches == 0
+        answer = service.submit(_request())
+        assert answer["source"] == "search"
+        assert answer["strategy"]["placement"]
+        assert service.stats.searches == 1

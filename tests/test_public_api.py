@@ -82,25 +82,12 @@ class TestOptimize:
 
 
 class TestConfigDeprecations:
-    """Old flat FastTConfig search knobs warn but keep working."""
+    """The search knobs live only on ``FastTConfig.search``."""
 
-    def test_init_kwarg_warns_and_is_equivalent(self):
-        with pytest.warns(DeprecationWarning):
-            old = FastTConfig(naive_search=True, search_workers=3)
-        new = FastTConfig(search=SearchOptions(naive=True, workers=3))
-        assert old.search.naive == new.search.naive == True  # noqa: E712
-        assert old.search.workers == new.search.workers == 3
-
-    def test_attribute_read_warns_and_delegates(self):
-        config = FastTConfig(search=SearchOptions(max_candidate_ops=7))
-        with pytest.warns(DeprecationWarning):
-            assert config.max_candidate_ops == 7
-
-    def test_attribute_write_warns_and_delegates(self):
-        config = FastTConfig()
-        with pytest.warns(DeprecationWarning):
-            config.enable_splitting = False
-        assert config.search.enable_splitting is False
+    def test_flat_search_knobs_are_gone(self):
+        with pytest.raises(TypeError):
+            FastTConfig(naive_search=True)
+        assert not hasattr(FastTConfig(), "max_candidate_ops")
 
     def test_new_style_config_is_warning_free(self):
         with warnings.catch_warnings():
