@@ -112,9 +112,17 @@ def config_fingerprints(graph, topology, config) -> Dict[str, str]:
     ``combined`` is the run's configuration identity — two runs with
     equal combined fingerprints optimized the same problem.
     """
-    graph_fp = graph_fingerprint(graph)
-    cluster_fp = cluster_fingerprint(topology)
-    options_fp = options_fingerprint(config)
+    return combine_fingerprints(
+        graph_fingerprint(graph),
+        cluster_fingerprint(topology),
+        options_fingerprint(config),
+    )
+
+
+def combine_fingerprints(
+    graph_fp: str, cluster_fp: str, options_fp: str
+) -> Dict[str, str]:
+    """The fingerprint block from its per-axis hashes (derives ``combined``)."""
     combined = hashlib.sha1(
         f"{graph_fp}:{cluster_fp}:{options_fp}".encode()
     ).hexdigest()

@@ -6,6 +6,8 @@ process, concurrently, with three progressively cheaper paths:
 
 1. **Cache hit** — the request's combined config fingerprint matches a
    :class:`~repro.serve.store.StoredStrategy`; answer without searching.
+   A repeat hit does not even build the session: the input graph's
+   fingerprint is memoized per (model, batch, cluster fingerprint).
 2. **Warm start** — a stored entry for the same cluster/options is a
    small graph edit away (:mod:`repro.graph.delta`); seed OS-DPOS from
    its split list (:class:`~repro.core.WarmStartSeed`) and let the
@@ -53,6 +55,7 @@ import os
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, replace
@@ -66,6 +69,7 @@ from ..graph.delta import graph_signature
 from ..obs.events import EventBus
 from ..obs.metrics import MetricsRegistry
 from ..obs import log as obs_log
+from ..obs import runs as obs_runs
 from .store import (
     STORE_SCHEMA_VERSION,
     StoredStrategy,
@@ -89,12 +93,19 @@ METRIC_HELP = {
     "serve.errors": "Requests that failed",
     "serve.timeouts": "Requests that exceeded their deadline",
     "serve.inflight": "Searches currently in flight",
+    "serve.store.write_errors": "Strategy-store disk writes that failed",
+    "serve.access_log.errors": "Access-log writes that failed",
     "serve.request.latency": "End-to-end request latency",
     "serve.search": "Strategy-search wall-clock per request",
     "serve.store.lookup": "Strategy-store lookup time per request",
     "serve.coalesce.wait": "Time followers spent waiting on their leader",
     "serve.queue.wait": "Time requests waited for a worker thread",
 }
+
+
+#: Entries in each service's (model, batch, cluster) -> graph
+#: fingerprint memo (~300 bytes each), least recently used evicted.
+GRAPH_MEMO_CAPACITY = 1024
 
 
 def new_request_id() -> str:
@@ -323,6 +334,8 @@ class StrategyService:
         #: the slow-request watchdog reads it.
         self._inflight_started: Dict[str, float] = {}
         self._inflight_lock = threading.Lock()
+        self._graph_fps: "OrderedDict[Tuple[str, int, str], str]" = OrderedDict()
+        self._graph_fps_lock = threading.Lock()
         self._started = False
         self._shutting_down = False
         if self.events.enabled:
@@ -332,6 +345,8 @@ class StrategyService:
         # family set (all zeros) instead of an empty document.
         for field in ServiceStats.__dataclass_fields__:
             self.metrics.counter(f"serve.{field}")
+        self.metrics.counter("serve.store.write_errors")
+        self.metrics.counter("serve.access_log.errors")
         self.metrics.gauge("serve.inflight")
         self.metrics.histogram("serve.request.latency")
 
@@ -354,7 +369,8 @@ class StrategyService:
         if self.access_log is not None:
             try:
                 self.access_log.write(record)
-            except OSError:  # pragma: no cover - disk-full etc.
+            except OSError:
+                self.metrics.counter("serve.access_log.errors").inc()
                 _logger.exception("access-log write failed")
 
     # -- the three answer paths ----------------------------------------
@@ -510,7 +526,8 @@ class StrategyService:
         request_key: str,
         request_id: str,
     ) -> Dict[str, object]:
-        from ..obs.runs import config_fingerprints
+        from ..core.session import FastTSession
+        from ..models import get_model
 
         if self.events.enabled:
             self.events.emit(
@@ -519,19 +536,33 @@ class StrategyService:
             )
         config = _build_config(self.config, document.get("config") or {})
         topology = topology_from(document["topology"])
-        # The request's problem identity needs the built input graph;
-        # session construction (graph building + placement) is cheap
-        # next to search and exactly matches what a cold run would do.
-        from ..core.session import FastTSession
-        from ..models import get_model
-
         spec = get_model(str(document["model"]))
         batch = int(document.get("global_batch") or spec.global_batch)
-        session = FastTSession(
-            spec.builder, topology, global_batch=batch,
+        build_session = functools.partial(
+            FastTSession, spec.builder, topology, global_batch=batch,
             config=config, model_name=spec.name,
         )
-        fingerprints = config_fingerprints(session.input_graph, topology, config)
+        # The problem identity needs the input graph's fingerprint,
+        # which depends on (model, batch, cluster) only — never on the
+        # config — so build a session (two graph builds and a fit
+        # check) the first time a triple is seen, or on a store miss.
+        session: Optional[FastTSession] = None
+        cluster_fp = obs_runs.cluster_fingerprint(topology)
+        memo_key = (spec.name, batch, cluster_fp)
+        with self._graph_fps_lock:
+            graph_fp = self._graph_fps.get(memo_key)
+            if graph_fp is not None:
+                self._graph_fps.move_to_end(memo_key)
+        if graph_fp is None:
+            session = build_session()
+            graph_fp = obs_runs.graph_fingerprint(session.input_graph)
+            with self._graph_fps_lock:
+                self._graph_fps[memo_key] = graph_fp
+                while len(self._graph_fps) > GRAPH_MEMO_CAPACITY:
+                    self._graph_fps.popitem(last=False)
+        fingerprints = obs_runs.combine_fingerprints(
+            graph_fp, cluster_fp, obs_runs.options_fingerprint(config)
+        )
         key = fingerprints["combined"]
 
         lookup_start = time.monotonic()
@@ -559,6 +590,8 @@ class StrategyService:
                 request_id=request_id,
             )
 
+        if session is None:
+            session = build_session()
         signature = graph_signature(session.input_graph)
         warm_start, warm_source = self._warm_seed(signature, fingerprints, batch)
         context = session.new_context(warm_start=warm_start)
@@ -633,7 +666,8 @@ class StrategyService:
             signature=signature,
             run_id=run_id or None,
         )
-        self.store.put(entry)
+        if not self.store.put(entry):
+            self.metrics.counter("serve.store.write_errors").inc()
         source = "warm" if warm_start is not None and not fallbacks else "search"
         if self.events.enabled:
             self.events.emit(
@@ -653,10 +687,8 @@ class StrategyService:
         forward half of the request<->run correlation (``runs show``
         prints it; the access log maps the other direction).
         """
-        from ..obs.runs import RunRegistry
-
         try:
-            recorder = RunRegistry(self.runs_root).create()
+            recorder = obs_runs.RunRegistry(self.runs_root).create()
         except OSError:  # pragma: no cover - registry root unwritable
             _logger.exception("run recording disabled for this request")
             return None

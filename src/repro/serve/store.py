@@ -42,6 +42,9 @@ from ..core.strategy import Strategy
 from ..graph.delta import GraphDelta, diff_signatures
 from ..graph.rewrite import SplitDecision
 from ..obs.events import NULL_EVENTS, EventBus
+from ..obs.log import get_logger
+
+_logger = get_logger(__name__)
 
 #: Version of a stored-strategy document.  Bump on layout changes;
 #: unknown versions are deleted on read (a cache regenerates, it does
@@ -208,18 +211,32 @@ class StrategyStore:
             self._admit(entry)
         return entry
 
-    def put(self, entry: StoredStrategy) -> None:
-        """Insert (write-through to disk when persistence is on)."""
+    def put(self, entry: StoredStrategy) -> bool:
+        """Insert (write-through to disk when persistence is on).
+
+        A failed disk write is logged and leaves no temporary file; the
+        entry still enters the memory tier.  Returns False in that case.
+        """
         if not entry.created_at:
             entry.created_at = time.time()
+        written = True
         if self.persist:
-            os.makedirs(self.root, exist_ok=True)
             path = self._path(entry.key)
             tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w") as handle:
-                json.dump(entry.to_json(), handle, indent=2)
-            os.replace(tmp, path)
+            try:
+                os.makedirs(self.root, exist_ok=True)
+                with open(tmp, "w") as handle:
+                    json.dump(entry.to_json(), handle, indent=2)
+                os.replace(tmp, path)
+            except OSError:
+                _logger.exception("strategy-store write of %s failed", path)
+                written = False
+                try:
+                    os.remove(tmp)
+                except OSError:
+                    pass
         self._admit(entry)
+        return written
 
     def _admit(self, entry: StoredStrategy) -> None:
         evicted: List[str] = []

@@ -1,15 +1,24 @@
 """StrategyService: hit / coalesce / warm-start semantics, counter-verified."""
 
+import errno
+import os
 import threading
 
 import pytest
 
+from repro.cluster import topology_from
+from repro.core import FastTConfig, FastTSession
+from repro.models import get_model
+from repro.obs.prometheus import parse_prometheus, sample_value
+from repro.obs.runs import config_fingerprints
 from repro.serve import (
     RequestError,
     StrategyService,
     StrategyStore,
     normalize_request,
 )
+from repro.serve import service as service_module
+from repro.serve import store as store_module
 
 FAST_CONFIG = {
     "profiling_steps": 1, "max_rounds": 2, "min_rounds": 1,
@@ -194,3 +203,147 @@ class TestErrors:
         assert answer["source"] == "search"
         assert answer["strategy"]["placement"]
         assert service.stats.searches == 1
+
+
+@pytest.fixture
+def session_builds(monkeypatch):
+    """Counts FastTSession constructions (a list of model names)."""
+    built = []
+    original = FastTSession.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("model_name"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FastTSession, "__init__", counting_init)
+    return built
+
+
+def _without_request_id(response):
+    return {k: v for k, v in response.items() if k != "request_id"}
+
+
+class TestSessionMemo:
+    def test_repeat_hit_builds_no_session(self, tmp_path, session_builds):
+        first = _service(tmp_path).submit(_request())
+        assert first["source"] == "search"
+
+        service = _service(tmp_path)  # fresh memo over the filled store
+        del session_builds[:]
+        hit = service.submit(_request())
+        assert hit["source"] == "cache"
+        assert session_builds == ["lenet"]  # first sight of the triple
+
+        repeat = service.submit(_request())
+        assert repeat["source"] == "cache"
+        assert session_builds == ["lenet"]  # the repeat built nothing
+        assert repeat["request_id"] != hit["request_id"]
+        assert _without_request_id(repeat) == _without_request_id(hit)
+        assert service.stats.searches == 0
+
+    @pytest.mark.parametrize("model", ["lenet", "alexnet"])
+    @pytest.mark.parametrize("topology", ["pcie:2", "pcie:4"])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_memoized_key_matches_fresh_session(
+        self, tmp_path, session_builds, model, topology, batch
+    ):
+        service = _service(tmp_path)
+        request = _request(model=model, topology=topology, global_batch=batch)
+        first = service.submit(request)
+        builds = len(session_builds)
+        memoized = service.submit(request)
+        assert memoized["source"] == "cache"
+        assert len(session_builds) == builds
+
+        spec = get_model(model)
+        cluster = topology_from(topology)
+        session = FastTSession(
+            spec.builder, cluster, global_batch=batch or spec.global_batch,
+            model_name=spec.name,
+        )
+        if batch == 3 and topology == "pcie:4":
+            assert session.initial_strategy.label == "model-parallel"
+        config = service_module._build_config(service.config, FAST_CONFIG)
+        fresh = config_fingerprints(session.input_graph, cluster, config)
+        assert memoized["key"] == first["key"] == fresh["combined"]
+
+    def test_base_config_is_part_of_the_key(self, tmp_path):
+        store = StrategyStore(root=str(tmp_path / "strategies"), capacity=16)
+        a = StrategyService(store=store)
+        b = StrategyService(
+            store=store, config=FastTConfig(restart_overhead_seconds=1.0)
+        )
+        key_a = a.submit(_request())["key"]
+        assert b.submit(_request())["source"] == "search"  # no cross-hit
+        assert a.submit(_request())["key"] == key_a
+        assert b.submit(_request())["key"] != key_a
+        assert (a.stats.hits, b.stats.hits) == (1, 1)
+
+        # The memo holds graph fingerprints only: a changed config keys
+        # the next request afresh (here onto b's stored entry).
+        a.config = b.config
+        moved = a.submit(_request())
+        assert moved["source"] == "cache" and moved["key"] != key_a
+
+    def test_memo_hit_then_store_miss_searches_and_stores(
+        self, session_builds
+    ):
+        store = StrategyStore(capacity=1, persist=False)
+        service = StrategyService(store=store)
+        first = service.submit(_request(global_batch=64))
+        service.submit(_request(global_batch=128))  # evicts the first
+        assert store.get(first["key"]) is None
+
+        del session_builds[:]
+        again = service.submit(_request(global_batch=64))
+        assert again["source"] != "cache"
+        assert again["key"] == first["key"]
+        assert session_builds == ["lenet"]  # built for the search only
+        assert service.stats.searches == 3
+        assert store.get(first["key"]) is not None
+
+    def test_memo_is_bounded_lru(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "GRAPH_MEMO_CAPACITY", 2)
+        service = _service(tmp_path)
+        for batch in (16, 32, 16, 64):
+            service.submit(_request(global_batch=batch))
+            assert len(service._graph_fps) <= 2
+        assert [key[1] for key in service._graph_fps] == [16, 64]
+
+
+class TestWriteFailures:
+    def test_failed_store_write_still_answers(self, tmp_path, monkeypatch):
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(store_module.os, "replace", no_space)
+        service = _service(tmp_path)
+        first = service.submit(_request())
+        assert first["source"] == "search"
+        assert service.metrics.counter("serve.store.write_errors").value == 1
+        assert service.stats.errors == 0
+        root = tmp_path / "strategies"
+        assert not [p for p in os.listdir(root) if ".tmp." in p]
+
+        # The finished search is kept in memory: the repeat is a hit.
+        assert service.submit(_request())["source"] == "cache"
+        assert service.stats.searches == 1
+
+    def test_failed_access_log_write_is_counted(self, tmp_path):
+        class FullDisk:
+            name = "full.jsonl"
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def flush(self):
+                pass
+
+        service = _service(tmp_path, access_log=FullDisk())
+        answer = service.submit(_request())
+        assert answer["source"] == "search"
+        assert service.metrics.counter("serve.access_log.errors").value == 1
+        samples = parse_prometheus(service.metrics_document())
+        assert sample_value(
+            samples, "repro_serve_access_log_errors_total"
+        ) == 1

@@ -1,5 +1,6 @@
 """StrategyStore: fingerprint cache semantics, LRU, schema hygiene."""
 
+import errno
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 from repro.core import Strategy
 from repro.graph.rewrite import SplitDecision
 from repro.obs import EventBus
+from repro.serve import store as store_module
 from repro.serve.store import (
     STORE_SCHEMA_VERSION,
     StoredStrategy,
@@ -92,6 +94,24 @@ class TestRoundtrip:
     def test_missing_key(self, tmp_path):
         store = StrategyStore(root=str(tmp_path))
         assert store.get("nope") is None
+
+    @pytest.mark.parametrize("target", [
+        (store_module.os, "replace"),  # full write, failed rename
+        (store_module.json, "dump"),   # tmp file opened, write failed
+        (store_module, "open"),        # tmp file never created
+    ])
+    def test_failed_write_keeps_memory_tier(self, tmp_path, monkeypatch, target):
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        owner, name = target
+        monkeypatch.setattr(owner, name, no_space, raising=False)
+        store = StrategyStore(root=str(tmp_path), capacity=4)
+        assert store.put(_entry("k1")) is False
+        monkeypatch.undo()
+        assert os.listdir(str(tmp_path)) == []  # no *.json.tmp.<pid> left
+        assert store.get("k1") is not None
+        assert store.put(_entry("k2")) is True
 
 
 class TestSchemaHygiene:
