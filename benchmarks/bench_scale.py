@@ -17,7 +17,6 @@ step time and the end-to-end wall seconds of the scale path.
 from __future__ import annotations
 
 import os
-import sys
 import time
 
 from conftest import export_rows
@@ -52,8 +51,6 @@ def build_deep_mlp(graph, prefix, batch):
 
 
 def run_scale_trial():
-    # Deep graphs recurse when copied/pickled (tensor -> producer -> ...).
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 16 * MIN_OPS))
     start = time.perf_counter()
     result = repro.optimize(
         build_deep_mlp,

@@ -16,7 +16,6 @@ were absorbed into super-ops.
     python examples/scale_100k.py      (~30 s)
 """
 
-import sys
 import time
 
 import repro
@@ -36,8 +35,6 @@ def build_deep_mlp(graph, prefix, batch):
 
 
 def main():
-    # Deep graphs recurse when copied (tensor -> producer -> inputs).
-    sys.setrecursionlimit(2_000_000)
     start = time.perf_counter()
     result = repro.optimize(
         build_deep_mlp,

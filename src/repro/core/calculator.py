@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 import time as _time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.calibration import CalibrationReport
@@ -193,6 +193,11 @@ class StrategyCalculator:
         self.context = context
         self.input_graph = input_graph
         self.alternative_inputs = list(alternative_inputs or [])
+        # One simulator per graph object (keyed by id; the simulator holds
+        # the graph, so the id stays unique): its execution plan re-keys
+        # itself on Graph.version and jitter lives in the perf model, so
+        # reusing it across profiles changes no result.
+        self._simulators: Dict[int, ExecutionSimulator] = {}
 
         # The initial strategy is normalized into a private copy; the
         # caller's Strategy object is never written (two requests may
@@ -231,9 +236,12 @@ class StrategyCalculator:
 
     # ------------------------------------------------------------------
     def _profiler_for(self, graph: Graph) -> Profiler:
-        simulator = ExecutionSimulator(
-            graph, self.topology, self.perf_model, obs=self.obs
-        )
+        simulator = self._simulators.get(id(graph))
+        if simulator is None:
+            simulator = ExecutionSimulator(
+                graph, self.topology, self.perf_model, obs=self.obs
+            )
+            self._simulators[id(graph)] = simulator
         return Profiler(simulator, self.computation, self.communication)
 
     def _profile(self, graph: Graph, strategy: Strategy, steps: int):

@@ -40,6 +40,11 @@ class Graph:
         # identical structure, so per-graph caches — e.g. the simulator's
         # execution plan — key on it instead of hashing the whole graph.
         self._version = 0
+        # Per-version memos of derived structure: canonical flag ->
+        # (version, topological order), and the last version that
+        # passed validate().  A version bump makes both stale.
+        self._topo_cache: Dict[bool, Tuple[int, List[Operation]]] = {}
+        self._validated_version: Optional[int] = None
         # Open mutation journal; None outside a transaction.
         self._txn: Optional[List[tuple]] = None
         self._txn_name_counter = 0
@@ -193,52 +198,75 @@ class Graph:
         *content*, independent of insertion order.  The strategy search
         relies on this so that an in-place-mutated graph and a structural
         copy of it order-tie-break identically.
+
+        The order is computed once per (:attr:`version`, ``canonical``);
+        each call returns a fresh list the caller may mutate.
         """
-        indegree: Dict[str, int] = {}
-        for op in self:
-            indegree[op.name] = len(self.predecessors(op))
-        order: List[Operation] = []
+        cached = self._topo_cache.get(canonical)
+        if cached is not None and cached[0] == self._version:
+            return list(cached[1])
+        ops, consumers = self._ops, self._consumers
+        # Same adjacency as predecessors()/successors(), inlined: an op's
+        # in-degree counts its distinct producers, and each distinct
+        # consumer is released once, in consumer-list order.
+        indegree: Dict[str, int] = {
+            name: len({t.producer.name for t in op.inputs if t.producer is not None})
+            for name, op in ops.items()
+        }
         if canonical:
-            heap = [op.name for op in self if indegree[op.name] == 0]
-            heapq.heapify(heap)
-            while heap:
-                op = self._ops[heapq.heappop(heap)]
-                order.append(op)
-                for succ in self.successors(op):
-                    indegree[succ.name] -= 1
-                    if indegree[succ.name] == 0:
-                        heapq.heappush(heap, succ.name)
+            ready = [name for name, degree in indegree.items() if degree == 0]
+            heapq.heapify(ready)
+
+            def pop() -> Operation:
+                return ops[heapq.heappop(ready)]
+
+            def push(op: Operation) -> None:
+                heapq.heappush(ready, op.name)
+
         else:
-            ready = deque(op for op in self if indegree[op.name] == 0)
-            while ready:
-                op = ready.popleft()
-                order.append(op)
-                for succ in self.successors(op):
-                    indegree[succ.name] -= 1
-                    if indegree[succ.name] == 0:
-                        ready.append(succ)
+            ready = deque(ops[name] for name, degree in indegree.items() if degree == 0)
+            pop, push = ready.popleft, ready.append
+        order: List[Operation] = []
+        while ready:
+            op = pop()
+            order.append(op)
+            released: Set[str] = set()
+            for t in op.outputs:
+                for succ, _ in consumers[t.name]:
+                    name = succ.name
+                    if name not in released:
+                        released.add(name)
+                        indegree[name] -= 1
+                        if indegree[name] == 0:
+                            push(succ)
         if len(order) != len(self._ops):
             raise GraphError(
                 f"graph {self.name!r} contains a cycle "
                 f"({len(self._ops) - len(order)} ops unreachable); FastT only "
                 "handles DAGs — unroll while-loops before scheduling"
             )
-        return order
+        self._topo_cache[canonical] = (self._version, order)
+        return list(order)
 
     def validate(self) -> None:
-        """Check structural invariants; raises :class:`GraphError` on failure."""
+        """Check structural invariants; raises :class:`GraphError` on failure.
+
+        A version that passed once is not re-checked.
+        """
+        if self._validated_version == self._version:
+            return
         self.topological_order()
         for op in self:
             for t in op.outputs:
                 if self._tensors.get(t.name) is not t:
                     raise GraphError(f"output {t.name!r} missing from tensor table")
             for idx, t in enumerate(op.inputs):
-                pairs = self._consumers.get(t.name, ())
-                if not any(c is op and i == idx for c, i in pairs):
+                if (op, idx) not in self._consumers.get(t.name, ()):
                     raise GraphError(
                         f"consumer table out of sync for {t.name!r} -> "
                         f"{op.name!r}[{idx}]"
                     )
+        self._validated_version = self._version
 
     def total_flops(self) -> float:
         return sum(op.flops for op in self)
@@ -271,6 +299,7 @@ class Graph:
             (c, i) for c, i in pairs if not (c is op and i == index)
         ]
         op.inputs[index] = new_tensor
+        op._reset_memos()
         self._consumers[new_tensor.name].append((op, index))
         self._version += 1
 
@@ -301,17 +330,37 @@ class Graph:
         self._version += 1
 
     def copy(self, name: Optional[str] = None) -> "Graph":
-        """Structural deep copy (new Operation/Tensor objects, same names)."""
+        """Structural deep copy (new Operation/Tensor objects, same names).
+
+        Ops are cloned in :meth:`topological_order`, exactly as if each
+        were re-created with :meth:`create_op` (same op order, consumer
+        lists and version), but without re-running shape inference: this
+        graph's shapes were inferred and checked when its ops were made.
+        """
         clone = Graph(name or self.name)
+        tensors, consumers = clone._tensors, clone._consumers
         for op in self.topological_order():
-            new_inputs = [clone.get_tensor(t.name) for t in op.inputs]
-            clone.create_op(
-                op.op_type,
-                op.name,
-                new_inputs,
+            new_op = Operation(
+                name=op.name,
+                op_type=op.op_type,
+                inputs=[tensors[t.name] for t in op.inputs],
                 attrs=dict(op.attrs),
                 colocation_group=op.colocation_group,
             )
+            new_op._flops = op._flops
+            new_op._bytes_accessed = op._bytes_accessed
+            for t in op.outputs:
+                new_t = Tensor(
+                    t.name, t.shape, t.dtype, producer=new_op,
+                    output_index=t.output_index,
+                )
+                new_op.outputs.append(new_t)
+                tensors[new_t.name] = new_t
+                consumers[new_t.name] = []
+            clone._ops[op.name] = new_op
+            for idx, t in enumerate(new_op.inputs):
+                consumers[t.name].append((new_op, idx))
+        clone._version = len(clone._ops)
         return clone
 
     # ------------------------------------------------------------------
@@ -407,6 +456,7 @@ class Graph:
             elif kind == _REPLACE:
                 _, op, index, old, new, old_pairs, new_pairs = entry
                 op.inputs[index] = old
+                op._reset_memos()
                 self._consumers[old.name] = old_pairs
                 self._consumers[new.name] = new_pairs
             else:  # _REMOVE: reinsert at the original position

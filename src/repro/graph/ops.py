@@ -150,7 +150,10 @@ class Operation:
 
     def __post_init__(self) -> None:
         self._spec = get_spec(self.op_type)
+        # Memos over the op's inputs and outputs; Graph.replace_input and
+        # its rollback reset them when an input is rewired.
         self._flops: Optional[float] = None
+        self._bytes_accessed: Optional[int] = None
 
     @property
     def spec(self) -> OpSpec:
@@ -165,7 +168,15 @@ class Operation:
 
     @property
     def bytes_accessed(self) -> int:
-        return self._spec.bytes_accessed(self)
+        """Cached memory traffic of one execution."""
+        if self._bytes_accessed is None:
+            self._bytes_accessed = self._spec.bytes_accessed(self)
+        return self._bytes_accessed
+
+    def _reset_memos(self) -> None:
+        """Forget the input-dependent memos (after an input is rewired)."""
+        self._flops = None
+        self._bytes_accessed = None
 
     @property
     def param_bytes(self) -> int:

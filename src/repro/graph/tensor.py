@@ -11,7 +11,7 @@ semantics tests lives in :mod:`repro.graph.numeric`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,44 +37,70 @@ def shape_num_elements(shape: Tuple[int, ...]) -> int:
     return int(math.prod(shape)) if shape else 1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True, init=False)
 class Tensor:
     """A symbolic tensor: one output of one operation.
+
+    Tensors are immutable: assigning any field raises
+    :class:`dataclasses.FrozenInstanceError`, so the element count and
+    byte size computed at creation can never go stale.  Rewrites change
+    which tensor an op reads (:meth:`repro.graph.graph.Graph.replace_input`),
+    never a tensor.
 
     Attributes:
         name: Globally unique name, conventionally ``"<op name>:<index>"``.
         shape: Static shape.  All dims must be positive; we do not model
             unknown dimensions because the scheduler needs concrete sizes.
         dtype: One of :data:`DTYPE_SIZES`.
-        producer: The operation producing this tensor (set by the op
-            constructor).
+        producer: The operation producing this tensor (passed in by
+            :meth:`repro.graph.graph.Graph.create_op`).
         output_index: Which output slot of ``producer`` this tensor is.
     """
 
+    __slots__ = (
+        "name", "shape", "dtype", "producer", "output_index",
+        "_num_elements", "_size_bytes",
+    )
     name: str
     shape: Tuple[int, ...]
-    dtype: str = "float32"
-    producer: Optional["Operation"] = field(default=None, repr=False)
-    output_index: int = 0
+    dtype: str
+    producer: Optional["Operation"]
+    output_index: int
 
-    def __post_init__(self) -> None:
-        if self.dtype not in DTYPE_SIZES:
-            raise ValueError(f"unknown dtype {self.dtype!r} for tensor {self.name!r}")
-        self.shape = tuple(int(d) for d in self.shape)
-        if any(d <= 0 for d in self.shape):
+    def __init__(
+        self,
+        name: str,
+        shape: Tuple[int, ...],
+        dtype: str = "float32",
+        producer: Optional["Operation"] = None,
+        output_index: int = 0,
+    ) -> None:
+        if dtype not in DTYPE_SIZES:
+            raise ValueError(f"unknown dtype {dtype!r} for tensor {name!r}")
+        shape = tuple(map(int, shape))
+        if shape and min(shape) <= 0:
             raise ShapeError(
-                f"tensor {self.name!r} has non-positive dimension in shape {self.shape}"
+                f"tensor {name!r} has non-positive dimension in shape {shape}"
             )
+        num_elements = shape_num_elements(shape)
+        setattr_ = object.__setattr__  # the frozen class's own setter raises
+        setattr_(self, "name", name)
+        setattr_(self, "shape", shape)
+        setattr_(self, "dtype", dtype)
+        setattr_(self, "producer", producer)
+        setattr_(self, "output_index", output_index)
+        setattr_(self, "_num_elements", num_elements)
+        setattr_(self, "_size_bytes", num_elements * DTYPE_SIZES[dtype])
 
     @property
     def num_elements(self) -> int:
         """Total element count."""
-        return shape_num_elements(self.shape)
+        return self._num_elements
 
     @property
     def size_bytes(self) -> int:
         """Size of this tensor in bytes; the unit of the communication model."""
-        return self.num_elements * DTYPE_SIZES[self.dtype]
+        return self._size_bytes
 
     @property
     def rank(self) -> int:

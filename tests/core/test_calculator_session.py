@@ -149,3 +149,40 @@ class TestSessionEndToEnd:
         report = session.optimize()
         assert report.measured_time > 0
         assert len(set(report.strategy.placement.values())) == 2
+
+
+class TestSimulatorReuse:
+    @pytest.mark.parametrize("model_name", ["lenet", "alexnet"])
+    def test_one_plan_per_graph_version(self, monkeypatch, model_name):
+        """Every profile of one graph revision shares one execution plan."""
+        from repro.cluster import cluster_for
+        from repro.models import get_model
+        from repro.sim import runner
+
+        spec = get_model(model_name, preset="bench")
+        topo = cluster_for(4)
+        session = FastTSession(
+            spec.builder, topo, spec.global_batch,
+            perf_model=PerfModel(topo, noise_sigma=0.02, seed=1),
+            config=FastTConfig(max_rounds=3, min_rounds=2),
+        )
+        built, steps = [], []
+        plan_init = runner._GraphPlan.__init__
+        run_step = runner.ExecutionSimulator.run_step
+
+        def counting_plan_init(plan, graph, perf):
+            built.append((graph, graph.version))  # keeps each graph alive
+            plan_init(plan, graph, perf)
+
+        def counting_run_step(sim, *args, **kwargs):
+            steps.append(sim)
+            return run_step(sim, *args, **kwargs)
+
+        monkeypatch.setattr(runner._GraphPlan, "__init__", counting_plan_init)
+        monkeypatch.setattr(
+            runner.ExecutionSimulator, "run_step", counting_run_step
+        )
+        session.optimize()
+        keys = [(id(graph), version) for graph, version in built]
+        assert len(keys) == len(set(keys))
+        assert len(steps) > len(built)  # some plans served several steps
