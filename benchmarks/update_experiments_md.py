@@ -55,7 +55,7 @@ CSV_FILES = {
     "TABLE1": ["table1.csv"],
     "TABLE2": ["table2.csv"],
     "TABLE3": ["table3.csv"],
-    "TABLE4": ["table4_search_engine.csv", "table4.csv"],
+    "TABLE4": ["table4.csv"],
     "TABLE5": ["table5.csv"],
     "TABLE6": ["table6.csv"],
     "FIG2": ["fig2.csv"],

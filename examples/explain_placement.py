@@ -4,7 +4,7 @@ Runs ``repro.optimize`` on LeNet over 2 simulated V100s with the search
 **provenance journal** enabled, then interrogates it:
 
 * ``explain_placement(op)`` — the chosen device with every alternative
-  the scheduler scored, and (for split ops) the accept/reject/prune
+  the scheduler scored, and (for split ops) the accept/reject
   verdict chain that produced them;
 * ``result.calibration`` — the cost models' decision-time predictions
   joined against the realized simulated step: per-family residual

@@ -135,7 +135,7 @@ class OptimizeResult:
         Requires the run to have been made with
         ``obs=Observability(provenance=True)``; reconstructs, from the
         recorded journal, the chosen device with every alternative the
-        scheduler scored, and — for split ops — the accept/reject/prune
+        scheduler scored, and — for split ops — the accept/reject
         verdict chain that produced them.
         ``print(result.explain_placement("op").render())`` for the TTY
         report; ``.to_json()`` for the machine-readable one.

@@ -56,7 +56,7 @@ class FastTConfig:
     max_rounds: int = 5
     min_rounds: int = 2
     stability_tolerance: float = 0.08
-    #: Knobs of the OS-DPOS strategy search (splitting, pruning, coarsening).
+    #: Knobs of the OS-DPOS strategy search (splitting, coarsening).
     search: SearchOptions = field(default_factory=SearchOptions)
     memory_fraction: float = 0.9
     restart_overhead_seconds: float = 5.0
@@ -111,12 +111,6 @@ class CalculationReport:
         simulation: the candidate's DPOS makespan did not beat the
         incumbent)."""
         return int(self.metrics.get("search.splits_rejected", 0))
-
-    @property
-    def candidates_pruned(self) -> int:
-        """View of ``metrics["search.candidates_pruned"]`` (pruned by
-        the lower bound: no DPOS rerun was needed to discard them)."""
-        return int(self.metrics.get("search.candidates_pruned", 0))
 
     @property
     def total_search_seconds(self) -> float:

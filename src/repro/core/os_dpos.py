@@ -8,37 +8,25 @@ committed only if the best resulting DPOS finish time beats the current
 one; the first non-improving operation stops the search (the paper's
 early exit).
 
-Candidate evaluation comes in two flavours that return bit-identical
-strategies:
-
-* **naive** (``naive=True``): every candidate deep-copies the whole
-  graph and reruns DPOS cold — the reference implementation, O(graph
-  size) per candidate before DPOS even starts.
-* **incremental** (default): one working graph is mutated in place
-  through :class:`~repro.graph.SplitTransaction` (apply, evaluate,
-  undo — all O(split size)), cost and adjacency lookups are served from
-  a :class:`~repro.costmodel.CostCache` invalidated only for the ops a
-  split touched, and (with ``prune=True``) a placement-independent
-  lower bound skips the DPOS rerun for candidates that provably cannot
-  beat the incumbent finish time.
+Every candidate is evaluated incrementally: one working graph is
+mutated in place through :class:`~repro.graph.SplitTransaction` (apply,
+evaluate, undo — all O(split size)), and cost and adjacency lookups are
+served from a :class:`~repro.costmodel.CostCache` invalidated only for
+the ops a split touched.  Large graphs take the hierarchical (coarse)
+path instead, and a cached strategy can seed a warm start; see
+:meth:`OSDPOS.run`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..costmodel import CostCache
 from ..graph import Graph, Operation
 from ..graph.coarsen import CoarsePlan, SuperComputationModel, contract_graph
-from ..graph.rewrite import (
-    SplitDecision,
-    SplitError,
-    SplitTransaction,
-    split_operation,
-    sub_op_names,
-)
+from ..graph.rewrite import SplitDecision, SplitError, SplitTransaction
 from ..obs import MetricsSnapshot, Observability, get_obs
 from .context import WarmStartSeed
 from .dpos import DPOS, DPOSResult
@@ -59,15 +47,11 @@ class SearchOptions:
     Attributes:
         enable_splitting: Try operation splits at all; ``False``
             degenerates the search to plain DPOS.
-        split_counts: Candidate split numbers; ``None`` means
+        split_counts: Candidate split numbers (ints >= 2); ``None`` means
             :func:`default_split_counts` of the cluster size.
-        max_candidate_ops: Cap on critical-path ops examined
+        max_candidate_ops: Cap (>= 0) on critical-path ops examined
             (``None`` = the full path; the early exit usually stops far
             sooner).
-        naive: Use the reference copy-per-candidate evaluation path
-            (kept for the equivalence suite and benchmark baselines).
-        prune: Skip candidates the lower bound proves hopeless
-            (incremental path only; never changes the strategy).
         coarsen: Hierarchical search over a contracted graph
             (:func:`~repro.graph.contract_graph`).  ``True`` forces it,
             ``False`` disables it (exact search, byte-identical to the
@@ -83,19 +67,38 @@ class SearchOptions:
     enable_splitting: bool = True
     split_counts: Optional[List[int]] = None
     max_candidate_ops: Optional[int] = 12
-    naive: bool = False
-    prune: bool = True
     coarsen: object = "auto"
     coarsen_threshold: int = 5000
     coarsen_target: int = 256
 
     def __post_init__(self) -> None:
+        if self.split_counts is not None:
+            if not isinstance(self.split_counts, (list, tuple)):
+                raise TypeError("split_counts must be a list of ints")
+            for count in self.split_counts:
+                if not _is_int(count):
+                    raise TypeError(
+                        f"split_counts entries must be ints, got {count!r}"
+                    )
+                if count < 2:
+                    raise ValueError(
+                        f"split_counts entries must be >= 2, got {count}"
+                    )
+        if self.max_candidate_ops is not None:
+            if not _is_int(self.max_candidate_ops):
+                raise TypeError("max_candidate_ops must be an int or None")
+            if self.max_candidate_ops < 0:
+                raise ValueError("max_candidate_ops must be >= 0")
         if self.coarsen not in (True, False, "auto"):
             raise ValueError('coarsen must be True, False, or "auto"')
         if self.coarsen_threshold < 1:
             raise ValueError("coarsen_threshold must be >= 1")
         if self.coarsen_target < 1:
             raise ValueError("coarsen_target must be >= 1")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 _search_options_init = SearchOptions.__init__
@@ -142,11 +145,6 @@ class OSDPOSResult:
         """View of ``metrics["search.splits_rejected"]``."""
         return int(self.metrics.get("search.splits_rejected", 0))
 
-    @property
-    def candidates_pruned(self) -> int:
-        """View of ``metrics["search.candidates_pruned"]``."""
-        return int(self.metrics.get("search.candidates_pruned", 0))
-
 
 def default_split_counts(num_devices: int) -> List[int]:
     """Candidate split numbers: 2, 4, ..., up to the device count.
@@ -157,53 +155,6 @@ def default_split_counts(num_devices: int) -> List[int]:
     """
     counts = sorted({n for n in (2, 4, 8, num_devices) if 2 <= n <= num_devices})
     return counts
-
-
-class _SearchBounds:
-    """Placement-independent finish-time bounds over one graph version.
-
-    ``down[o]`` lower-bounds ``finish(o)`` and ``up[o]`` lower-bounds
-    ``finish - start(o)`` in *any* schedule DPOS can produce for this
-    graph: an op runs for at least its min-over-devices time, and chains
-    accumulate through predecessors/successors of **positive max
-    weight** — a positive-weight predecessor has a strictly larger
-    upward rank, is therefore placed earlier in the DPOS sequence, and
-    the EFT computation then provably waits for it.  (Zero-weight rank
-    ties may be placed out of order — DPOS treats an unplaced
-    predecessor's data as immediately available — so they contribute
-    nothing to the bound.)  Both arrays cost one O(V+E) sweep per
-    committed graph version.
-    """
-
-    def __init__(self, cache: CostCache) -> None:
-        down: Dict[str, float] = {}
-        up: Dict[str, float] = {}
-        order = cache.topological_order()
-        for op in order:
-            best = 0.0
-            for pred in cache.predecessors(op):
-                if cache.weight(pred) > 0.0 and down[pred.name] > best:
-                    best = down[pred.name]
-            down[op.name] = best + cache.min_weight(op)
-        for op in reversed(order):
-            tail = 0.0
-            if cache.weight(op) > 0.0:
-                for succ in cache.successors(op):
-                    if up[succ.name] > tail:
-                        tail = up[succ.name]
-            up[op.name] = tail + cache.min_weight(op)
-        self.down = down
-        self.up = up
-
-
-@dataclass
-class _OpOutcome:
-    """Result of evaluating every split candidate of one CP op."""
-
-    best: Optional[Tuple[SplitDecision, DPOSResult]]
-    evaluated: int
-    pruned: int
-    attempted: int
 
 
 class OSDPOS:
@@ -236,8 +187,6 @@ class OSDPOS:
         else:
             self.split_counts = default_split_counts(len(dpos.topology.devices))
         self.max_candidate_ops = options.max_candidate_ops
-        self.naive = options.naive
-        self.prune = options.prune
         self.coarsen = options.coarsen
         self.coarsen_threshold = options.coarsen_threshold
         self.coarsen_target = options.coarsen_target
@@ -252,7 +201,7 @@ class OSDPOS:
         """Compute split list, placement, and order for ``graph``.
 
         ``graph`` itself is never mutated; the search works on a private
-        copy.  All cold evaluation modes return identical strategies.
+        copy.
 
         ``warm_start`` replays a cached strategy's partition list
         through :class:`~repro.graph.SplitTransaction` and schedules the
@@ -272,7 +221,7 @@ class OSDPOS:
         elif use_coarse:
             mode = "coarse"
         else:
-            mode = "naive" if self.naive else "incremental"
+            mode = "incremental"
         search = obs.provenance.begin_search(graph=graph.name, mode=mode)
         if obs.events.enabled:
             obs.events.emit(
@@ -294,8 +243,6 @@ class OSDPOS:
                 result = self._run_warm(graph, search, warm_start)
             elif use_coarse:
                 result = self._run_coarse(graph, search)
-            elif self.naive:
-                result = self._run_naive(graph, search)
             else:
                 result = self._run_incremental(graph, search)
         if obs.events.enabled:
@@ -349,98 +296,6 @@ class OSDPOS:
             )
 
     # ------------------------------------------------------------------
-    # Reference path: copy the whole graph per candidate
-    # ------------------------------------------------------------------
-    def _run_naive(self, graph: Graph, search) -> OSDPOSResult:
-        current_graph = graph.copy()
-        best = self.dpos.run(current_graph)
-        search.record_initial(best.finish_time)
-        split_list: List[SplitDecision] = []
-        candidates_evaluated = 0
-        splits_rejected = 0
-
-        if self.split_counts:
-            cp_ops = self._placement_critical_path(current_graph, best)
-            if self.max_candidate_ops is not None:
-                cp_ops = cp_ops[: self.max_candidate_ops]
-            search.set_candidate_ops(cp_ops)
-            for op_index, op_name in enumerate(cp_ops):
-                if op_name not in current_graph:
-                    continue  # consumed by an earlier committed split
-                op = current_graph.get_op(op_name)
-                if not op.is_splittable:
-                    continue
-                rnd = search.begin_op(op_name, incumbent=best.finish_time)
-                self._emit_op_start(
-                    op_name, op_index, len(cp_ops), best.finish_time
-                )
-                outcome = self._best_split_for(current_graph, op, rnd)
-                if outcome is None:
-                    rnd.no_candidates()
-                    self._emit_op_finish(op_name, "no-candidates")
-                    continue
-                decision, candidate_graph, candidate_result, tried = outcome
-                candidates_evaluated += tried
-                if candidate_result.finish_time < best.finish_time:
-                    rnd.accept(
-                        decision.dim, decision.num_splits,
-                        sub_ops=sub_op_names(
-                            decision.op_name, decision.num_splits
-                        ),
-                        makespan=candidate_result.finish_time,
-                    )
-                    split_list.append(decision)
-                    current_graph = candidate_graph
-                    best = candidate_result
-                    self._emit_commit(decision, best.finish_time)
-                    self._emit_op_finish(
-                        op_name, "accepted", best.finish_time
-                    )
-                else:
-                    rnd.reject(best_makespan=candidate_result.finish_time)
-                    splits_rejected += 1
-                    self._emit_op_finish(
-                        op_name, "rejected", candidate_result.finish_time
-                    )
-                    break  # paper: stop at the first non-improving CP op
-
-        return self._package(
-            current_graph, best, split_list,
-            candidates_evaluated, splits_rejected, 0,
-            search=search,
-        )
-
-    def _best_split_for(
-        self, base_graph: Graph, op: Operation, rnd
-    ) -> Optional[Tuple[SplitDecision, Graph, DPOSResult, int]]:
-        """Try every (dimension, split count) for ``op``; keep the best."""
-        best: Optional[Tuple[SplitDecision, Graph, DPOSResult]] = None
-        tried = 0
-        for dim, count in itertools.product(
-            sorted(op.split_dims), self.split_counts
-        ):
-            candidate_graph = base_graph.copy()
-            try:
-                split_operation(
-                    candidate_graph, candidate_graph.get_op(op.name), dim, count
-                )
-            except SplitError:
-                rnd.candidate(dim, count, "infeasible")
-                continue  # extent too small for this count, etc.
-            result = self.dpos.run(candidate_graph)
-            tried += 1
-            rnd.candidate(dim, count, "rejected", makespan=result.finish_time)
-            if best is None or result.finish_time < best[2].finish_time:
-                best = (
-                    SplitDecision(op_name=op.name, dim=dim, num_splits=count),
-                    candidate_graph,
-                    result,
-                )
-        if best is None:
-            return None
-        return (*best, tried)
-
-    # ------------------------------------------------------------------
     # Coarse path: hierarchical search over a contracted graph
     # ------------------------------------------------------------------
     def _coarse_engine(
@@ -479,136 +334,55 @@ class OSDPOS:
             working, target=self.coarsen_target, events=self.obs.events
         )
         engine = self._coarse_engine(plan, memo)
-        best = engine.run(plan.coarse)
+        cache = CostCache(
+            plan.coarse, engine.computation, engine.communication,
+            engine.topology.device_names,
+        )
+        best = engine.run(plan.coarse, cost_cache=cache)
         search.record_initial(best.finish_time)
-        split_list: List[SplitDecision] = []
-        evaluated = 0
-        rejected = 0
+        cp_ops = (
+            self._coarse_candidate_ops(plan, best, cache)
+            if self.split_counts else []
+        )
 
-        if self.split_counts:
-            cp_ops = self._coarse_candidate_ops(plan, best, engine)
-            if self.max_candidate_ops is not None:
-                cp_ops = cp_ops[: self.max_candidate_ops]
-            search.set_candidate_ops(cp_ops)
-            tracer = self.obs.tracer
-            for op_index, op_name in enumerate(cp_ops):
-                if op_name not in working:
-                    continue  # consumed by an earlier committed split
-                op = working.get_op(op_name)
-                if not op.is_splittable:
-                    continue
-                rnd = search.begin_op(op_name, incumbent=best.finish_time)
-                self._emit_op_start(
-                    op_name, op_index, len(cp_ops), best.finish_time
-                )
-                with tracer.span(
-                    f"evaluate:{op_name}", cat="search.candidates"
-                ):
-                    outcome = self._best_coarse_split(working, op, memo, rnd)
-                if outcome is None:
-                    rnd.no_candidates()
-                    self._emit_op_finish(op_name, "no-candidates")
-                    continue
-                decision, candidate_result, tried = outcome
-                evaluated += tried
-                if candidate_result.finish_time < best.finish_time:
-                    # Re-apply the winner: the transaction name counters
-                    # were restored by undo, so the sub-ops come back
-                    # under the exact names the evaluation saw and the
-                    # re-contraction reproduces the evaluated coarse
-                    # graph verbatim.
-                    txn = SplitTransaction(
-                        working, op, decision.dim, decision.num_splits
-                    )
-                    txn.apply()
-                    rnd.accept(
-                        decision.dim, decision.num_splits,
-                        sub_ops=[o.name for o in txn.sub_ops],
-                        makespan=candidate_result.finish_time,
-                    )
-                    txn.commit()
-                    split_list.append(decision)
-                    best = candidate_result
-                    plan = contract_graph(
-                        working,
-                        target=self.coarsen_target,
-                        events=self.obs.events,
-                    )
-                    tracer.instant(
-                        f"commit-split:{op_name}",
-                        cat="search",
-                        args={
-                            "dim": decision.dim,
-                            "num_splits": decision.num_splits,
-                            "finish_time": candidate_result.finish_time,
-                        },
-                    )
-                    self._emit_commit(decision, best.finish_time)
-                    self._emit_op_finish(
-                        op_name, "accepted", best.finish_time
-                    )
-                else:
-                    rnd.reject(best_makespan=candidate_result.finish_time)
-                    rejected += 1
-                    self._emit_op_finish(
-                        op_name, "rejected", candidate_result.finish_time
-                    )
-                    break  # first non-improving CP op stops the search
+        def schedule() -> DPOSResult:
+            candidate = contract_graph(working, target=self.coarsen_target)
+            return self._coarse_engine(candidate, memo).run(candidate.coarse)
 
+        def recontract(_touched: Set[str]) -> None:
+            # The transaction name counters were restored by each undo,
+            # so the committed sub-ops carry the names the evaluation saw
+            # and this re-contraction reproduces the evaluated coarse
+            # graph verbatim.
+            nonlocal plan
+            plan = contract_graph(
+                working, target=self.coarsen_target, events=self.obs.events
+            )
+
+        best, split_list, evaluated, rejected = self._walk(
+            working, best, cp_ops, search,
+            schedule=schedule,
+            touched=lambda _names: None,
+            committed=recontract,
+        )
         search.set_super_ops(plan.super_ops)
         fine_result = self._expand_result(plan, best, split_list)
         return self._package(
-            working, fine_result, split_list, evaluated, rejected, 0,
+            working, fine_result, split_list, evaluated, rejected,
             search=search,
         )
 
-    def _best_coarse_split(
-        self,
-        working: Graph,
-        op: Operation,
-        memo: Dict[Tuple[str, str], float],
-        rnd,
-    ) -> Optional[Tuple[SplitDecision, DPOSResult, int]]:
-        """Evaluate every (dim, count) of one fine op on the coarse graph.
-
-        Each candidate is applied transactionally to the fine working
-        graph, re-contracted, scheduled coarse, and undone.
-        """
-        best: Optional[Tuple[SplitDecision, DPOSResult]] = None
-        tried = 0
-        for dim, count in itertools.product(
-            sorted(op.split_dims), self.split_counts
-        ):
-            txn = SplitTransaction(working, op, dim, count)
-            try:
-                txn.apply()
-            except SplitError:
-                rnd.candidate(dim, count, "infeasible")
-                continue  # extent too small for this count, etc.
-            tried += 1
-            plan = contract_graph(working, target=self.coarsen_target)
-            result = self._coarse_engine(plan, memo).run(plan.coarse)
-            rnd.candidate(dim, count, "rejected", makespan=result.finish_time)
-            txn.undo()
-            if best is None or result.finish_time < best[1].finish_time:
-                best = (txn.decision, result)
-        if best is None:
-            return None
-        return (*best, tried)
-
     def _coarse_candidate_ops(
-        self, plan: CoarsePlan, result: DPOSResult, engine: DPOS
+        self, plan: CoarsePlan, result: DPOSResult, cache: CostCache
     ) -> List[str]:
         """Fine split candidates from the coarse critical path.
 
         The coarse CP is computed under the committed coarse placement
-        (same recipe as the flat search); its nodes then expand to their
-        fine members, ranked by computation time on the device the
-        member inherits.
+        (same recipe as the flat search, priced through the coarse
+        engine's ``cache``); its nodes then expand to their fine members,
+        ranked by computation time on the device the member inherits.
         """
-        coarse_cp = self._placement_critical_path(
-            plan.coarse, result, engine=engine
-        )
+        coarse_cp = self._placement_critical_path(plan.coarse, result, cache)
         placement = result.strategy.placement
         computation = self.dpos.computation
         pairs: List[Tuple[str, float]] = []
@@ -759,7 +533,7 @@ class OSDPOS:
                 source=seed.source,
             )
         result = self._package(
-            working, best, applied, 0, 0, 0, cache=cache, search=search
+            working, best, applied, 0, 0, cache=cache, search=search
         )
         result.strategy.label = "warm-start"
         result.metrics["search.warm_runs"] = 1
@@ -780,109 +554,115 @@ class OSDPOS:
             cache.enable_stats()
         best = self.dpos.run(working, cost_cache=cache)
         search.record_initial(best.finish_time)
-        split_list: List[SplitDecision] = []
-        evaluated = 0
-        pruned = 0
-        rejected = 0
-
-        if self.split_counts:
-            bounds = _SearchBounds(cache) if self.prune else None
-            cp_ops = self._placement_critical_path(
-                working, best, cache=cache
-            )
-            if self.max_candidate_ops is not None:
-                cp_ops = cp_ops[: self.max_candidate_ops]
-            search.set_candidate_ops(cp_ops)
-            tracer = self.obs.tracer
-            for op_index, op_name in enumerate(cp_ops):
-                if op_name not in working:
-                    continue  # consumed by an earlier committed split
-                op = working.get_op(op_name)
-                if not op.is_splittable:
-                    continue
-                rnd = search.begin_op(op_name, incumbent=best.finish_time)
-                self._emit_op_start(
-                    op_name, op_index, len(cp_ops), best.finish_time
-                )
-                with tracer.span(
-                    f"evaluate:{op_name}", cat="search.candidates"
-                ):
-                    outcome = self._evaluate_op(
-                        working, op, cache, bounds, best.finish_time, rnd
-                    )
-                evaluated += outcome.evaluated
-                pruned += outcome.pruned
-                if outcome.attempted == 0:
-                    rnd.no_candidates()
-                    self._emit_op_finish(op_name, "no-candidates")
-                    continue  # no structurally possible split
-                if (
-                    outcome.best is not None
-                    and outcome.best[1].finish_time < best.finish_time
-                ):
-                    decision, result = outcome.best
-                    txn = SplitTransaction(
-                        working, op, decision.dim, decision.num_splits
-                    )
-                    txn.apply()
-                    rnd.accept(
-                        decision.dim, decision.num_splits,
-                        sub_ops=[o.name for o in txn.sub_ops],
-                        makespan=result.finish_time,
-                    )
-                    cache.invalidate(txn.commit())
-                    split_list.append(decision)
-                    best = result
-                    tracer.instant(
-                        f"commit-split:{op_name}",
-                        cat="search",
-                        args={
-                            "dim": decision.dim,
-                            "num_splits": decision.num_splits,
-                            "finish_time": result.finish_time,
-                        },
-                    )
-                    self._emit_commit(decision, best.finish_time)
-                    self._emit_op_finish(
-                        op_name, "accepted", best.finish_time
-                    )
-                    if self.prune:
-                        bounds = _SearchBounds(cache)
-                else:
-                    rnd.reject(
-                        best_makespan=(
-                            None if outcome.best is None
-                            else outcome.best[1].finish_time
-                        )
-                    )
-                    rejected += 1
-                    self._emit_op_finish(
-                        op_name,
-                        "rejected",
-                        None if outcome.best is None
-                        else outcome.best[1].finish_time,
-                    )
-                    break  # first non-improving CP op stops the search
-
+        cp_ops = (
+            self._placement_critical_path(working, best, cache)
+            if self.split_counts else []
+        )
+        best, split_list, evaluated, rejected = self._walk(
+            working, best, cp_ops, search,
+            schedule=lambda: self.dpos.run(working, cost_cache=cache),
+            touched=cache.invalidate,
+            committed=cache.invalidate,
+        )
         return self._package(
-            working, best, split_list, evaluated, rejected, pruned,
+            working, best, split_list, evaluated, rejected,
             cache=cache, search=search,
         )
 
-    def _evaluate_op(
+    # ------------------------------------------------------------------
+    # Alg. 2's greedy walk, shared by the incremental and coarse paths
+    # ------------------------------------------------------------------
+    def _walk(
+        self,
+        working: Graph,
+        best: DPOSResult,
+        cp_ops: List[str],
+        search,
+        *,
+        schedule: Callable[[], DPOSResult],
+        touched: Callable[[Set[str]], None],
+        committed: Callable[[Set[str]], None],
+    ) -> Tuple[DPOSResult, List[SplitDecision], int, int]:
+        """Try to split each critical-path op in turn.
+
+        Every candidate of an op is scored by :meth:`_best_split`
+        (``schedule`` and ``touched`` pass through); the best one is
+        committed if it beats the incumbent, and ``committed`` hears the
+        op names the commit touched.  The first op whose best candidate
+        does not improve stops the walk (the paper's early exit).
+        Returns the final schedule, the committed splits and the
+        evaluated/rejected counts.
+        """
+        if self.max_candidate_ops is not None:
+            cp_ops = cp_ops[: self.max_candidate_ops]
+        search.set_candidate_ops(cp_ops)
+        split_list: List[SplitDecision] = []
+        evaluated = 0
+        rejected = 0
+        tracer = self.obs.tracer
+        for op_index, op_name in enumerate(cp_ops):
+            if op_name not in working:
+                continue  # consumed by an earlier committed split
+            op = working.get_op(op_name)
+            if not op.is_splittable:
+                continue
+            rnd = search.begin_op(op_name, incumbent=best.finish_time)
+            self._emit_op_start(op_name, op_index, len(cp_ops), best.finish_time)
+            with tracer.span(f"evaluate:{op_name}", cat="search.candidates"):
+                outcome = self._best_split(working, op, rnd, schedule, touched)
+            if outcome is None:
+                rnd.no_candidates()
+                self._emit_op_finish(op_name, "no-candidates")
+                continue  # no structurally possible split
+            decision, result, tried = outcome
+            evaluated += tried
+            if not result.finish_time < best.finish_time:
+                rnd.reject(best_makespan=result.finish_time)
+                rejected += 1
+                self._emit_op_finish(op_name, "rejected", result.finish_time)
+                break  # first non-improving CP op stops the search
+            txn = SplitTransaction(
+                working, op, decision.dim, decision.num_splits
+            )
+            txn.apply()
+            rnd.accept(
+                decision.dim, decision.num_splits,
+                sub_ops=[o.name for o in txn.sub_ops],
+                makespan=result.finish_time,
+            )
+            committed(txn.commit())
+            split_list.append(decision)
+            best = result
+            tracer.instant(
+                f"commit-split:{op_name}",
+                cat="search",
+                args={
+                    "dim": decision.dim,
+                    "num_splits": decision.num_splits,
+                    "finish_time": result.finish_time,
+                },
+            )
+            self._emit_commit(decision, best.finish_time)
+            self._emit_op_finish(op_name, "accepted", best.finish_time)
+        return best, split_list, evaluated, rejected
+
+    def _best_split(
         self,
         working: Graph,
         op: Operation,
-        cache: CostCache,
-        bounds: Optional[_SearchBounds],
-        incumbent: float,
         rnd,
-    ) -> _OpOutcome:
-        """Apply/evaluate/undo every (dim, count) candidate of one op."""
+        schedule: Callable[[], DPOSResult],
+        touched: Callable[[Set[str]], None],
+    ) -> Optional[Tuple[SplitDecision, DPOSResult, int]]:
+        """Apply, schedule and undo every (dim, count) candidate of ``op``.
+
+        ``schedule()`` prices ``working`` with the candidate applied;
+        ``touched`` hears the op names every apply and undo changed.
+        Returns the best candidate with the number scheduled, or ``None``
+        when every candidate was infeasible.
+        """
         best: Optional[Tuple[SplitDecision, DPOSResult]] = None
-        evaluated = 0
-        pruned = 0
-        attempted = 0
+        tried = 0
         for dim, count in itertools.product(
             sorted(op.split_dims), self.split_counts
         ):
@@ -890,97 +670,19 @@ class OSDPOS:
             try:
                 txn.apply()
             except SplitError:
-                cache.invalidate(txn.touched)
+                touched(txn.touched)
                 rnd.candidate(dim, count, "infeasible")
                 continue  # extent too small for this count, etc.
-            cache.invalidate(txn.touched)
-            attempted += 1
-            if bounds is not None:
-                # A candidate is hopeless once it provably cannot *strictly*
-                # beat the incumbent finish time (required to commit) or the
-                # best sibling candidate seen so far (required to win the
-                # op-best race; ties keep the earlier candidate, matching
-                # the naive path's strict-< selection).  Skip its DPOS
-                # rerun entirely.
-                threshold = incumbent
-                if best is not None and best[1].finish_time < threshold:
-                    threshold = best[1].finish_time
-                lower_bound = self._candidate_lower_bound(txn, bounds, cache)
-                if lower_bound >= threshold:
-                    pruned += 1
-                    rnd.candidate(
-                        dim, count, "pruned",
-                        lower_bound=lower_bound, threshold=threshold,
-                    )
-                    cache.invalidate(txn.undo())
-                    continue
-            result = self.dpos.run(working, cost_cache=cache)
-            evaluated += 1
+            touched(txn.touched)
+            tried += 1
+            result = schedule()
             rnd.candidate(dim, count, "rejected", makespan=result.finish_time)
-            cache.invalidate(txn.undo())
+            touched(txn.undo())
             if best is None or result.finish_time < best[1].finish_time:
                 best = (txn.decision, result)
-        return _OpOutcome(best, evaluated, pruned, attempted)
-
-    def _candidate_lower_bound(
-        self, txn: SplitTransaction, bounds: _SearchBounds, cache: CostCache
-    ) -> float:
-        """O(split size) lower bound on an applied candidate's finish time.
-
-        Scores only the nodes the split created.  Their down-chains run
-        through pre-existing *ancestors*, whose committed ``down`` values
-        are still exact (the rewrite leaves their ancestry untouched);
-        their up-chains run through pre-existing *descendants*, whose
-        ``up`` values are likewise still exact.  Pre-existing nodes are
-        never scored directly — an ancestor's ``up`` and a descendant's
-        ``down`` are stale after the rewrite.
-        """
-        down: Dict[str, float] = {}
-        up: Dict[str, float] = {}
-
-        def local_down(op: Operation) -> float:
-            value = bounds.down.get(op.name)
-            if value is None:
-                value = down.get(op.name)
-            if value is not None:
-                return value
-            best = 0.0
-            for pred in cache.predecessors(op):
-                if cache.weight(pred) > 0.0:
-                    d = local_down(pred)
-                    if d > best:
-                        best = d
-            value = down[op.name] = best + cache.min_weight(op)
-            return value
-
-        def local_up(op: Operation) -> float:
-            value = bounds.up.get(op.name)
-            if value is None:
-                value = up.get(op.name)
-            if value is not None:
-                return value
-            tail = 0.0
-            if cache.weight(op) > 0.0:
-                for succ in cache.successors(op):
-                    u = local_up(succ)
-                    if u > tail:
-                        tail = u
-            value = up[op.name] = tail + cache.min_weight(op)
-            return value
-
-        new_nodes: Dict[str, Operation] = {}
-        for piece in txn.sub_ops:
-            for node in (
-                piece, *cache.predecessors(piece), *cache.successors(piece)
-            ):
-                if node.name not in bounds.down:
-                    new_nodes[node.name] = node
-        bound = 0.0
-        for node in new_nodes.values():
-            value = local_down(node) - cache.min_weight(node) + local_up(node)
-            if value > bound:
-                bound = value
-        return bound
+        if best is None:
+            return None
+        return (*best, tried)
 
     # ------------------------------------------------------------------
     def _package(
@@ -990,7 +692,6 @@ class OSDPOS:
         split_list: List[SplitDecision],
         evaluated: int,
         rejected: int,
-        pruned: int,
         cache: Optional[CostCache] = None,
         search=None,
     ) -> OSDPOSResult:
@@ -1006,7 +707,6 @@ class OSDPOS:
         metrics = MetricsSnapshot({
             "search.candidates_evaluated": evaluated,
             "search.splits_rejected": rejected,
-            "search.candidates_pruned": pruned,
             "search.splits_committed": len(split_list),
         })
         if cache is not None:
@@ -1022,56 +722,34 @@ class OSDPOS:
 
     # ------------------------------------------------------------------
     def _placement_critical_path(
-        self,
-        graph: Graph,
-        result: DPOSResult,
-        cache: Optional[CostCache] = None,
-        engine: Optional[DPOS] = None,
+        self, graph: Graph, result: DPOSResult, cache: CostCache
     ) -> List[str]:
         """Critical path under the committed placement (Alg. 2 lines 4-5).
 
         Ranks are recomputed with the *assigned-device* computation time
         and the *assigned-pair* communication time, then the path is
         sorted by decreasing computation time on the assigned device.
-        ``engine`` overrides whose cost models are consulted (the coarse
-        path passes its super-op-aware DPOS).
+        ``cache`` is the run's cost cache over ``graph``, so the costs
+        come from the same models the placement used.
         """
         placement = result.strategy.placement
-        dpos = engine if engine is not None else self.dpos
 
-        if cache is not None:
-            def weight(op: Operation) -> float:
-                return cache.time(op, placement[op.name])
+        def weight(op: Operation) -> float:
+            return cache.time(op, placement[op.name])
 
-            def comm(src: Operation, dst: Operation) -> float:
-                return cache.pair_time(
-                    placement[src.name],
-                    placement[dst.name],
-                    cache.edge_bytes(src, dst),
-                )
-
-            ranks = compute_ranks(
-                graph, weight, comm,
-                order=cache.topological_order(),
-                successors=cache.successors,
+        def comm(src: Operation, dst: Operation) -> float:
+            return cache.pair_time(
+                placement[src.name],
+                placement[dst.name],
+                cache.edge_bytes(src, dst),
             )
-            path = critical_path(graph, ranks, successors=cache.successors)
-        else:
-            computation = dpos.computation
-            communication = dpos.communication
 
-            def weight(op: Operation) -> float:
-                return computation.time(op, placement[op.name])
-
-            def comm(src: Operation, dst: Operation) -> float:
-                return communication.time(
-                    placement[src.name],
-                    placement[dst.name],
-                    graph.edge_bytes(src, dst),
-                )
-
-            ranks = compute_ranks(graph, weight, comm)
-            path = critical_path(graph, ranks)
+        ranks = compute_ranks(
+            graph, weight, comm,
+            order=cache.topological_order(),
+            successors=cache.successors,
+        )
+        path = critical_path(graph, ranks, successors=cache.successors)
         return [
             op.name
             for op in sorted(path, key=lambda o: -weight(o))

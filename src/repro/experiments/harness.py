@@ -465,7 +465,6 @@ def run_fastt_trial(
         result.extra["strategy_label"] = report.strategy.label
         result.extra["rounds"] = len(report.rounds)
         result.extra["candidates_evaluated"] = report.candidates_evaluated
-        result.extra["candidates_pruned"] = report.candidates_pruned
         result.extra["splits_rejected"] = report.splits_rejected
         if report.calibration is not None and report.calibration.entries:
             result.extra["calibration"] = report.calibration.summary()

@@ -12,9 +12,8 @@ engines journal every decision they take —
   average critical-path time for CP devices);
 * **OS-DPOS** records, per examined critical-path op, every split
   candidate with its verdict — ``accepted`` / ``rejected`` (simulated
-  makespan did not beat the incumbent) / ``pruned`` (the lower bound
-  proved it hopeless without a DPOS rerun) / ``infeasible`` (the
-  rewrite itself failed) — plus the makespan or bound that justified it.
+  makespan did not beat the incumbent) / ``infeasible`` (the rewrite
+  itself failed) — plus the makespan that justified it.
 
 The journal persists alongside StepTraces with versioned save/load and
 answers "why is op X on device Y?" through
@@ -134,42 +133,27 @@ class SplitCandidate:
 
     dim: str
     num_splits: int
-    #: ``accepted`` | ``rejected`` | ``pruned`` | ``infeasible``
+    #: ``accepted`` | ``rejected`` | ``infeasible`` (older journals may
+    #: also hold ``pruned``, from a since-removed lower-bound filter)
     verdict: str
     #: Simulated DPOS finish time (evaluated candidates only).
     makespan: Optional[float] = None
-    #: The placement-independent bound that pruned it (pruned only).
-    lower_bound: Optional[float] = None
-    #: The finish time the bound had to beat (pruned only).
-    threshold: Optional[float] = None
 
     def to_json(self) -> Dict[str, object]:
         return asdict(self)
 
     @classmethod
     def from_json(cls, data: Dict[str, object]) -> "SplitCandidate":
-        def _opt(key: str) -> Optional[float]:
-            return None if data.get(key) is None else float(data[key])  # type: ignore[arg-type]
-
+        makespan = data.get("makespan")
         return cls(
             dim=str(data["dim"]),
             num_splits=int(data["num_splits"]),  # type: ignore[arg-type]
             verdict=str(data["verdict"]),
-            makespan=_opt("makespan"),
-            lower_bound=_opt("lower_bound"),
-            threshold=_opt("threshold"),
+            makespan=None if makespan is None else float(makespan),  # type: ignore[arg-type]
         )
 
     def describe(self) -> str:
         label = f"dim={self.dim} x{self.num_splits}"
-        if self.verdict == "pruned":
-            detail = ""
-            if self.lower_bound is not None and self.threshold is not None:
-                detail = (
-                    f" (bound {self.lower_bound:.6g}s >= "
-                    f"incumbent {self.threshold:.6g}s)"
-                )
-            return f"{label}: pruned by lower bound{detail}"
         if self.verdict == "infeasible":
             return f"{label}: infeasible (rewrite failed)"
         detail = "" if self.makespan is None else f" -> makespan {self.makespan:.6g}s"
@@ -200,8 +184,6 @@ class OpRound:
         num_splits: int,
         verdict: str,
         makespan: Optional[float] = None,
-        lower_bound: Optional[float] = None,
-        threshold: Optional[float] = None,
     ) -> None:
         self.candidates.append(
             SplitCandidate(
@@ -209,8 +191,6 @@ class OpRound:
                 num_splits=num_splits,
                 verdict=verdict,
                 makespan=makespan,
-                lower_bound=lower_bound,
-                threshold=threshold,
             )
         )
 
@@ -298,7 +278,7 @@ class SearchRecord:
 
     search_id: int
     graph: str
-    #: ``dpos`` (plain placement) | ``incremental`` | ``naive``
+    #: ``dpos`` (plain placement) | ``incremental`` | ``coarse`` | ``warm``
     mode: str
     #: Critical-path ops the split search examined, in walk order.
     candidate_ops: List[str] = field(default_factory=list)

@@ -226,19 +226,16 @@ def render_diff(diff: "TraceDiff", limit: int = 10) -> str:
 def render_search_counters(metrics: Mapping[str, object]) -> str:
     """One-line account of the split search's candidate verdicts.
 
-    Distinguishes candidates **rejected by simulation** (their DPOS
-    makespan did not beat the incumbent) from candidates **pruned by the
-    lower bound** (discarded without a DPOS rerun).
+    ``rejected by simulation`` counts critical-path ops whose best
+    candidate's DPOS makespan did not beat the incumbent.
     """
     evaluated = int(metrics.get("search.candidates_evaluated", 0))  # type: ignore[arg-type]
     committed = int(metrics.get("search.splits_committed", 0))  # type: ignore[arg-type]
     rejected = int(metrics.get("search.splits_rejected", 0))  # type: ignore[arg-type]
-    pruned = int(metrics.get("search.candidates_pruned", 0))  # type: ignore[arg-type]
     return (
         f"search: {evaluated} candidate(s) evaluated, "
         f"{committed} split(s) committed, "
-        f"{rejected} rejected by simulation, "
-        f"{pruned} pruned by lower bound"
+        f"{rejected} rejected by simulation"
     )
 
 

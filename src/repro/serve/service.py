@@ -117,9 +117,7 @@ def new_request_id() -> str:
 _CONFIG_FIELDS = frozenset(
     f for f in FastTConfig.__dataclass_fields__ if f != "search"
 )
-#: ``naive`` is the equivalence suite's reference path: the same strategy
-#: at several times the cost, under a second fingerprint.
-_SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__) - {"naive"}
+_SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__)
 
 
 class RequestError(ValueError):
@@ -216,6 +214,10 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
                 raise RequestError(
                     f"unknown search option(s): {sorted(unknown)}"
                 )
+            try:
+                SearchOptions(**value)
+            except (TypeError, ValueError) as exc:
+                raise RequestError(f"invalid search option: {exc}") from None
             overrides["search"] = {k: value[k] for k in sorted(value)}
         elif key in _CONFIG_FIELDS:
             overrides[key] = value

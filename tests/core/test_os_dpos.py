@@ -60,6 +60,28 @@ class TestDefaultSplitCounts:
         assert default_split_counts(6) == [2, 4, 6]
 
 
+class TestSearchOptionsValidation:
+    @pytest.mark.parametrize("options, error", [
+        ({"split_counts": "2"}, TypeError),
+        ({"split_counts": 2}, TypeError),
+        ({"split_counts": [2.5]}, TypeError),
+        ({"split_counts": [True]}, TypeError),
+        ({"split_counts": [0]}, ValueError),
+        ({"split_counts": [1]}, ValueError),
+        ({"split_counts": [2, -2]}, ValueError),
+        ({"max_candidate_ops": -1}, ValueError),
+        ({"max_candidate_ops": 1.5}, TypeError),
+        ({"max_candidate_ops": False}, TypeError),
+    ])
+    def test_malformed_values_rejected(self, options, error):
+        with pytest.raises(error):
+            SearchOptions(**options)
+
+    def test_edge_values_accepted(self):
+        SearchOptions(split_counts=[], max_candidate_ops=0)
+        SearchOptions(split_counts=(2, 3), max_candidate_ops=None)
+
+
 class TestSplitSearch:
     def test_dominant_matmul_gets_split(self, topo4):
         g = heavy_matmul_graph()

@@ -2,8 +2,8 @@
 
 The incremental OS-DPOS search relies on rollback restoring the working
 graph *byte-for-byte* — op iteration order, consumer-list order, tensor
-tables, and object identity — because the canonical strategies it
-returns are compared against the naive copy-per-candidate path.
+tables, and object identity — because the strategies it returns are
+frozen byte for byte in ``tests/core/golden/``.
 """
 
 import pytest

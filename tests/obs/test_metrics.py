@@ -137,9 +137,6 @@ class TestResultViews:
         assert result.candidates_evaluated == result.metrics.get(
             "search.candidates_evaluated", 0
         )
-        assert result.candidates_pruned == result.metrics.get(
-            "search.candidates_pruned", 0
-        )
         assert "search.cache.misses" in result.metrics
 
 

@@ -81,20 +81,10 @@ class TestJournalRecording:
         search = journal.searches[0]
         candidates = [c for r in search.rounds for c in r.candidates]
         evaluated = [c for c in candidates if c.verdict in ("accepted", "rejected")]
-        pruned = [c for c in candidates if c.verdict == "pruned"]
         rejected_rounds = [r for r in search.rounds if r.verdict == "rejected"]
         assert len(evaluated) == result.candidates_evaluated
-        assert len(pruned) == result.candidates_pruned
         assert len(rejected_rounds) == result.splits_rejected
         assert len(search.committed_splits) == len(result.split_list)
-
-    def test_naive_path_matches_incremental_journal(self, topo4):
-        obs = Observability(provenance=True)
-        result = _search(topo4, heavy_matmul_graph(), obs, naive=True)
-        search = obs.provenance.journal.searches[0]
-        assert search.mode == "naive"
-        assert search.committed_splits
-        assert search.committed_splits[0].op_name == result.split_list[0].op_name
 
     def test_rejected_rounds_record_best_makespan(self, topo2):
         # The MLP's candidates are evaluated but never beat the incumbent
@@ -248,6 +238,73 @@ class TestPersistence:
         ) is None
 
 
+#: A schema-1 journal as written while OS-DPOS still had a lower-bound
+#: filter: one candidate carries the ``pruned`` verdict with its
+#: ``lower_bound``/``threshold``, fields the current writer no longer has.
+OLD_PRUNED_JOURNAL = {
+    "schema": 1,
+    "searches": [{
+        "search_id": 0,
+        "graph": "heavy",
+        "mode": "naive",
+        "candidate_ops": ["mm"],
+        "initial_finish": 0.004,
+        "final_finish": 0.002,
+        "rounds": [{
+            "op_name": "mm",
+            "verdict": "committed",
+            "incumbent": 0.004,
+            "best_makespan": 0.002,
+            "accepted": ["row", 2],
+            "sub_ops": ["mm/part0", "mm/part1"],
+            "candidates": [
+                {"dim": "row", "num_splits": 2, "verdict": "accepted",
+                 "makespan": 0.002, "lower_bound": None, "threshold": None},
+                {"dim": "row", "num_splits": 4, "verdict": "pruned",
+                 "makespan": None, "lower_bound": 0.003,
+                 "threshold": 0.002},
+                {"dim": "column", "num_splits": 8, "verdict": "infeasible",
+                 "makespan": None, "lower_bound": None, "threshold": None},
+            ],
+        }],
+        "decisions": {
+            f"mm/part{i}": {
+                "op_name": f"mm/part{i}", "device": f"gpu:{i}",
+                "reason": "min-eft", "start": 0.0, "finish": 0.002,
+                "rank": 0.002, "on_critical_path": i == 0,
+                "alternatives": [{
+                    "device": f"gpu:{i}", "score": 0.002, "start": 0.0,
+                    "feasible": True, "chosen": True, "note": "",
+                }],
+            }
+            for i in range(2)
+        },
+        "super_ops": {},
+    }],
+}
+
+
+class TestOldJournals:
+    def test_pruned_verdict_loads_and_renders(self):
+        journal = ProvenanceJournal.from_json(OLD_PRUNED_JOURNAL)
+        candidates = journal.searches[0].rounds[0].candidates
+        assert [c.verdict for c in candidates] == [
+            "accepted", "pruned", "infeasible"
+        ]
+        assert candidates[1].describe() == "dim=row x4: pruned"
+        rendered = journal.explain("mm/part1").render()
+        assert "dim=row x4: pruned" in rendered
+        assert "gpu:1" in rendered
+
+    def test_cli_checks_and_queries_old_journal(self, tmp_path, capsys):
+        path = tmp_path / "old.provenance.json"
+        path.write_text(json.dumps(OLD_PRUNED_JOURNAL))
+        assert provenance_cli([str(tmp_path), "--check"]) == 0
+        assert "1 valid, 0 invalid" in capsys.readouterr().out
+        assert provenance_cli([str(tmp_path), "--op", "mm/part0"]) == 0
+        assert "pruned" in capsys.readouterr().out
+
+
 class TestOptimizeIntegration:
     @pytest.fixture(scope="class")
     def optimized(self):
@@ -285,7 +342,6 @@ class TestOptimizeIntegration:
     def test_summary_mentions_search_verdicts(self, optimized):
         summary = optimized.summary()
         assert "rejected by simulation" in summary
-        assert "pruned by lower bound" in summary
 
     def test_explain_placement_requires_provenance(self):
         from repro.cluster import single_server

@@ -26,6 +26,24 @@ FAST_CONFIG = {
 }
 
 
+#: Search options a request is refused for before any lookup or search:
+#: names that are not tenant options, and malformed values of those that
+#: are.
+BAD_SEARCH_OPTIONS = [
+    {"workers": 2}, {"naive": True}, {"prune": False},
+    {"split_counts": "2"}, {"split_counts": [2.5]}, {"split_counts": [True]},
+    {"split_counts": [0]}, {"split_counts": [1]}, {"split_counts": [-2]},
+    {"max_candidate_ops": -1},
+]
+
+
+def _refusal(option):
+    """The start of the RequestError message ``option`` must produce."""
+    if set(option) <= {"split_counts", "max_candidate_ops"}:
+        return "invalid search option"
+    return "unknown search option"
+
+
 def _service(tmp_path, **kwargs):
     store = StrategyStore(root=str(tmp_path / "strategies"), capacity=16)
     return StrategyService(store=store, **kwargs)
@@ -50,10 +68,10 @@ class TestNormalize:
         with pytest.raises(RequestError):
             normalize_request(_request(config={"search": {"bogus": 1}}))
 
-    @pytest.mark.parametrize("option", [{"workers": 2}, {"naive": True}])
+    @pytest.mark.parametrize("option", BAD_SEARCH_OPTIONS)
     def test_rejects_non_tenant_search_options(self, option):
         config = dict(FAST_CONFIG, search={"max_candidate_ops": 2, **option})
-        with pytest.raises(RequestError, match="unknown search option"):
+        with pytest.raises(RequestError, match=_refusal(option)):
             normalize_request(_request(config=config))
 
     def test_canonical_form_is_order_insensitive(self):
@@ -190,14 +208,15 @@ class TestErrors:
         with pytest.raises(RequestError):
             service.submit({"model": "lenet"})
 
-    @pytest.mark.parametrize("option", [{"workers": 2}, {"naive": True}])
+    @pytest.mark.parametrize("option", BAD_SEARCH_OPTIONS)
     def test_non_tenant_search_option_rejected_next_request_answered(
         self, tmp_path, option
     ):
         service = _service(tmp_path)
         config = dict(FAST_CONFIG, search={"max_candidate_ops": 2, **option})
-        with pytest.raises(RequestError, match="unknown search option"):
+        with pytest.raises(RequestError, match=_refusal(option)):
             service.submit(_request(config=config))
+        assert service.stats.misses == 0
         assert service.stats.searches == 0
         answer = service.submit(_request())
         assert answer["source"] == "search"

@@ -92,8 +92,13 @@ class TestConfigDeprecations:
     def test_new_style_config_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            config = FastTConfig(search=SearchOptions(naive=True))
-            assert config.search.naive is True
+            config = FastTConfig(search=SearchOptions(coarsen=True))
+            assert config.search.coarsen is True
+
+    @pytest.mark.parametrize("option", [{"naive": True}, {"prune": False}])
+    def test_removed_search_options_raise(self, option):
+        with pytest.raises(TypeError):
+            SearchOptions(**option)
 
     def test_search_options_rejects_positional_args(self):
         with pytest.raises(TypeError):
