@@ -39,8 +39,8 @@ def main() -> None:
     print()
 
     # 2. Recording composes with your own subscribers: pass an obs hook
-    #    with events enabled and tap the bus directly.
-    obs = Observability(events=True)
+    #    and tap its event bus directly.
+    obs = Observability()
     rounds = []
     obs.events.subscribe(
         lambda e: rounds.append(e.data) if e.kind == "round.finish" else None
@@ -50,8 +50,9 @@ def main() -> None:
     )
     print(f"recorded as run {result_b.run_id}; "
           f"{len(rounds)} search round(s) observed live:")
-    for data in rounds:
-        print(f"  round {data['round']}: {data['verdict']}")
+    for index, data in enumerate(rounds):
+        print(f"  round {index}: {data['verdict']} "
+              f"({data['seconds'] * 1e3:.1f} ms)")
     print()
 
     # 3. The registry API: list manifests, reload one, replay its log.

@@ -4,7 +4,8 @@ Runs ``repro.optimize`` on LeNet over 2 simulated V100s with an
 ``Observability`` hook attached, then exports everything the hook saw:
 
 * ``search.trace.json`` — the wall-clock timeline of the pre-training
-  workflow (rounds, profiling, per-candidate OS-DPOS evaluations);
+  workflow (rounds, profiling, per-op OS-DPOS evaluations), recorded
+  from the hook's event-bus spans;
 * ``step.trace.json`` — the simulated-time timeline of one training
   iteration under the winning strategy (kernel spans, ready-queue
   waits, transfer-channel rows);
@@ -46,7 +47,7 @@ def main() -> None:
     # 1. The strategy-search workflow as a wall-clock timeline.
     search_trace = obs.export_chrome_trace(f"{out}/search.trace.json")
     print(f"search timeline: {search_trace} "
-          f"({len(obs.tracer.events)} events)")
+          f"({len(obs.trace.events)} events)")
 
     # 2. One simulated iteration of the winning strategy, rendered with
     #    per-device rows (compute + ready-queue waits) and per-channel

@@ -275,16 +275,12 @@ def optimize(
     renderer = None
     if record or progress:
         if obs is None:
-            obs = Observability(events=True, provenance=record)
+            obs = Observability(provenance=record)
         elif not obs.enabled:
             raise ValueError(
                 "run recording/progress needs an enabled Observability; "
                 "got a disabled obs= hook"
             )
-        elif not obs.events.enabled:
-            from .obs import EventBus
-
-            obs.events = EventBus()
     if record:
         from .obs.runs import RunRegistry
 

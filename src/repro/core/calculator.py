@@ -240,18 +240,13 @@ class StrategyCalculator:
 
     def _profile(self, graph: Graph, strategy: Strategy, steps: int):
         profiler = self._profiler_for(graph)
-        with self.obs.tracer.span(
-            "calculator.profile",
-            cat="calculator",
-            args={"graph": graph.name, "steps": steps},
-        ):
-            if strategy.order and self.config.enable_order_enforcement:
-                order = complete_order(graph, strategy.order)
-                return profiler.profile(
-                    strategy.placement, order=order, policy="priority",
-                    num_steps=steps,
-                )
-            return profiler.profile(strategy.placement, num_steps=steps)
+        if strategy.order and self.config.enable_order_enforcement:
+            order = complete_order(graph, strategy.order)
+            return profiler.profile(
+                strategy.placement, order=order, policy="priority",
+                num_steps=steps,
+            )
+        return profiler.profile(strategy.placement, num_steps=steps)
 
     def _profile_alternatives(
         self,
@@ -270,18 +265,21 @@ class StrategyCalculator:
             return best
         state.alternatives_profiled = True
         surviving = []
-        for graph, strategy in state.alternatives:
-            try:
-                result = self._profile(graph, strategy, 1)
-            except SimulationOOMError:
-                continue  # infeasible alternative: drop it
-            report.simulated_profiling_seconds += sum(
-                t.makespan for t in result.traces
-            )
-            measured = result.mean_iteration_time
-            if best is None or measured < best[2]:
-                best = (strategy, graph, measured)
-            surviving.append((graph, strategy))
+        with self.obs.events.span(
+            "calculator.profile", alternatives=len(state.alternatives)
+        ):
+            for graph, strategy in state.alternatives:
+                try:
+                    result = self._profile(graph, strategy, 1)
+                except SimulationOOMError:
+                    continue  # infeasible alternative: drop it
+                report.simulated_profiling_seconds += sum(
+                    t.makespan for t in result.traces
+                )
+                measured = result.mean_iteration_time
+                if best is None or measured < best[2]:
+                    best = (strategy, graph, measured)
+                surviving.append((graph, strategy))
         state.alternatives = surviving
         return best
 
@@ -349,13 +347,10 @@ class StrategyCalculator:
     # ------------------------------------------------------------------
     def run(self) -> CalculationReport:
         """Execute the pre-training stage; returns the surviving strategy."""
-        with self.obs.tracer.span(
+        with self.obs.events.span(
             "calculator.run",
-            cat="calculator",
-            args={
-                "graph": self.input_graph.name,
-                "max_rounds": self.config.max_rounds,
-            },
+            graph=self.input_graph.name,
+            max_rounds=self.config.max_rounds,
         ):
             report = self._run_rounds()
         if self.obs.enabled:
@@ -381,7 +376,6 @@ class StrategyCalculator:
 
     def _run_rounds(self) -> CalculationReport:
         config = self.config
-        tracer = self.obs.tracer
         events = self.obs.events
         state = _RunState(
             alternatives=list(self.alternative_inputs),
@@ -396,152 +390,115 @@ class StrategyCalculator:
         current_measured: Optional[float] = None
 
         for round_index in range(config.max_rounds):
-            tracer.instant(
-                f"round:{round_index}",
-                cat="calculator",
-                args={"strategy": current_strategy.label},
-            )
-            if events.enabled:
-                events.emit(
-                    "round.start",
+            with events.span(
+                "round",
+                round=round_index,
+                strategy=current_strategy.label,
+                best=best[2] if best else None,
+            ) as round_span:
+                record = RoundRecord(
+                    round_index=round_index,
+                    strategy_label=current_strategy.label,
+                    estimated_time=current_strategy.estimated_time,
+                )
+                with events.span(
+                    "calculator.profile",
                     round=round_index,
-                    strategy=current_strategy.label,
-                    best=best[2] if best else None,
-                )
-            record = RoundRecord(
-                round_index=round_index,
-                strategy_label=current_strategy.label,
-                estimated_time=current_strategy.estimated_time,
-            )
-            profile_started = _time.perf_counter()
-            try:
-                result = self._profile(
-                    current_graph, current_strategy, config.profiling_steps
-                )
-                current_measured = result.mean_iteration_time
-                report.simulated_profiling_seconds += sum(
-                    t.makespan for t in result.traces
-                )
-            except SimulationOOMError:
-                current_measured = None
-            record.measured_time = current_measured
-            if events.enabled:
-                events.emit(
-                    "phase",
-                    name="profile",
-                    round=round_index,
-                    seconds=_time.perf_counter() - profile_started,
-                    measured=current_measured,
-                )
+                    graph=current_graph.name,
+                    steps=config.profiling_steps,
+                ):
+                    try:
+                        result = self._profile(
+                            current_graph, current_strategy,
+                            config.profiling_steps,
+                        )
+                        current_measured = result.mean_iteration_time
+                        report.simulated_profiling_seconds += sum(
+                            t.makespan for t in result.traces
+                        )
+                    except SimulationOOMError:
+                        current_measured = None
+                record.measured_time = current_measured
 
-            if round_index == 0 and current_measured is not None:
-                report.initial_measured_time = current_measured
-            if current_measured is not None and (
-                best is None or current_measured < best[2]
-            ):
-                best = (current_strategy, current_graph, current_measured)
+                if round_index == 0 and current_measured is not None:
+                    report.initial_measured_time = current_measured
+                if current_measured is not None and (
+                    best is None or current_measured < best[2]
+                ):
+                    best = (current_strategy, current_graph, current_measured)
 
-            # Rollback: the paper reverts when the activated strategy's
-            # measured per-iteration time exceeds the previous one's.
-            if (
-                config.enable_rollback
-                and previous is not None
-                and previous[2] is not None
-                and (
-                    current_measured is None
-                    or current_measured > previous[2]
-                )
-            ):
-                current_strategy, current_graph, current_measured = previous
-                previous = None
-                record.rolled_back = True
-                tracer.instant(
-                    f"rollback:round{round_index}",
-                    cat="calculator",
-                    args={"to": current_strategy.label},
-                )
-                if events.enabled:
+                # Rollback: the paper reverts when the activated
+                # strategy's measured per-iteration time exceeds the
+                # previous one's.
+                if (
+                    config.enable_rollback
+                    and previous is not None
+                    and previous[2] is not None
+                    and (
+                        current_measured is None
+                        or current_measured > previous[2]
+                    )
+                ):
+                    current_strategy, current_graph, current_measured = previous
+                    previous = None
+                    record.rolled_back = True
                     events.emit(
                         "round.rollback",
                         round=round_index,
                         to=current_strategy.label,
                     )
-                    events.emit(
-                        "round.finish",
-                        round=round_index,
-                        verdict="rolled-back",
-                        best=best[2] if best else None,
+                    round_span.set(
+                        verdict="rolled-back", best=best[2] if best else None
                     )
-                report.simulated_restart_seconds += config.restart_overhead_seconds
-                report.rounds.append(record)
-                continue
-
-            best = self._profile_alternatives(report, best, state)
-
-            record.stable = state.stability.update(self.computation.snapshot())
-            if record.stable and round_index + 1 >= config.min_rounds:
-                report.rounds.append(record)
-                if events.enabled:
-                    events.emit(
-                        "round.finish",
-                        round=round_index,
-                        verdict="stable",
-                        best=best[2] if best else None,
+                    report.simulated_restart_seconds += (
+                        config.restart_overhead_seconds
                     )
-                break
+                    report.rounds.append(record)
+                    continue
 
-            started = _time.perf_counter()
-            with tracer.span(
-                "calculator.search",
-                cat="calculator",
-                args={"round": round_index},
-            ):
-                candidate, candidate_graph = self._compute_strategy(
-                    report, state
-                )
-            search_seconds = _time.perf_counter() - started
-            report.algorithm_seconds += search_seconds
-            if events.enabled:
-                events.emit(
-                    "phase",
-                    name="search",
-                    round=round_index,
-                    seconds=search_seconds,
-                )
+                best = self._profile_alternatives(report, best, state)
 
-            should_activate = (
-                candidate.estimated_time is not None
-                and (
-                    current_strategy.estimated_time is None
-                    or candidate.estimated_time < current_strategy.estimated_time
+                record.stable = state.stability.update(
+                    self.computation.snapshot()
                 )
-            )
-            if should_activate:
-                previous = (current_strategy, current_graph, current_measured)
-                current_strategy = candidate
-                current_graph = candidate_graph
-                report.simulated_restart_seconds += config.restart_overhead_seconds
-                record.activated = True
-                tracer.instant(
-                    f"activate:round{round_index}",
-                    cat="calculator",
-                    args={
-                        "label": candidate.label,
-                        "estimate": candidate.estimated_time,
-                    },
+                if record.stable and round_index + 1 >= config.min_rounds:
+                    report.rounds.append(record)
+                    round_span.set(
+                        verdict="stable", best=best[2] if best else None
+                    )
+                    break
+
+                started = _time.perf_counter()
+                with events.span("calculator.search", round=round_index):
+                    candidate, candidate_graph = self._compute_strategy(
+                        report, state
+                    )
+                report.algorithm_seconds += _time.perf_counter() - started
+
+                should_activate = (
+                    candidate.estimated_time is not None
+                    and (
+                        current_strategy.estimated_time is None
+                        or candidate.estimated_time
+                        < current_strategy.estimated_time
+                    )
                 )
-                if events.enabled:
+                if should_activate:
+                    previous = (current_strategy, current_graph, current_measured)
+                    current_strategy = candidate
+                    current_graph = candidate_graph
+                    report.simulated_restart_seconds += (
+                        config.restart_overhead_seconds
+                    )
+                    record.activated = True
                     events.emit(
                         "round.activate",
                         round=round_index,
                         strategy=candidate.label,
                         estimate=candidate.estimated_time,
                     )
-            report.rounds.append(record)
-            if events.enabled:
-                events.emit(
-                    "round.finish",
-                    round=round_index,
+                report.rounds.append(record)
+                round_span.set(
                     verdict="activated" if record.activated else "kept",
                     best=best[2] if best else None,
                 )
@@ -549,24 +506,17 @@ class StrategyCalculator:
         # Final measurement; if a strategy was activated but never
         # validated (the loop budget ran out first), the rollback rule
         # still applies — FastT keeps whatever measured fastest.
-        measure_started = _time.perf_counter()
-        try:
-            final = self._profile(
-                current_graph, current_strategy, config.measure_steps
-            )
-            final_measured = final.mean_iteration_time
-            report.simulated_profiling_seconds += sum(
-                t.makespan for t in final.traces
-            )
-        except SimulationOOMError:
-            final_measured = None
-        if events.enabled:
-            events.emit(
-                "phase",
-                name="measure",
-                seconds=_time.perf_counter() - measure_started,
-                measured=final_measured,
-            )
+        with events.span("calculator.measure", graph=current_graph.name):
+            try:
+                final = self._profile(
+                    current_graph, current_strategy, config.measure_steps
+                )
+                final_measured = final.mean_iteration_time
+                report.simulated_profiling_seconds += sum(
+                    t.makespan for t in final.traces
+                )
+            except SimulationOOMError:
+                final_measured = None
         if final_measured is not None and (
             best is None or final_measured < best[2]
         ):

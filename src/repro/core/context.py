@@ -15,7 +15,7 @@ search mutates hangs off one :class:`SearchContext`:
 * the **perf-model RNG** (each context gets a fresh jitter stream seeded
   identically, so N contexts over the same inputs produce byte-identical
   strategies whether they run serially or in parallel);
-* the **observability sinks** (tracer/metrics/provenance/event bus);
+* the **observability sinks** (event bus/metrics/provenance);
 * the **calibration predictions** captured at decision time;
 * an optional **warm-start seed** (:class:`WarmStartSeed`) that lets
   OS-DPOS replay a cached strategy's partition list instead of starting

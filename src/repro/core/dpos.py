@@ -144,14 +144,11 @@ class DPOS:
         way.
         """
         obs = self.obs
-        with obs.tracer.span(
+        with obs.events.span(
             "search.dpos",
-            cat="search",
-            args={
-                "graph": graph.name,
-                "ops": graph.num_ops,
-                "cached": cost_cache is not None,
-            },
+            graph=graph.name,
+            ops=graph.num_ops,
+            cached=cost_cache is not None,
         ):
             if cost_cache is None:
                 cost_cache = CostCache(

@@ -223,33 +223,16 @@ class OSDPOS:
         else:
             mode = "incremental"
         search = obs.provenance.begin_search(graph=graph.name, mode=mode)
-        if obs.events.enabled:
-            obs.events.emit(
-                "search.start",
-                graph=graph.name,
-                ops=graph.num_ops,
-                mode=mode,
-            )
-        with obs.tracer.span(
-            "search.osdpos",
-            cat="search",
-            args={
-                "graph": graph.name,
-                "ops": graph.num_ops,
-                "mode": mode,
-            },
-        ):
+        with obs.events.span(
+            "search.osdpos", graph=graph.name, ops=graph.num_ops, mode=mode
+        ) as span:
             if warm_start is not None:
                 result = self._run_warm(graph, search, warm_start)
             elif use_coarse:
                 result = self._run_coarse(graph, search)
             else:
                 result = self._run_incremental(graph, search)
-        if obs.events.enabled:
-            obs.events.emit(
-                "search.finish",
-                graph=graph.name,
-                mode=mode,
+            span.set(
                 makespan=result.finish_time,
                 splits=len(result.strategy.split_list),
             )
@@ -261,39 +244,6 @@ class OSDPOS:
                     metrics.counter(name).inc(value)
             metrics.gauge("search.finish_time_estimate").set(result.finish_time)
         return result
-
-    # ------------------------------------------------------------------
-    # Telemetry (no-ops unless the obs hook carries a live event bus)
-    # ------------------------------------------------------------------
-    def _emit_op_start(
-        self, op_name: str, index: int, total: int, incumbent: float
-    ) -> None:
-        events = self.obs.events
-        if events.enabled:
-            events.emit(
-                "search.op.start",
-                op=op_name, index=index + 1, total=total,
-                incumbent=incumbent,
-            )
-
-    def _emit_commit(self, decision: SplitDecision, makespan: float) -> None:
-        events = self.obs.events
-        if events.enabled:
-            events.emit(
-                "search.commit",
-                op=decision.op_name, dim=decision.dim,
-                num_splits=decision.num_splits, makespan=makespan,
-            )
-
-    def _emit_op_finish(
-        self, op_name: str, verdict: str, makespan: Optional[float] = None
-    ) -> None:
-        events = self.obs.events
-        if events.enabled:
-            events.emit(
-                "search.op.finish",
-                op=op_name, verdict=verdict, makespan=makespan,
-            )
 
     # ------------------------------------------------------------------
     # Coarse path: hierarchical search over a contracted graph
@@ -346,7 +296,9 @@ class OSDPOS:
         )
 
         def schedule() -> DPOSResult:
-            candidate = contract_graph(working, target=self.coarsen_target)
+            candidate = contract_graph(
+                working, target=self.coarsen_target, events=self.obs.events
+            )
             return self._coarse_engine(candidate, memo).run(candidate.coarse)
 
         def recontract(_touched: Set[str]) -> None:
@@ -599,7 +551,7 @@ class OSDPOS:
         split_list: List[SplitDecision] = []
         evaluated = 0
         rejected = 0
-        tracer = self.obs.tracer
+        events = self.obs.events
         for op_index, op_name in enumerate(cp_ops):
             if op_name not in working:
                 continue  # consumed by an earlier committed split
@@ -607,43 +559,39 @@ class OSDPOS:
             if not op.is_splittable:
                 continue
             rnd = search.begin_op(op_name, incumbent=best.finish_time)
-            self._emit_op_start(op_name, op_index, len(cp_ops), best.finish_time)
-            with tracer.span(f"evaluate:{op_name}", cat="search.candidates"):
+            with events.span(
+                "search.op", op=op_name, index=op_index + 1,
+                total=len(cp_ops), incumbent=best.finish_time,
+            ) as span:
                 outcome = self._best_split(working, op, rnd, schedule, touched)
-            if outcome is None:
-                rnd.no_candidates()
-                self._emit_op_finish(op_name, "no-candidates")
-                continue  # no structurally possible split
-            decision, result, tried = outcome
-            evaluated += tried
-            if not result.finish_time < best.finish_time:
-                rnd.reject(best_makespan=result.finish_time)
-                rejected += 1
-                self._emit_op_finish(op_name, "rejected", result.finish_time)
-                break  # first non-improving CP op stops the search
-            txn = SplitTransaction(
-                working, op, decision.dim, decision.num_splits
-            )
-            txn.apply()
-            rnd.accept(
-                decision.dim, decision.num_splits,
-                sub_ops=[o.name for o in txn.sub_ops],
-                makespan=result.finish_time,
-            )
-            committed(txn.commit())
-            split_list.append(decision)
-            best = result
-            tracer.instant(
-                f"commit-split:{op_name}",
-                cat="search",
-                args={
-                    "dim": decision.dim,
-                    "num_splits": decision.num_splits,
-                    "finish_time": result.finish_time,
-                },
-            )
-            self._emit_commit(decision, best.finish_time)
-            self._emit_op_finish(op_name, "accepted", best.finish_time)
+                if outcome is None:
+                    rnd.no_candidates()
+                    span.set(verdict="no-candidates")
+                    continue  # no structurally possible split
+                decision, result, tried = outcome
+                evaluated += tried
+                if not result.finish_time < best.finish_time:
+                    rnd.reject(best_makespan=result.finish_time)
+                    rejected += 1
+                    span.set(verdict="rejected", makespan=result.finish_time)
+                    break  # first non-improving CP op stops the search
+                txn = SplitTransaction(
+                    working, op, decision.dim, decision.num_splits
+                )
+                txn.apply()
+                rnd.accept(
+                    decision.dim, decision.num_splits,
+                    sub_ops=[o.name for o in txn.sub_ops],
+                    makespan=result.finish_time,
+                )
+                committed(txn.commit())
+                split_list.append(decision)
+                best = result
+                events.emit(
+                    "search.commit", op=op_name, dim=decision.dim,
+                    num_splits=decision.num_splits, makespan=best.finish_time,
+                )
+                span.set(verdict="accepted", makespan=best.finish_time)
         return best, split_list, evaluated, rejected
 
     def _best_split(

@@ -4,13 +4,17 @@ Runs one (model, cluster, batch, method) *trial* and returns the metrics
 the paper's tables report: training speed, per-iteration time,
 computation/memcpy breakdown, per-device op counts, split decisions, and
 strategy-search time.  Trials are cached on disk keyed by their full
-configuration so the many benchmark files can share results.
+configuration and a fingerprint of the package sources, so the many
+benchmark files can share results and no entry outlives the code that
+measured it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -35,7 +39,6 @@ from ..obs import (
     Observability,
     ensure_dir,
     export_step_trace,
-    export_tracer,
     write_gate_summary,
     write_metrics_json,
 )
@@ -124,16 +127,13 @@ def _trial_obs() -> Optional[Observability]:
     """A recording hook when a trace dir or --progress is set, else None."""
     if not _TRACE_DIR and not _PROGRESS:
         return None
-    return Observability(
-        provenance=os.environ.get(_PROVENANCE_ENV, "") == "1",
-        events=_PROGRESS,
-    )
+    return Observability(provenance=os.environ.get(_PROVENANCE_ENV, "") == "1")
 
 
 @contextlib.contextmanager
 def _progress_scope(obs: Optional[Observability]) -> Iterator[None]:
     """Attach the TTY renderer to ``obs`` for the duration of one trial."""
-    if obs is None or not _PROGRESS or not obs.events.enabled:
+    if obs is None or not _PROGRESS:
         yield
         return
     from ..obs.progress import ProgressRenderer
@@ -207,7 +207,7 @@ def _export_trial(
     stem = _trial_stem(result)
     base = os.path.join(_TRACE_DIR, stem)
     if obs is not None and obs.enabled:
-        export_tracer(f"{base}.trace.json", obs.tracer)
+        obs.export_chrome_trace(f"{base}.trace.json")
         write_metrics_json(
             f"{base}.metrics.json",
             obs.snapshot(),
@@ -281,6 +281,26 @@ def _cache_dir() -> str:
 #: entries written under another schema are invalidated on read instead
 #: of being deserialized into the wrong dataclass.
 CACHE_SCHEMA_VERSION = 2
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """Content hash of the ``repro`` package's Python sources.
+
+    Computed once per process.  Keys the trial cache, so an entry
+    written by other code misses instead of being served as current.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for directory, subdirs, files in os.walk(root):
+        subdirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                digest.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+    return digest.hexdigest()[:16]
 
 
 def cached_trial(key: Dict[str, object], fn: Callable[[], TrialResult]) -> TrialResult:
@@ -564,10 +584,9 @@ def trial(
         "preset": preset,
         "seed": seed,
         "cluster": cluster,
-        # v6: the communication model's topology prior prices unprofiled
-        # pairs from route times (was 0/global-rate), which can steer the
-        # search; stale v5 entries must not mix in.
-        "version": 6,
+        # Any source change can move a strategy or its timings, so an
+        # entry written by other code must never be served.
+        "source": source_fingerprint(),
     }
     runner = _RUNNERS[method]
     result = cached_trial(
@@ -622,7 +641,7 @@ def optimized_session(
                 _TRACE_DIR,
                 f"{model.name}_session_{num_gpus}x{num_servers}",
             )
-            export_tracer(f"{base}.trace.json", obs.tracer)
+            obs.export_chrome_trace(f"{base}.trace.json")
             obs.export_provenance(f"{base}.provenance.json")
             write_metrics_json(
                 f"{base}.metrics.json",

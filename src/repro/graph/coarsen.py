@@ -256,32 +256,31 @@ def contract_graph(
     violates a fine constraint.
 
     ``events`` optionally takes an :class:`~repro.obs.events.EventBus`;
-    an enabled bus receives ``coarsen.stage`` events per contraction
-    stage and a ``coarsen.finish`` summary (contraction never changes).
+    an enabled bus receives one ``graph.coarsen`` span whose finish
+    carries the cluster counts after merging (``merged``) and packing
+    (``packed``) and the ``coarse_ops`` count (contraction never
+    changes).
     """
     if target < 1:
         raise ValueError("coarsen target must be >= 1")
-    emit = events is not None and getattr(events, "enabled", False)
+    if events is None:
+        # Imported here: repro.obs imports the graph package.
+        from ..obs.events import NULL_EVENTS as events
+    with events.span(
+        "graph.coarsen", graph=graph.name, ops=graph.num_ops, target=target
+    ) as span:
+        plan = _contract(graph, target, span)
+        span.set(coarse_ops=plan.coarse.num_ops)
+    return plan
+
+
+def _contract(graph: Graph, target: int, span) -> CoarsePlan:
     order = graph.topological_order(canonical=True)
     topo_index = {op.name: i for i, op in enumerate(order)}
     _, clusters = _safe_merge(order, graph)
-    if emit:
-        events.emit(
-            "coarsen.stage",
-            stage="merge",
-            graph=graph.name,
-            clusters=len(clusters),
-            ops=len(order),
-        )
+    span.set(merged=len(clusters))
     clusters = _pack_intervals(clusters, target)
-    if emit:
-        events.emit(
-            "coarsen.stage",
-            stage="pack",
-            graph=graph.name,
-            clusters=len(clusters),
-            target=target,
-        )
+    span.set(packed=len(clusters))
     for c in clusters:
         c.sort(key=lambda o: topo_index[o.name])
 
@@ -395,13 +394,6 @@ def contract_graph(
         for op in cluster:
             op_to_coarse[op.name] = name
 
-    if emit:
-        events.emit(
-            "coarsen.finish",
-            graph=graph.name,
-            original_ops=len(order),
-            coarse_ops=coarse.num_ops,
-        )
     return CoarsePlan(
         fine=graph,
         coarse=coarse,

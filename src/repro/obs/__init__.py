@@ -4,9 +4,10 @@ Every execution layer (the discrete-event simulator, the DPOS/OS-DPOS
 strategy search, the pre-training calculator, the session facade)
 accepts an ``obs=`` hook.  The hook bundles two instruments:
 
-* a **tracer** recording spans/instants/counter samples in
-  Chrome-trace-format, so a strategy-search run or a simulated training
-  step renders as a visual timeline in ``chrome://tracing`` / Perfetto;
+* an **event bus** (:mod:`repro.obs.events`) that every engine site
+  instruments with one call — a span or an event.  A Chrome-trace
+  recorder subscribed to it keeps the wall-clock timeline, so a
+  strategy-search run renders in ``chrome://tracing`` / Perfetto;
 * a **metrics registry** of counters/gauges/timers, frozen into a
   :class:`~repro.obs.metrics.MetricsSnapshot` that result objects
   (``OSDPOSResult``, ``CalculationReport``, ``OptimizeResult``) carry.
@@ -26,9 +27,10 @@ no-op, so un-observed runs pay essentially nothing::
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from .chrome_trace import (
+    ChromeTraceRecorder,
     TraceValidationError,
     export_step_trace,
     step_trace_events,
@@ -39,7 +41,6 @@ from .chrome_trace import (
 )
 from .exporters import (
     ensure_dir,
-    export_tracer,
     write_metrics_csv,
     write_metrics_json,
     write_rows_csv,
@@ -67,7 +68,6 @@ from .metrics import (
     metric_key,
     parse_metric_key,
 )
-from .tracer import NULL_TRACER, NullTracer, Tracer
 
 
 class _NullOpRound:
@@ -141,48 +141,46 @@ NULL_PROVENANCE = NullProvenance()
 
 
 class Observability:
-    """The ``obs=`` hook: tracer + metrics registry (+ provenance, events).
+    """The ``obs=`` hook: event bus + metrics registry (+ provenance).
 
-    ``Observability()`` records spans and metrics; :data:`NULL_OBS` (the
-    library default) is the disabled instance whose every instrument is
-    a no-op.  ``provenance=True`` additionally journals every DPOS /
-    OS-DPOS decision (see :mod:`repro.obs.provenance`); ``events=True``
-    attaches a live telemetry :class:`~repro.obs.events.EventBus` that
-    engines emit structured progress events onto (see
-    :mod:`repro.obs.events`).  Both default to shared no-ops, so runs
-    pay nothing for what they did not ask for.
+    ``Observability()`` carries a live :class:`~repro.obs.events.EventBus`
+    with a :class:`~repro.obs.chrome_trace.ChromeTraceRecorder`
+    (``obs.trace``) subscribed, and a metrics registry; :data:`NULL_OBS`
+    (the library default) is the disabled instance whose every
+    instrument is a no-op.  ``provenance=True`` additionally journals
+    every DPOS / OS-DPOS decision (see :mod:`repro.obs.provenance`); it
+    defaults to a shared no-op, so runs pay nothing for what they did
+    not ask for.
     """
 
     def __init__(
         self,
         enabled: bool = True,
-        tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         provenance: bool = False,
-        events: Union[bool, EventBus] = False,
     ) -> None:
         self.enabled = enabled
+        self.trace = ChromeTraceRecorder()
         if enabled:
-            self.tracer = tracer if tracer is not None else Tracer()
             self.metrics = metrics if metrics is not None else MetricsRegistry()
+            self.events: EventBus = EventBus()
+            self.events.subscribe(self.trace)
         else:
-            self.tracer = NULL_TRACER
             self.metrics = NullMetricsRegistry()
+            self.events = NULL_EVENTS
         if enabled and provenance:
             from .provenance import ProvenanceRecorder
 
             self.provenance = ProvenanceRecorder()
         else:
             self.provenance = NULL_PROVENANCE
-        if enabled and events:
-            self.events = events if isinstance(events, EventBus) else EventBus()
-        else:
-            self.events = NULL_EVENTS
 
     # ------------------------------------------------------------------
     def export_chrome_trace(self, path: str) -> Optional[str]:
-        """Write the tracer's timeline; returns None when disabled/empty."""
-        return export_tracer(path, self.tracer)
+        """Write the wall-clock timeline; None when disabled/empty."""
+        if not self.trace.events:
+            return None
+        return write_trace(path, self.trace.events)
 
     def export_provenance(self, path: str) -> Optional[str]:
         """Write the provenance journal; None when disabled or empty."""
@@ -331,6 +329,7 @@ __all__ = list(_ANALYZE_EXPORTS) + list(_PROVENANCE_EXPORTS) + list(
     "NullEventBus",
     "get_events",
     "read_event_log",
+    "ChromeTraceRecorder",
     "Counter",
     "DEFAULT_BUCKET_BOUNDS",
     "Gauge",
@@ -341,17 +340,13 @@ __all__ = list(_ANALYZE_EXPORTS) + list(_PROVENANCE_EXPORTS) + list(
     "MetricsSnapshot",
     "NULL_OBS",
     "NULL_PROVENANCE",
-    "NULL_TRACER",
     "NullMetricsRegistry",
     "NullProvenance",
-    "NullTracer",
     "Observability",
     "Timer",
     "TraceValidationError",
-    "Tracer",
     "ensure_dir",
     "export_step_trace",
-    "export_tracer",
     "get_obs",
     "step_trace_events",
     "trace_document",

@@ -2,8 +2,10 @@
 
 Two timeline sources share this module:
 
-* a **wall-clock** :class:`~repro.obs.tracer.Tracer` recording of the
-  strategy-search workflow (rounds, profiling, candidate evaluation);
+* a **wall-clock** recording of the strategy-search workflow (rounds,
+  profiling, candidate evaluation): :class:`ChromeTraceRecorder`
+  subscribes to an :class:`~repro.obs.events.EventBus` and turns its
+  spans into ``B``/``E`` pairs and its other events into ``i`` instants;
 * a **simulated-time** :class:`~repro.profiling.trace.StepTrace` of one
   training iteration, converted by :func:`step_trace_events` — one row
   per device (kernel spans plus ready-queue wait spans) and one row per
@@ -21,9 +23,11 @@ way the golden tests and the CI smoke step do.
 from __future__ import annotations
 
 import json
+import threading
 from typing import Dict, List, Sequence, Tuple, Union
 
 from ..profiling.trace import StepTrace
+from .events import Event
 
 _US = 1_000_000.0
 
@@ -44,6 +48,41 @@ def write_trace(path: str, events: Sequence[JsonEvent]) -> str:
     with open(path, "w") as handle:
         json.dump(trace_document(events), handle, indent=1)
     return path
+
+
+# ---------------------------------------------------------------------------
+# Event bus -> chrome events (wall clock)
+# ---------------------------------------------------------------------------
+class ChromeTraceRecorder:
+    """Event-bus subscriber keeping the run's wall-clock timeline.
+
+    A span's ``.start``/``.finish`` events become a ``B``/``E`` pair
+    named after the span; any other event becomes an ``i`` instant,
+    except the high-rate ``*.progress`` samples.  Each thread gets its
+    own row (``tid``), so concurrent searches on one bus nest correctly.
+    Timestamps are the bus's, in microseconds.
+    """
+
+    def __init__(self) -> None:
+        self.events: List[JsonEvent] = []
+
+    def __call__(self, event: Event) -> None:
+        kind = event.kind
+        if "span" in event.data and kind.endswith((".start", ".finish")):
+            name, _, edge = kind.rpartition(".")
+            phase = "B" if edge == "start" else "E"
+        elif kind.endswith(".progress"):
+            return
+        else:
+            name, phase = kind, "i"
+        record: JsonEvent = {
+            "name": name, "cat": name.split(".", 1)[0], "ph": phase,
+            "ts": event.ts * _US, "pid": "repro",
+            "tid": threading.get_ident(), "args": event.data,
+        }
+        if phase == "i":
+            record["s"] = "t"
+        self.events.append(record)
 
 
 # ---------------------------------------------------------------------------

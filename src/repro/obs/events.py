@@ -1,44 +1,60 @@
-"""Live telemetry event bus: structured progress events for every run.
+"""Live telemetry event bus: the one instrumentation stream of every run.
 
-While a strategy search or a simulated step executes, the engines emit
-small structured **events** — search round started/finished with the
-best makespan so far, coarsening stages, DPOS placement progress,
-simulator event-heap progress — onto an :class:`EventBus` carried by the
-``obs=`` hook (``Observability(events=True)``).  Consumers are plain
-callbacks::
+Engines instrument each site with one call on the :class:`EventBus` the
+``obs=`` hook carries: ``emit`` for a single fact (a commit, a rollback,
+placement progress) or ``span`` for a timed block::
 
-    from repro.obs import Observability
+    with obs.events.span("search.dpos", graph=graph.name) as span:
+        result = ...
+        span.set(makespan=result.finish_time)
 
-    obs = Observability(events=True)
+A span emits ``<name>.start`` with its opening attributes and, on
+leaving (exceptions included), ``<name>.finish`` with ``seconds``, the
+attributes :meth:`Span.set` recorded and ``error`` if the block raised.
+Both carry the ``span`` id and the ``parent`` span id open on the same
+thread.  Every enabled :class:`~repro.obs.Observability` carries a live
+bus; the Chrome-trace recorder
+(:class:`~repro.obs.chrome_trace.ChromeTraceRecorder`), a recorded run's
+``events.jsonl`` and manifest ``phases`` (:mod:`repro.obs.runs`) and the
+``--progress`` renderer (:mod:`repro.obs.progress`) are subscribers::
+
+    obs = Observability()
     obs.events.subscribe(lambda e: print(e.kind, e.data))
     repro.optimize("lenet", single_server(2), obs=obs)
 
-The two built-in consumers are :class:`JsonlEventWriter` (the
-``events.jsonl`` log every recorded run directory carries; see
-:mod:`repro.obs.runs`) and the ``--progress`` TTY renderer
-(:mod:`repro.obs.progress`).
+The default everywhere is :data:`NULL_EVENTS`: ``emit`` is a no-op,
+``span`` returns one shared no-op context, and ``enabled=False`` lets
+hot loops skip even building a payload, so un-observed runs pay
+essentially nothing (pinned by ``tests/obs/test_run_overhead.py``).
 
-The default everywhere is :data:`NULL_EVENTS`, whose ``emit`` is a no-op
-and whose ``enabled`` flag lets hot loops skip even building the event
-payload, so un-observed runs pay essentially nothing (pinned by
-``tests/obs/test_run_overhead.py``).
+The stable vocabulary (a span is listed by name and emits ``.start`` and
+``.finish``):
 
-Event kinds are dotted names.  The stable vocabulary:
-
-====================  ====================================================
-``run.start/finish``  one ``repro.optimize`` run (run id, model, makespan)
-``session.input``     input-DAG choice (data-parallel vs model-parallel)
-``round.*``           calculator rounds (start/finish/activate/rollback)
-``phase``             wall-clock phase sample (profile/search/measure)
-``search.*``          OS-DPOS (start/op/commit/finish, best-so-far)
-``coarsen.*``         graph-contraction stages (merge/pack/finish)
-``dpos.progress``     placement progress (placed/total)
-``sim.*``             simulator (step finish, event-heap progress)
-====================  ====================================================
+======================  ===================================================
+``run.start/finish``    one ``repro.optimize`` run (run id, model, makespan)
+``session.input``       input-DAG choice (data-parallel vs model-parallel)
+``calculator.run``      span: the whole pre-training stage
+``round``               span: one calculator round (``verdict``, ``best``)
+``round.activate``      a round activated a new strategy
+``round.rollback``      a round rolled back to the previous strategy
+``calculator.profile``  span: profiling steps (the ``profile`` phase)
+``calculator.search``   span: the strategy search (the ``search`` phase)
+``calculator.measure``  span: the final measurement (the ``measure`` phase)
+``search.osdpos``       span: one OS-DPOS run (``makespan``, ``splits``)
+``search.op``           span: one critical-path op (``verdict``, makespan)
+``search.commit``       a committed split (best-so-far makespan)
+``search.warm*``        warm-start replay and its cold fallback
+``search.dpos``         span: one DPOS placement pass
+``dpos.progress``       placement progress (placed/total)
+``graph.coarsen``       span: one graph contraction (cluster counts)
+``sim.step``            span: one simulated step (``makespan``)
+``sim.progress``        simulator event-heap progress
+======================  ===================================================
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import threading
 import time
@@ -46,9 +62,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 #: Version of the JSONL event-log layout (header line + one event per
-#: line).  Bump when the record shape changes; readers reject unknown
-#: versions instead of replaying garbage.
-EVENT_SCHEMA_VERSION = 1
+#: line).  Bump when the record shape or the vocabulary changes; readers
+#: reject unknown versions instead of replaying garbage.  Version 2 made
+#: spans the timing primitive: ``phase``, ``search.start/finish`` and
+#: ``coarsen.*`` are gone, and ``round.*`` and ``search.op.*`` became
+#: span events.
+EVENT_SCHEMA_VERSION = 2
+
+#: Event-log versions :func:`read_event_log` accepts.
+READABLE_EVENT_SCHEMAS = (1, 2)
+
+#: The calculator spans that time the paper's strategy-time phases
+#: (Table 4), by the phase name the run manifest records.
+PHASE_SPANS = {
+    "calculator.profile": "profile",
+    "calculator.search": "search",
+    "calculator.measure": "measure",
+}
 
 #: The JSONL header's discriminator value.
 EVENT_LOG_KIND = "repro.events"
@@ -63,8 +93,8 @@ class Event:
     """One structured progress event.
 
     ``seq`` is the bus's emission counter (strictly increasing per bus,
-    the replay order); ``ts`` is wall-clock seconds since the bus was
-    created.  ``data`` is a flat JSON-serializable payload.
+    the replay order); ``ts`` is monotonic wall-clock seconds since the
+    bus was created.  ``data`` is a flat JSON-serializable payload.
     """
 
     seq: int
@@ -95,14 +125,86 @@ class Event:
 Subscriber = Callable[[Event], None]
 
 
+class Span:
+    """One timed block on a bus: the context manager ``bus.span`` returns.
+
+    Entering emits ``<name>.start`` with the opening attributes; leaving
+    (normally or by an exception) emits ``<name>.finish`` with
+    ``seconds``, the attributes :meth:`set` recorded and, when the block
+    raised, ``error``.  ``span``, ``parent``, ``seconds`` and ``error``
+    are reserved attribute names.
+    """
+
+    __slots__ = ("_bus", "name", "id", "parent", "_attrs", "_done", "_start")
+
+    def __init__(self, bus: "EventBus", name: str, attrs: Dict[str, object]) -> None:
+        self._bus = bus
+        self.name = name
+        self._attrs = attrs
+        self._done: Dict[str, object] = {}
+
+    def set(self, **attrs: object) -> None:
+        """Record attributes for the finish event."""
+        self._done.update(attrs)
+
+    def __enter__(self) -> "Span":
+        stack = self._bus._open.stack
+        self.id = next(self._bus._span_ids)
+        self.parent = stack[-1] if stack else None
+        stack.append(self.id)
+        self._bus.emit(
+            f"{self.name}.start", span=self.id, parent=self.parent, **self._attrs
+        )
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        seconds = time.perf_counter() - self._start
+        self._bus._open.stack.pop()
+        if exc_type is not None:
+            self._done["error"] = exc_type.__name__
+        self._bus.emit(
+            f"{self.name}.finish", span=self.id, parent=self.parent,
+            seconds=seconds, **self._done,
+        )
+        return False
+
+
+class _OpenSpans(threading.local):
+    """Each thread's stack of open span ids (its parent chain)."""
+
+    def __init__(self) -> None:
+        self.stack: List[int] = []
+
+
+class _NullSpan:
+    """The shared no-op context :data:`NULL_EVENTS` hands out."""
+
+    __slots__ = ()
+
+    def set(self, **attrs: object) -> None:
+        pass
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        return False
+
+
+_NULL_SPAN = _NullSpan()
+
+
 class EventBus:
     """Synchronous fan-out of :class:`Event` to subscriber callbacks.
 
     Emission is deliberately minimal — build the event, call each
-    subscriber in subscription order.  Subscribers must be cheap and
-    must not raise (an exception propagates into the engine that
-    emitted, by design: a broken sink is a bug, not a condition to
-    paper over).
+    subscriber in subscription order, on the emitting thread.
+    Subscribers must be cheap and must not raise (an exception
+    propagates into the engine that emitted, by design: a broken sink is
+    a bug, not a condition to paper over).  Span parent chains are
+    per thread, so concurrent searches sharing one bus keep separate
+    trees.
     """
 
     enabled = True
@@ -110,7 +212,9 @@ class EventBus:
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
         self._seq = 0
-        self._epoch = time.time()
+        self._epoch = time.perf_counter()
+        self._span_ids = itertools.count(1)
+        self._open = _OpenSpans()
         # Emission is serialized: ``seq`` must stay strictly increasing
         # and unique even when concurrent service requests share one bus
         # (duplicate seqs would make a persisted log unreadable — see
@@ -135,10 +239,14 @@ class EventBus:
         """Deliver one event to every subscriber, in order."""
         with self._lock:
             self._seq += 1
-            event = Event(self._seq, time.time() - self._epoch, kind, data)
+            event = Event(self._seq, time.perf_counter() - self._epoch, kind, data)
             subscribers = list(self._subscribers)
         for subscriber in subscribers:
             subscriber(event)
+
+    def span(self, name: str, **attrs: object) -> Span:
+        """A timed block: ``with bus.span("sim.step", graph=g) as s: ...``."""
+        return Span(self, name, attrs)
 
     @property
     def num_subscribers(self) -> int:
@@ -149,16 +257,16 @@ class NullEventBus(EventBus):
     """Do-nothing bus: the zero-cost default on every ``obs=`` hook.
 
     ``subscribe`` raises — attaching a consumer to a bus that will never
-    emit is always a caller bug (enable events first:
-    ``Observability(events=True)``).
+    emit is always a caller bug (use an enabled hook:
+    ``Observability()``).
     """
 
     enabled = False
 
     def subscribe(self, subscriber: Subscriber) -> Subscriber:  # type: ignore[override]
         raise RuntimeError(
-            "cannot subscribe to the disabled event bus; construct the "
-            "hook with Observability(events=True)"
+            "cannot subscribe to the disabled event bus; use an enabled "
+            "hook, Observability()"
         )
 
     def unsubscribe(self, subscriber: Subscriber) -> None:  # type: ignore[override]
@@ -166,6 +274,9 @@ class NullEventBus(EventBus):
 
     def emit(self, kind: str, **data: object) -> None:  # type: ignore[override]
         pass
+
+    def span(self, name: str, **attrs: object) -> _NullSpan:  # type: ignore[override]
+        return _NULL_SPAN
 
 
 #: Shared disabled bus (the ``obs.events`` default).
@@ -175,7 +286,7 @@ NULL_EVENTS = NullEventBus()
 class JsonlEventWriter:
     """Subscriber streaming events to a JSONL file as they happen.
 
-    Line 1 is a schema header (``{"schema": 1, "kind": "repro.events",
+    Line 1 is a schema header (``{"schema": 2, "kind": "repro.events",
     ...}``); every following line is one event.  Each line is flushed so
     a crashed run still leaves a replayable log.
     """
@@ -204,7 +315,9 @@ def read_event_log(path: str) -> List[Event]:
 
     Replay order is ``seq`` order (the bus's emission order), which the
     reader re-establishes even if the file's lines were concatenated or
-    shuffled by post-processing.  Raises :class:`EventSchemaError` on a
+    shuffled by post-processing.  Every schema in
+    :data:`READABLE_EVENT_SCHEMAS` loads; events keep the vocabulary of
+    the build that wrote them.  Raises :class:`EventSchemaError` on a
     missing/unknown header schema, malformed records, or duplicate
     sequence numbers.
     """
@@ -230,10 +343,10 @@ def read_event_log_with_header(
                 f"{header.get('kind') if isinstance(header, dict) else header!r})"
             )
         schema = header.get("schema")
-        if schema != EVENT_SCHEMA_VERSION:
+        if schema not in READABLE_EVENT_SCHEMAS:
             raise EventSchemaError(
                 f"{path}: unsupported event-log schema {schema!r} "
-                f"(this build reads {EVENT_SCHEMA_VERSION})"
+                f"(this build reads {READABLE_EVENT_SCHEMAS})"
             )
         events: List[Event] = []
         for lineno, line in enumerate(handle, start=2):

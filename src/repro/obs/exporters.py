@@ -1,4 +1,4 @@
-"""File exporters: metrics snapshots to JSON/CSV, tracers to trace files.
+"""File exporters: metrics snapshots to JSON/CSV, tabular breakdowns.
 
 Naming convention (shared with the benchmark harness and CI smoke):
 
@@ -13,9 +13,6 @@ import csv
 import json
 import os
 from typing import Mapping, Optional, Sequence
-
-from .chrome_trace import write_trace
-from .tracer import Tracer
 
 
 def ensure_dir(directory: str) -> str:
@@ -57,9 +54,3 @@ def write_rows_csv(
             writer.writerow(["" if v is None else v for v in row])
     return path
 
-
-def export_tracer(path: str, tracer: Tracer) -> Optional[str]:
-    """Write a tracer's recorded events; no-op tracers produce no file."""
-    if not tracer.enabled or not tracer.events:
-        return None
-    return write_trace(path, tracer.events)

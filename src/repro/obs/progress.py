@@ -12,7 +12,7 @@ Attach one by hand::
     from repro.obs import Observability
     from repro.obs.progress import ProgressRenderer
 
-    obs = Observability(events=True)
+    obs = Observability()
     renderer = ProgressRenderer()
     obs.events.subscribe(renderer)
     ...
@@ -28,7 +28,7 @@ import sys
 import time
 from typing import Optional
 
-from .events import Event
+from .events import PHASE_SPANS, Event
 
 
 def _fmt_seconds(value: object) -> str:
@@ -154,12 +154,12 @@ class ProgressRenderer:
             self._stage = f"round done ({verdict})" if verdict else "round done"
             self._op = ""
             return True
-        if kind == "phase":
-            self._stage = str(data.get("name", self._stage))
+        span, _, edge = kind.rpartition(".")
+        if edge == "start" and span in PHASE_SPANS:
+            self._stage = PHASE_SPANS[span]
             return False
-        if kind == "search.start":
+        if kind == "search.osdpos.start":
             self._stage = f"search[{data.get('mode', '?')}]"
-            self._best = _fmt_seconds(data.get("incumbent"))
             return True
         if kind == "search.op.start":
             index, total = data.get("index"), data.get("total")
@@ -169,16 +169,13 @@ class ProgressRenderer:
         if kind == "search.commit":
             self._best = _fmt_seconds(data.get("makespan"))
             return True
-        if kind == "search.finish":
+        if kind == "search.osdpos.finish":
             self._best = _fmt_seconds(data.get("makespan"))
             self._op = ""
             self._stage = "search done"
             return True
-        if kind == "coarsen.finish":
-            self._stage = (
-                f"coarsened {data.get('original_ops', '?')}"
-                f"→{data.get('coarse_ops', '?')} ops"
-            )
+        if kind == "graph.coarsen.finish":
+            self._stage = f"coarsened to {data.get('coarse_ops', '?')} ops"
             return True
         if kind == "dpos.progress":
             placed, total = data.get("placed"), data.get("total")

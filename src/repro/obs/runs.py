@@ -39,7 +39,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .events import JsonlEventWriter, read_event_log
+from .events import PHASE_SPANS, JsonlEventWriter, read_event_log
 from . import log as obs_log
 
 #: Version of the ``manifest.json`` document.  Bump on layout changes;
@@ -413,12 +413,12 @@ class RunRecorder:
         self.manifest.artifacts["events"] = EVENT_LOG_NAME
 
     def _collect(self, event) -> None:
-        """Fold telemetry into the manifest (phases accumulate)."""
-        if event.kind == "phase":
-            name = str(event.data.get("name", "?"))
-            seconds = float(event.data.get("seconds", 0.0))
+        """Fold the calculator's phase spans into the manifest's phases."""
+        span, _, edge = event.kind.rpartition(".")
+        name = PHASE_SPANS.get(span)
+        if name is not None and edge == "finish":
             self.manifest.phases[name] = (
-                self.manifest.phases.get(name, 0.0) + seconds
+                self.manifest.phases.get(name, 0.0) + event.data["seconds"]
             )
 
     # -- artifacts -----------------------------------------------------
@@ -430,7 +430,7 @@ class RunRecorder:
         """Link an artifact already written into the run directory.
 
         ``path`` may be None (an exporter declined to write — e.g. an
-        empty tracer); the artifact is then simply not linked.
+        empty timeline); the artifact is then simply not linked.
         """
         if path is None:
             return None

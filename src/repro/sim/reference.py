@@ -93,9 +93,7 @@ class ReferenceSimulator:
         if policy not in (FIFO, PRIORITY):
             raise SimulationError(f"unknown scheduling policy {policy!r}")
         obs = self.obs
-        with obs.tracer.span(
-            "sim.step", cat="sim", args={"policy": policy, "graph": self.graph.name}
-        ):
+        with obs.events.span("sim.step", policy=policy, graph=self.graph.name):
             state = _StepState(self, placement, order, policy)
             trace = state.run()
         if obs.enabled:

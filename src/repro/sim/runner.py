@@ -206,11 +206,12 @@ class ExecutionSimulator:
         if policy not in (FIFO, PRIORITY):
             raise SimulationError(f"unknown scheduling policy {policy!r}")
         obs = self.obs
-        with obs.tracer.span(
-            "sim.step", cat="sim", args={"policy": policy, "graph": self.graph.name}
-        ):
+        with obs.events.span(
+            "sim.step", policy=policy, graph=self.graph.name
+        ) as span:
             state = _StepState(self, placement, order, policy)
             trace = state.run()
+            span.set(makespan=trace.makespan)
         if obs.enabled:
             metrics = obs.metrics
             metrics.counter("sim.steps").inc()
@@ -336,13 +337,6 @@ class _StepState:
             else:
                 self._on_transfer_finish(payload, time)  # type: ignore[arg-type]
 
-        if progress_stride:
-            telemetry.emit(
-                "sim.step.finish",
-                graph=self.graph.name,
-                makespan=makespan,
-                ops=self.completed,
-            )
         if self.completed != self.graph.num_ops:
             stuck = [
                 name for name, n in self.deps_remaining.items() if n > 0

@@ -190,6 +190,35 @@ class TestTrialCache:
         # Simulated quality is deterministic, so the cache may report it.
         assert cached["iteration_time"] == 0.5
 
+    def test_source_fingerprint_keys_the_cache(self, tmp_path, monkeypatch):
+        from repro.experiments import harness
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        runs = []
+
+        def fake_dp(model, num_gpus, num_servers, batch, **kwargs):
+            runs.append(1)
+            return TrialResult(
+                model=model.name, method="dp", num_gpus=num_gpus,
+                num_servers=num_servers, global_batch=batch,
+            )
+
+        monkeypatch.setitem(harness._RUNNERS, "dp", fake_dp)
+        monkeypatch.setattr(harness, "source_fingerprint", lambda: "old")
+        harness.trial("lenet", "dp", 2)
+        assert harness.trial("lenet", "dp", 2).extra["cached"] is True
+        assert len(runs) == 1, "same sources must hit the cache"
+
+        monkeypatch.setattr(harness, "source_fingerprint", lambda: "new")
+        assert not harness.trial("lenet", "dp", 2).extra.get("cached")
+        assert len(runs) == 2, "changed sources must miss the cache"
+
+    def test_source_fingerprint_is_stable_per_process(self):
+        from repro.experiments.harness import source_fingerprint
+
+        assert source_fingerprint() == source_fingerprint()
+        assert len(source_fingerprint()) == 16
+
 
 class TestTrialRunners:
     def test_dp_trial_on_lenet(self):

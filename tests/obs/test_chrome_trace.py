@@ -11,8 +11,9 @@ import json
 import pytest
 
 from repro.obs import (
+    ChromeTraceRecorder,
+    EventBus,
     TraceValidationError,
-    Tracer,
     export_step_trace,
     step_trace_events,
     trace_document,
@@ -118,13 +119,14 @@ class TestStructuralChecks:
             last[track] = event["ts"]
 
     def test_b_e_pairs_balance_in_tracer_recordings(self):
-        tracer = Tracer()
-        with tracer.span("round"):
-            with tracer.span("search"):
+        bus = EventBus()
+        recorder = bus.subscribe(ChromeTraceRecorder())
+        with bus.span("round"):
+            with bus.span("search"):
                 pass
-            with tracer.span("profile"):
+            with bus.span("profile"):
                 pass
-        events = tracer.events
+        events = recorder.events
         assert sum(1 for e in events if e["ph"] == "B") == sum(
             1 for e in events if e["ph"] == "E"
         )
@@ -232,11 +234,12 @@ class TestSerialRowOverlap:
 
 class TestTracerExport:
     def test_wall_clock_tracer_round_trips(self, tmp_path):
-        tracer = Tracer(pid="fastt")
-        with tracer.span("outer", cat="search"):
-            tracer.instant("mark")
+        bus = EventBus()
+        recorder = bus.subscribe(ChromeTraceRecorder())
+        with bus.span("search.outer"):
+            bus.emit("mark")
         path = str(tmp_path / "search.trace.json")
-        write_trace(path, tracer.events)
+        write_trace(path, recorder.events)
         counts = validate_trace(path)
         assert counts["spans"] == 1
         assert counts["instants"] == 1

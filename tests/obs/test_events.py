@@ -1,6 +1,7 @@
 """Tests for the live telemetry event bus (``repro.obs.events``)."""
 
 import json
+import os
 import random
 
 import pytest
@@ -74,24 +75,26 @@ def test_null_bus_is_disabled_and_subscribe_raises():
     assert isinstance(NULL_EVENTS, NullEventBus)
     NULL_EVENTS.emit("anything", payload=1)  # no-op
     NULL_EVENTS.unsubscribe(lambda e: None)  # no-op
-    with pytest.raises(RuntimeError, match="events=True"):
+    with pytest.raises(RuntimeError, match="disabled event bus"):
         NULL_EVENTS.subscribe(lambda e: None)
 
 
 def test_get_events_normalizes():
     assert get_events(None) is NULL_EVENTS
     assert get_events(object()) is NULL_EVENTS
-    obs = Observability(events=True)
+    obs = Observability()
     assert get_events(obs) is obs.events
 
 
 def test_observability_events_flag():
-    assert Observability().events is NULL_EVENTS
-    assert Observability(events=True).events.enabled
-    bus = EventBus()
-    assert Observability(events=bus).events is bus
-    # A disabled hook never carries a live bus.
-    assert Observability(enabled=False, events=True).events is NULL_EVENTS
+    # An enabled hook always carries a live bus; the flag is gone.
+    assert Observability().events.enabled
+    assert Observability().events is not Observability().events
+    assert Observability(enabled=False).events is NULL_EVENTS
+    with pytest.raises(TypeError):
+        Observability(events=True)
+    with pytest.raises(TypeError):
+        Observability(tracer=None)
 
 
 # ----------------------------------------------------------------------
@@ -179,7 +182,7 @@ def test_reader_rejects_duplicate_seq_and_malformed(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_optimize_emits_stable_vocabulary():
-    obs = Observability(events=True)
+    obs = Observability()
     seen = []
     obs.events.subscribe(seen.append)
     repro.optimize("lenet", single_server(2), obs=obs)
@@ -187,14 +190,36 @@ def test_optimize_emits_stable_vocabulary():
     kinds = {e.kind for e in seen}
     for expected in (
         "run.start", "run.finish", "session.input",
-        "round.start", "round.finish", "phase",
-        "search.start", "search.finish", "dpos.progress",
+        "round.start", "round.finish",
+        "calculator.run.start", "calculator.run.finish",
+        "calculator.profile.finish", "calculator.search.finish",
+        "calculator.measure.finish",
+        "search.osdpos.start", "search.osdpos.finish",
+        "search.dpos.finish", "sim.step.finish", "dpos.progress",
     ):
         assert expected in kinds, f"missing {expected} in {sorted(kinds)}"
+    for gone in ("phase", "search.start", "search.finish"):
+        assert gone not in kinds
     # seq is the replay order and strictly increases across the run
     seqs = [e.seq for e in seen]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
-    phases = {e.data["name"] for e in seen if e.kind == "phase"}
-    assert {"profile", "search", "measure"} <= phases
+    rounds = [e for e in seen if e.kind == "round.finish"]
+    assert all(e.data["verdict"] for e in rounds)
     finish = [e for e in seen if e.kind == "run.finish"][-1]
     assert finish.data["makespan"] > 0
+
+
+# ----------------------------------------------------------------------
+# Older logs
+# ----------------------------------------------------------------------
+
+V1_LOG = os.path.join(os.path.dirname(__file__), "data", "events_v1.jsonl")
+
+
+def test_version_1_log_still_loads():
+    header, events = read_event_log_with_header(V1_LOG)
+    assert header["schema"] == 1 < EVENT_SCHEMA_VERSION
+    assert [e.seq for e in events] == list(range(1, len(events) + 1))
+    phases = {e.data["name"] for e in events if e.kind == "phase"}
+    assert phases == {"profile", "search", "measure"}
+    assert read_event_log(V1_LOG) == events

@@ -2,9 +2,10 @@
 
 Two properties the flight recorder promises (DESIGN.md §3.4):
 
-1. **Byte-identical strategies.**  Attaching the event bus (and a live
-   subscriber) must not perturb the search: placement, execution order,
-   and split list come out exactly equal to the events-off run.
+1. **Byte-identical strategies.**  An enabled hook (its event bus, the
+   Chrome-trace recorder on it, and a live subscriber) must not perturb
+   the search: placement, execution order, and split list come out
+   exactly equal to the events-off run.
 2. **Bounded wall-clock overhead.**  The events-on optimize stays within
    a generous multiplicative budget of the events-off one.  The budget
    is deliberately loose (CI hosts are noisy); the real hot-loop
@@ -50,7 +51,7 @@ def test_events_do_not_change_the_strategy_and_stay_cheap():
 
     baseline, baseline_seconds = optimize_once(None)
 
-    obs = Observability(events=True)
+    obs = Observability()
     counted = [0]
 
     def count(event):

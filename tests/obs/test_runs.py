@@ -271,6 +271,21 @@ def test_cli_list_show_diff_gc(recorded, capsys):
     capsys.readouterr()
 
 
+def test_cli_show_reads_version_1_event_log(tmp_path, capsys):
+    import shutil
+
+    run_id = "20261017-000000-v1demo"
+    run_dir = tmp_path / run_id
+    run_dir.mkdir()
+    make_manifest(run_id).save(str(run_dir / MANIFEST_NAME))
+    shutil.copy(
+        os.path.join(os.path.dirname(__file__), "data", "events_v1.jsonl"),
+        run_dir / EVENT_LOG_NAME,
+    )
+    assert runs_cli(["--runs-dir", str(tmp_path), "show", run_id]) == 0
+    assert "32 event(s), replay-ordered, schema ok" in capsys.readouterr().out
+
+
 def test_cli_unknown_run_is_an_error(tmp_path, capsys):
     assert runs_cli(["--runs-dir", str(tmp_path), "show", "nope"]) == 2
     assert "no run matches" in capsys.readouterr().err

@@ -70,7 +70,7 @@ class TestOptimize:
         )
         assert isinstance(result.metrics, MetricsSnapshot)
         assert result.metrics.get("search.runs", 0) >= 1
-        assert len(obs.tracer.events) > 0
+        assert len(obs.trace.events) > 0
 
     def test_unknown_model_name_raises(self):
         with pytest.raises(KeyError):
@@ -103,3 +103,18 @@ class TestConfigDeprecations:
     def test_search_options_rejects_positional_args(self):
         with pytest.raises(TypeError):
             SearchOptions(False)
+
+
+class TestObservabilitySurface:
+    """``Observability`` takes only ``enabled``, ``metrics`` and ``provenance``."""
+
+    @pytest.mark.parametrize("knob", [{"events": True}, {"tracer": None}])
+    def test_removed_knobs_raise(self, knob):
+        with pytest.raises(TypeError):
+            Observability(**knob)
+
+    def test_tracer_is_gone(self):
+        import repro.obs
+
+        for name in ("Tracer", "NullTracer", "NULL_TRACER", "export_tracer"):
+            assert not hasattr(repro.obs, name), name
