@@ -6,9 +6,11 @@ quadratic walls.  This benchmark pins that property: a synthetic
 9100-layer MLP training graph (≥100k ops — well past the
 ``coarsen_threshold`` auto trigger) must run through the full FastT
 workflow (profiling, coarse OS-DPOS, final measured simulation) inside
-a hard wall-clock budget.
+a hard wall-clock budget, and land on the pinned simulated step time
+(:data:`STEP_TIME_PIN`): a faster path must not change a single
+simulated number.
 
-The budget defaults to 60 s and can be tuned via ``REPRO_SCALE_BUDGET``
+The budget defaults to 30 s and can be tuned via ``REPRO_SCALE_BUDGET``
 (seconds) for slow CI hosts.  With ``--trace-dir`` the run also writes a
 gate summary, so the perf regression gate tracks both the simulated
 step time and the end-to-end wall seconds of the scale path.
@@ -35,10 +37,13 @@ HIDDEN = 64
 #: data-parallel replication and optimizes the model-parallel graph.
 GLOBAL_BATCH = 2
 MIN_OPS = 100_000
+#: ``repr`` of the simulated step time this trial measures; every
+#: simulator, cost-model and search change must reproduce it exactly.
+STEP_TIME_PIN = "0.4936614143871475"
 
 
 def _budget_seconds() -> float:
-    return float(os.environ.get("REPRO_SCALE_BUDGET", "60"))
+    return float(os.environ.get("REPRO_SCALE_BUDGET", "30"))
 
 
 def build_deep_mlp(graph, prefix, batch):
@@ -109,4 +114,6 @@ def test_scale_100k(benchmark):
         f"scale gate blown: {num_ops} ops took {wall:.1f}s "
         f"(budget {budget:.0f}s)"
     )
-    assert result.iteration_time > 0
+    assert repr(result.iteration_time) == STEP_TIME_PIN, (
+        f"scale step time moved: {result.iteration_time!r} != {STEP_TIME_PIN}"
+    )

@@ -318,7 +318,7 @@ class StrategyCalculator:
                 for key, value in result.metrics.items():
                     report.metrics[key] = report.metrics.get(key, 0) + value
             else:
-                dpos_result = dpos.run(graph.copy())
+                dpos_result = dpos.run(graph)
                 self.obs.provenance.record_dpos(graph.name, dpos_result)
                 strategy, rewritten = dpos_result.strategy, graph
             estimate = strategy.estimated_time

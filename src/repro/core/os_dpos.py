@@ -12,9 +12,11 @@ Every candidate is evaluated incrementally: one working graph is
 mutated in place through :class:`~repro.graph.SplitTransaction` (apply,
 evaluate, undo — all O(split size)), and cost and adjacency lookups are
 served from a :class:`~repro.costmodel.CostCache` invalidated only for
-the ops a split touched.  Large graphs take the hierarchical (coarse)
-path instead, and a cached strategy can seed a warm start; see
-:meth:`OSDPOS.run`.
+the ops a split touched.  The working graph is copied from the input
+only at the first apply (:class:`_WorkingGraph`), and a search that
+commits no split returns its input graph.  Large graphs take the
+hierarchical (coarse) path instead, and a cached strategy can seed a
+warm start; see :meth:`OSDPOS.run`.
 """
 
 from __future__ import annotations
@@ -146,6 +148,36 @@ class OSDPOSResult:
         return int(self.metrics.get("search.splits_rejected", 0))
 
 
+class _WorkingGraph:
+    """The graph a search mutates: its input until the first split apply.
+
+    A served session hands one input graph to concurrent searches, so a
+    search never mutates or version-bumps it: :meth:`split` copies it
+    right before the first :class:`SplitTransaction` is made (even for
+    an apply that will raise :class:`SplitError`, whose rollback still
+    bumps the version) and passes the copy to ``on_copy``.
+    """
+
+    def __init__(
+        self, graph: Graph, on_copy: Optional[Callable[[Graph], None]] = None
+    ) -> None:
+        self.input = graph
+        self.graph = graph
+        self._on_copy = on_copy
+
+    def split(self, op_name: str, dim: str, count: int) -> SplitTransaction:
+        """A transaction splitting ``op_name`` on the private graph."""
+        if self.graph is self.input:
+            self.graph = self.input.copy()
+            if self._on_copy is not None:
+                self._on_copy(self.graph)
+        return SplitTransaction(self.graph, self.graph.get_op(op_name), dim, count)
+
+    def result(self, split_list: List[SplitDecision]) -> Graph:
+        """The search's output graph: the input itself when nothing split."""
+        return self.graph if split_list else self.input
+
+
 def default_split_counts(num_devices: int) -> List[int]:
     """Candidate split numbers: 2, 4, ..., up to the device count.
 
@@ -200,8 +232,9 @@ class OSDPOS:
     ) -> OSDPOSResult:
         """Compute split list, placement, and order for ``graph``.
 
-        ``graph`` itself is never mutated; the search works on a private
-        copy.
+        ``graph`` itself is never mutated: the search copies it before
+        its first split apply, and ``result.graph`` is ``graph`` itself
+        when no split was committed.
 
         ``warm_start`` replays a cached strategy's partition list
         through :class:`~repro.graph.SplitTransaction` and schedules the
@@ -278,10 +311,10 @@ class OSDPOS:
         re-contracting the mutated fine graph.  The final coarse
         strategy expands losslessly to a complete fine placement/order.
         """
-        working = graph.copy()
+        working = _WorkingGraph(graph)
         memo: Dict[Tuple[str, str], float] = {}
         plan = contract_graph(
-            working, target=self.coarsen_target, events=self.obs.events
+            graph, target=self.coarsen_target, events=self.obs.events
         )
         engine = self._coarse_engine(plan, memo)
         cache = CostCache(
@@ -297,7 +330,8 @@ class OSDPOS:
 
         def schedule() -> DPOSResult:
             candidate = contract_graph(
-                working, target=self.coarsen_target, events=self.obs.events
+                working.graph, target=self.coarsen_target,
+                events=self.obs.events,
             )
             return self._coarse_engine(candidate, memo).run(candidate.coarse)
 
@@ -308,7 +342,8 @@ class OSDPOS:
             # graph verbatim.
             nonlocal plan
             plan = contract_graph(
-                working, target=self.coarsen_target, events=self.obs.events
+                working.graph, target=self.coarsen_target,
+                events=self.obs.events,
             )
 
         best, split_list, evaluated, rejected = self._walk(
@@ -320,8 +355,8 @@ class OSDPOS:
         search.set_super_ops(plan.super_ops)
         fine_result = self._expand_result(plan, best, split_list)
         return self._package(
-            working, fine_result, split_list, evaluated, rejected,
-            search=search,
+            working.result(split_list), fine_result, split_list, evaluated,
+            rejected, search=search,
         )
 
     def _coarse_candidate_ops(
@@ -418,7 +453,7 @@ class OSDPOS:
         the replay is evidently a bad fit.
         """
         obs = self.obs
-        working = graph.copy()
+        working = _WorkingGraph(graph)
         devices = self.dpos.topology.device_names
         applied: List[SplitDecision] = []
         skipped = 0
@@ -428,15 +463,14 @@ class OSDPOS:
         # options promise).
         decisions = seed.split_list if self.split_counts else []
         for decision in decisions:
-            if decision.op_name not in working:
+            if decision.op_name not in working.graph:
                 skipped += 1
                 continue
-            op = working.get_op(decision.op_name)
-            if not op.is_splittable:
+            if not working.graph.get_op(decision.op_name).is_splittable:
                 skipped += 1
                 continue
-            txn = SplitTransaction(
-                working, op, decision.dim, decision.num_splits
+            txn = working.split(
+                decision.op_name, decision.dim, decision.num_splits
             )
             try:
                 txn.apply()
@@ -446,11 +480,12 @@ class OSDPOS:
             txn.commit()
             applied.append(decision)
         cache = CostCache(
-            working, self.dpos.computation, self.dpos.communication, devices
+            working.graph, self.dpos.computation, self.dpos.communication,
+            devices,
         )
         if obs.enabled:
             cache.enable_stats()
-        best = self.dpos.run(working, cost_cache=cache)
+        best = self.dpos.run(working.graph, cost_cache=cache)
         search.record_initial(best.finish_time)
 
         reference = seed.reference_makespan
@@ -485,7 +520,8 @@ class OSDPOS:
                 source=seed.source,
             )
         result = self._package(
-            working, best, applied, 0, 0, cache=cache, search=search
+            working.result(applied), best, applied, 0, 0, cache=cache,
+            search=search,
         )
         result.strategy.label = "warm-start"
         result.metrics["search.warm_runs"] = 1
@@ -497,27 +533,27 @@ class OSDPOS:
     # Incremental path: one working graph, transactional candidates
     # ------------------------------------------------------------------
     def _run_incremental(self, graph: Graph, search) -> OSDPOSResult:
-        working = graph.copy()
         devices = self.dpos.topology.device_names
         cache = CostCache(
-            working, self.dpos.computation, self.dpos.communication, devices
+            graph, self.dpos.computation, self.dpos.communication, devices
         )
         if self.obs.enabled:
             cache.enable_stats()
-        best = self.dpos.run(working, cost_cache=cache)
+        working = _WorkingGraph(graph, on_copy=cache.rebind)
+        best = self.dpos.run(graph, cost_cache=cache)
         search.record_initial(best.finish_time)
         cp_ops = (
-            self._placement_critical_path(working, best, cache)
+            self._placement_critical_path(graph, best, cache)
             if self.split_counts else []
         )
         best, split_list, evaluated, rejected = self._walk(
             working, best, cp_ops, search,
-            schedule=lambda: self.dpos.run(working, cost_cache=cache),
+            schedule=lambda: self.dpos.run(working.graph, cost_cache=cache),
             touched=cache.invalidate,
             committed=cache.invalidate,
         )
         return self._package(
-            working, best, split_list, evaluated, rejected,
+            working.result(split_list), best, split_list, evaluated, rejected,
             cache=cache, search=search,
         )
 
@@ -526,7 +562,7 @@ class OSDPOS:
     # ------------------------------------------------------------------
     def _walk(
         self,
-        working: Graph,
+        working: _WorkingGraph,
         best: DPOSResult,
         cp_ops: List[str],
         search,
@@ -553,9 +589,9 @@ class OSDPOS:
         rejected = 0
         events = self.obs.events
         for op_index, op_name in enumerate(cp_ops):
-            if op_name not in working:
+            if op_name not in working.graph:
                 continue  # consumed by an earlier committed split
-            op = working.get_op(op_name)
+            op = working.graph.get_op(op_name)
             if not op.is_splittable:
                 continue
             rnd = search.begin_op(op_name, incumbent=best.finish_time)
@@ -575,9 +611,7 @@ class OSDPOS:
                     rejected += 1
                     span.set(verdict="rejected", makespan=result.finish_time)
                     break  # first non-improving CP op stops the search
-                txn = SplitTransaction(
-                    working, op, decision.dim, decision.num_splits
-                )
+                txn = working.split(op_name, decision.dim, decision.num_splits)
                 txn.apply()
                 rnd.accept(
                     decision.dim, decision.num_splits,
@@ -596,7 +630,7 @@ class OSDPOS:
 
     def _best_split(
         self,
-        working: Graph,
+        working: _WorkingGraph,
         op: Operation,
         rnd,
         schedule: Callable[[], DPOSResult],
@@ -614,7 +648,7 @@ class OSDPOS:
         for dim, count in itertools.product(
             sorted(op.split_dims), self.split_counts
         ):
-            txn = SplitTransaction(working, op, dim, count)
+            txn = working.split(op.name, dim, count)
             try:
                 txn.apply()
             except SplitError:

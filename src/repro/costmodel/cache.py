@@ -207,6 +207,24 @@ class CostCache:
         self._topo, self._topo_version = order, self.graph.version
         return order
 
+    def rebind(self, graph: Graph) -> None:
+        """Serve the memos over ``graph``, a structural copy of this one.
+
+        The copy has the same op names and structure, so every cost memo
+        (keyed by name) stays valid; memoized adjacency is re-pointed at
+        the copy's op objects.
+        """
+        get_op = graph.get_op
+        for memo in (self._preds, self._succs):
+            for name, ops in memo.items():
+                memo[name] = [get_op(op.name) for op in ops]
+        if self._topo_version == self.graph.version:
+            self._topo = [get_op(op.name) for op in self._topo]
+            self._topo_version = graph.version
+        else:
+            self._topo_version = None
+        self.graph = graph
+
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------

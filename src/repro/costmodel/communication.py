@@ -48,6 +48,12 @@ def _fit_samples(samples: List[Tuple[float, float]]) -> _LinearModel:
     return _LinearModel(rate, 0.0)
 
 
+def _keep_newest(samples: List[Tuple[float, float]], limit: int) -> None:
+    """Trim a sample window to its ``limit`` newest entries, in place."""
+    if len(samples) > limit:
+        del samples[: len(samples) - limit]
+
+
 class CommunicationCostModel:
     """(src device, dst device, tensor bytes) -> expected transfer time.
 
@@ -108,6 +114,52 @@ class CommunicationCostModel:
                 if len(class_samples) >= 4 * self._max_samples:
                     del class_samples[: len(class_samples) - 4 * self._max_samples + 1]
                 class_samples.append(sample)
+                self._class_dirty[key] = True
+
+    def observe_many(
+        self,
+        srcs: Iterable[str],
+        dsts: Iterable[str],
+        sizes: Iterable[int],
+        durations: Iterable[float],
+    ) -> None:
+        """Record profiled transfers in order, in one pass.
+
+        Parallel sequences.  Samples join their pair and class windows
+        in sequence order, and each window then keeps its newest
+        samples, leaving exactly the state repeated :meth:`observe`
+        calls would.
+        """
+        pair_class = self._pair_class
+        classes: Dict[Pair, str] = {}
+        touched: Dict[Pair, List[Tuple[float, float]]] = {}
+        touched_classes: Dict[str, List[Tuple[float, float]]] = {}
+        with self._lock:
+            for src, dst, num_bytes, duration in zip(srcs, dsts, sizes, durations):
+                if src == dst:
+                    continue
+                pair = (src, dst)
+                sample = (float(num_bytes), float(duration))
+                samples = touched.get(pair)
+                if samples is None:
+                    samples = touched[pair] = self._samples.setdefault(pair, [])
+                samples.append(sample)
+                if pair_class is not None:
+                    key = classes.get(pair)
+                    if key is None:
+                        key = classes[pair] = pair_class(src, dst)
+                    class_samples = touched_classes.get(key)
+                    if class_samples is None:
+                        class_samples = touched_classes[key] = (
+                            self._class_samples.setdefault(key, [])
+                        )
+                    class_samples.append(sample)
+            for pair, samples in touched.items():
+                _keep_newest(samples, self._max_samples)
+                self._dirty[pair] = True
+                self._global_dirty = True
+            for key, class_samples in touched_classes.items():
+                _keep_newest(class_samples, 4 * self._max_samples)
                 self._class_dirty[key] = True
 
     def _fit(self, pair: Pair) -> Optional[_LinearModel]:

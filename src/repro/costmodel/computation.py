@@ -17,7 +17,7 @@ only from profiled step traces.  Three lookup tiers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from ..graph import Operation
 
@@ -127,6 +127,42 @@ class ComputationCostModel:
             self._bandwidth.setdefault(device, _BandwidthProxy()).add(
                 bytes_accessed, duration
             )
+
+    def observe_many(
+        self,
+        op_names: Iterable[str],
+        op_types: Iterable[str],
+        devices: Iterable[str],
+        durations: Iterable[float],
+        bytes_accessed: Callable[[str], int],
+    ) -> None:
+        """Record profiled executions in order, in one pass.
+
+        Parallel sequences; ``bytes_accessed(op_name)`` is asked only for
+        bandwidth-bound op types.  Every running mean and bandwidth
+        proxy accumulates in sequence order, leaving exactly the state
+        repeated :meth:`observe` calls would.
+        """
+        stats, by_name, types = self._stats, self._by_name, self._types
+        scale_of = self.device_scale.get
+        for name, op_type, device, duration in zip(
+            op_names, op_types, devices, durations
+        ):
+            stat = stats.get((name, device))
+            if stat is None:
+                stat = stats[(name, device)] = _RunningStat()
+            stat.add(duration)
+            pooled = by_name.get(name)
+            if pooled is None:
+                pooled = by_name[name] = _RunningStat()
+            pooled.add(duration * scale_of(device, 1.0))
+            types[name] = op_type
+            if op_type in BANDWIDTH_BOUND_TYPES:
+                num_bytes = bytes_accessed(name)
+                if num_bytes > 0:
+                    self._bandwidth.setdefault(device, _BandwidthProxy()).add(
+                        num_bytes, duration
+                    )
 
     def known(self, op_name: str, device: str) -> bool:
         return (op_name, device) in self._stats

@@ -26,19 +26,27 @@ def update_cost_models(
     computation: ComputationCostModel,
     communication: CommunicationCostModel,
 ) -> None:
-    """Ingest step traces into both cost models."""
-    op_index = {op.name: op for op in graph.ops}
+    """Ingest step traces into both cost models.
+
+    Reads each trace's columns in one pass per model, in record order,
+    so every running mean and sample window ends exactly where one
+    ``observe`` call per record would leave it.
+    """
+
+    def bytes_accessed(op_name: str) -> int:
+        return graph.get_op(op_name).bytes_accessed if op_name in graph else 0
+
     for trace in traces:
-        for rec in trace.op_records:
-            op = op_index.get(rec.op_name)
-            bytes_accessed = op.bytes_accessed if op is not None else 0
-            computation.observe(
-                rec.op_name, rec.op_type, rec.device, rec.duration, bytes_accessed
-            )
-        for rec in trace.transfer_records:
-            communication.observe(
-                rec.src_device, rec.dst_device, rec.num_bytes, rec.duration
-            )
+        names, types, devices, starts, ends = trace.op_columns()
+        computation.observe_many(
+            names, types, devices,
+            [end - start for start, end in zip(starts, ends)],
+            bytes_accessed,
+        )
+        srcs, dsts, sizes, starts, ends = trace.transfer_columns()
+        communication.observe_many(
+            srcs, dsts, sizes, [end - start for start, end in zip(starts, ends)]
+        )
 
 
 @dataclass

@@ -5,6 +5,12 @@ execution records and per-tensor transfer records.  FastT's cost models
 are fitted *only* from these traces (Sec. 4, Cost Models), never from
 the ground-truth hardware model.
 
+The simulator stores a step as :class:`TraceColumns` — parallel lists
+of integer ids and times — and the cost models read those columns in
+one pass.  :class:`OpRecord`/:class:`TransferRecord` objects are built
+only when a reader asks for ``op_records``/``transfer_records`` (the
+analyzer, the Chrome trace, calibration, serialization).
+
 Traces serialize to a versioned JSON document (``StepTrace.save`` /
 ``StepTrace.load``) so the analysis layer (``repro.obs.analyze``) works
 on traces read back from disk, not just on live objects.  Schema v1
@@ -16,8 +22,8 @@ queue times.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Version of the ``*.step.json`` serialization.  v1: op records carried
 #: only ``started_at``/``finished_at``.  v2: ops persist ``queued_at``
@@ -188,14 +194,184 @@ class TransferRecord:
         )
 
 
-@dataclass
-class StepTrace:
-    """All events of one simulated iteration plus summary statistics."""
+class TraceColumns:
+    """One simulated step as parallel lists instead of record objects.
 
-    op_records: List[OpRecord] = field(default_factory=list)
-    transfer_records: List[TransferRecord] = field(default_factory=list)
-    makespan: float = 0.0
-    peak_memory: Dict[str, int] = field(default_factory=dict)
+    Per-record columns, in start order: ``op``, ``start`` and ``end`` for
+    kernels; ``tensor``, ``src``, ``dst``, ``start``/``end`` as
+    ``xfer_start``/``xfer_end``, ``channel`` and ``queued_at`` for
+    transfer hops.  Ops, tensors and devices are integer ids into the
+    name tables; ``placement``, ``ready`` and ``blocked`` are indexed by
+    op id.  ``blocked`` holds ``None``, the producing op's id, or a
+    ``(tensor, src, dst)`` id triple naming the transfer that made the op
+    ready.
+    """
+
+    def __init__(
+        self,
+        op_names: Sequence[str],
+        op_types: Sequence[str],
+        tensor_names: Sequence[str],
+        tensor_bytes: Sequence[int],
+        producers: Sequence[int],
+        devices: Sequence[str],
+        placement: List[int],
+    ) -> None:
+        self.op_names = op_names
+        self.op_types = op_types
+        self.tensor_names = tensor_names
+        self.tensor_bytes = tensor_bytes
+        self.producers = producers
+        self.devices = devices
+        self.placement = placement
+        n = len(op_names)
+        self.ready: List[float] = [0.0] * n
+        self.blocked: List[object] = [None] * n
+        self.op: List[int] = []
+        self.start: List[float] = []
+        self.end: List[float] = []
+        self.tensor: List[int] = []
+        self.src: List[int] = []
+        self.dst: List[int] = []
+        self.xfer_start: List[float] = []
+        self.xfer_end: List[float] = []
+        self.channel: List[str] = []
+        self.queued_at: List[float] = []
+
+    def _blocked_by(self, cause: object) -> Optional[str]:
+        if cause is None:
+            return None
+        if isinstance(cause, int):
+            return f"op:{self.op_names[cause]}"
+        tensor, src, dst = cause  # type: ignore[misc]
+        devices = self.devices
+        return f"transfer:{self.tensor_names[tensor]}|{devices[src]}|{devices[dst]}"
+
+    def op_records(self) -> List[OpRecord]:
+        names, types, devices = self.op_names, self.op_types, self.devices
+        placement, ready, blocked = self.placement, self.ready, self.blocked
+        return [
+            OpRecord(
+                names[op], types[op], devices[placement[op]], start, end,
+                ready=ready[op], blocked_by=self._blocked_by(blocked[op]),
+            )
+            for op, start, end in zip(self.op, self.start, self.end)
+        ]
+
+    def transfer_records(self) -> List[TransferRecord]:
+        names, sizes, devices = self.tensor_names, self.tensor_bytes, self.devices
+        producers, op_names = self.producers, self.op_names
+        return [
+            TransferRecord(
+                names[t], devices[src], devices[dst], sizes[t], start, end,
+                channel=channel, queued_at=queued_at,
+                producer=op_names[producers[t]],
+            )
+            for t, src, dst, start, end, channel, queued_at in zip(
+                self.tensor, self.src, self.dst, self.xfer_start,
+                self.xfer_end, self.channel, self.queued_at,
+            )
+        ]
+
+
+class StepTrace:
+    """All events of one simulated iteration plus summary statistics.
+
+    A trace is built either from record lists (``StepTrace(op_records=...)``,
+    :meth:`from_json`) or by the simulator from :class:`TraceColumns`.  A
+    columnar trace builds its record lists on first access (the analyzer,
+    the Chrome trace, calibration, :meth:`to_json`); the cost models read
+    :meth:`op_columns`/:meth:`transfer_columns`, and the step metrics
+    :attr:`num_ops`, :attr:`num_transfers` and :attr:`total_queue_wait`,
+    from the columns instead.  Record lists, once built or assigned, are
+    authoritative.
+    """
+
+    def __init__(
+        self,
+        op_records: Optional[List[OpRecord]] = None,
+        transfer_records: Optional[List[TransferRecord]] = None,
+        makespan: float = 0.0,
+        peak_memory: Optional[Dict[str, int]] = None,
+        columns: Optional[TraceColumns] = None,
+    ) -> None:
+        if columns is None:
+            op_records = [] if op_records is None else op_records
+            transfer_records = [] if transfer_records is None else transfer_records
+        self.columns = columns
+        self._op_records = op_records
+        self._transfer_records = transfer_records
+        self.makespan = makespan
+        self.peak_memory: Dict[str, int] = {} if peak_memory is None else peak_memory
+
+    @property
+    def op_records(self) -> List[OpRecord]:
+        if self._op_records is None:
+            self._op_records = self.columns.op_records()  # type: ignore[union-attr]
+        return self._op_records
+
+    @op_records.setter
+    def op_records(self, records: List[OpRecord]) -> None:
+        self._op_records = records
+
+    @property
+    def transfer_records(self) -> List[TransferRecord]:
+        if self._transfer_records is None:
+            self._transfer_records = self.columns.transfer_records()  # type: ignore[union-attr]
+        return self._transfer_records
+
+    @transfer_records.setter
+    def transfer_records(self, records: List[TransferRecord]) -> None:
+        self._transfer_records = records
+
+    def op_columns(self) -> Tuple[List[str], List[str], List[str], List[float], List[float]]:
+        """``(op_name, op_type, device, start, end)`` lists, record order."""
+        cols = self._live(self._op_records)
+        if cols is None:
+            recs = self.op_records
+            return (
+                [r.op_name for r in recs], [r.op_type for r in recs],
+                [r.device for r in recs], [r.start for r in recs],
+                [r.end for r in recs],
+            )
+        names, types, devices = cols.op_names, cols.op_types, cols.devices
+        placement = cols.placement
+        return (
+            [names[op] for op in cols.op], [types[op] for op in cols.op],
+            [devices[placement[op]] for op in cols.op], cols.start, cols.end,
+        )
+
+    def transfer_columns(self) -> Tuple[List[str], List[str], List[int], List[float], List[float]]:
+        """``(src_device, dst_device, num_bytes, start, end)`` lists, record order."""
+        cols = self._live(self._transfer_records)
+        if cols is None:
+            recs = self.transfer_records
+            return (
+                [r.src_device for r in recs], [r.dst_device for r in recs],
+                [r.num_bytes for r in recs], [r.start for r in recs],
+                [r.end for r in recs],
+            )
+        devices, sizes = cols.devices, cols.tensor_bytes
+        return (
+            [devices[d] for d in cols.src], [devices[d] for d in cols.dst],
+            [sizes[t] for t in cols.tensor], cols.xfer_start, cols.xfer_end,
+        )
+
+    def _live(self, records: Optional[list]) -> Optional[TraceColumns]:
+        """The columns, unless ``records`` were already built or assigned."""
+        return self.columns if records is None else None
+
+    @property
+    def num_ops(self) -> int:
+        """Number of kernel executions (records)."""
+        cols = self._live(self._op_records)
+        return len(self.op_records if cols is None else cols.op)
+
+    @property
+    def num_transfers(self) -> int:
+        """Number of transfer hops (records)."""
+        cols = self._live(self._transfer_records)
+        return len(self.transfer_records if cols is None else cols.tensor)
 
     def compute_time_by_device(self) -> Dict[str, float]:
         """Total busy kernel time per device (Fig. 5's computation time)."""
@@ -225,7 +401,11 @@ class StepTrace:
     @property
     def total_queue_wait(self) -> float:
         """Sum of ready-queue waits across ops (0 when untracked)."""
-        return sum(rec.queue_wait for rec in self.op_records)
+        cols = self._live(self._op_records)
+        if cols is None:
+            return sum(rec.queue_wait for rec in self.op_records)
+        ready = cols.ready
+        return sum(max(0.0, s - ready[op]) for op, s in zip(cols.op, cols.start))
 
     @property
     def avg_compute_time(self) -> float:

@@ -1,7 +1,6 @@
 """Discrete-event multi-GPU training-step simulator (the testbed stand-in)."""
 
 from .memory import MemoryTracker, SimulationOOMError
-from .reference import ReferenceSimulator
 from .runner import FIFO, PRIORITY, ExecutionSimulator, SimulationError
 
 __all__ = [
@@ -9,7 +8,6 @@ __all__ = [
     "FIFO",
     "MemoryTracker",
     "PRIORITY",
-    "ReferenceSimulator",
     "SimulationError",
     "SimulationOOMError",
 ]

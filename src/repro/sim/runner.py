@@ -16,16 +16,18 @@ Two scheduling policies mirror the paper's Fig. 2 comparison:
 The executor is organized around a single global event heap: every
 op/transfer completion is one heap entry, and dispatch decisions are
 made inline when an event retires — no per-device or per-channel
-polling.  The per-event work is kept off the Python slow path by a
-:class:`_GraphPlan` built once per graph revision: kernel durations are
-numpy-batched per device up front (bit-identical to the scalar roofline;
-see :meth:`PerfModel.batch_base_op_times`), and route/link/transfer base
-costs are memoized per device pair on the simulator, so a 100k-op graph
-pays array indexing instead of per-dispatch cost-model recomputation.
-The frozen per-dispatch implementation lives in
-:mod:`repro.sim.reference`; the equivalence suite pins this runner
-bit-exact against it (same event times, same jitter-stream draws, same
-trace records).
+polling.  A :class:`_GraphPlan`, built once per graph revision, numbers
+ops and tensors and stores the graph as integer lists (distinct inputs,
+consumers by tensor, output sizes), so one step's state — placement,
+pending-input counts, consumer groups, ready queues, memory — is lists
+indexed by op, tensor or device id.  Kernel durations are numpy-batched
+per device up front (bit-identical to the scalar roofline; see
+:meth:`PerfModel.batch_base_op_times`) and per-hop transfer base costs
+are memoized on the simulator.  The step is recorded as
+:class:`~repro.profiling.trace.TraceColumns`; record objects are built
+only for readers that ask for them.  ``tests/sim`` pins this runner
+bit-exact against the seed's per-dispatch runner (same event times,
+same jitter-stream draws, same trace records).
 """
 
 from __future__ import annotations
@@ -33,17 +35,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Mapping, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster import LinkSpec, Topology
 from ..graph import Graph, Operation
 from ..hardware import PerfModel
 from ..obs import Observability, get_obs
-from ..profiling.trace import OpRecord, StepTrace, TransferRecord
-from .memory import MemoryTracker, SimulationOOMError
+from ..profiling.trace import StepTrace, TraceColumns
+from .memory import SimulationOOMError
 
 FIFO = "fifo"
 PRIORITY = "priority"
@@ -51,7 +50,7 @@ _INF = float("inf")
 
 #: Methods a perf model must expose for the batched fast path.  Test
 #: doubles that only implement ``op_time``/``transfer_time``/``link_time``
-#: fall back to the reference per-dispatch calls (still heap-driven).
+#: fall back to the per-dispatch calls (still heap-driven).
 _FAST_PERF_METHODS = (
     "batch_op_cost_inputs",
     "batch_base_op_times",
@@ -60,36 +59,45 @@ _FAST_PERF_METHODS = (
     "base_link_time",
 )
 
+#: A device pair's route: the contended links it crosses and their
+#: shared channel names, hop by hop.
+_Route = Tuple[Tuple[LinkSpec, ...], Tuple[str, ...]]
+
 
 class SimulationError(RuntimeError):
     """Raised on inconsistent simulator inputs (bad placement, deadlock)."""
 
 
-@dataclass
 class _Transfer:
-    tensor_name: str
-    src: str
-    dst: str
-    num_bytes: int
-    consumers: int
-    queued_at: float = 0.0
-    producer: str = ""
-    #: The contended channels the route crosses, in order; the transfer
-    #: queues on each in sequence (store-and-forward).
-    hops: Tuple[LinkSpec, ...] = ()
-    hop: int = 0
+    """One tensor copy in flight, queued on its route's hops in turn."""
+
+    __slots__ = ("tensor", "src", "dst", "consumers", "queued_at", "route", "hop")
+
+    def __init__(
+        self, tensor: int, src: int, dst: int, consumers: int,
+        queued_at: float, route: _Route,
+    ) -> None:
+        self.tensor = tensor
+        self.src = src
+        self.dst = dst
+        self.consumers = consumers
+        self.queued_at = queued_at
+        self.route = route
+        self.hop = 0
 
 
 class _GraphPlan:
     """Per-graph-revision execution plan shared across simulated steps.
 
-    Snapshots everything about the graph the hot loop would otherwise
-    recompute per step or per dispatch: op order, per-op distinct input
-    tensors (first-occurrence order — it decides ``deps_remaining`` and
-    consumer grouping), and — when the perf model supports batching —
+    Numbers ops in graph order and tensors in (op, output) order, then
+    stores the graph as integer lists: each op's output tensor ids and
+    distinct input tensor ids (first-occurrence order — it decides the
+    pending-input counts and consumer grouping), each tensor's consumer
+    op ids, byte size and producer, and whether an op is a persistent
+    ``Variable``.  When the perf model supports batching it also keeps
     the device-independent cost arrays plus lazily materialized
-    per-device base-duration vectors.  Keyed by :attr:`Graph.version`,
-    so any structural mutation (including transaction rollbacks)
+    per-device base-duration lists.  Keyed by :attr:`Graph.version`, so
+    any structural mutation (including transaction rollbacks)
     invalidates the plan.
     """
 
@@ -99,22 +107,41 @@ class _GraphPlan:
         self.op_index: Dict[str, int] = {
             op.name: i for i, op in enumerate(self.ops)
         }
-        self.distinct_inputs: List[List] = []
-        for op in self.ops:
-            distinct = {t.name: t for t in op.inputs}
-            self.distinct_inputs.append(list(distinct.values()))
+        self.op_names = [op.name for op in self.ops]
+        self.op_types = [op.op_type for op in self.ops]
+        self.persistent = [t == "Variable" for t in self.op_types]
+        tensor_index: Dict[str, int] = {}
+        self.tensor_names: List[str] = []
+        self.tensor_bytes: List[int] = []
+        self.producers: List[int] = []
+        self.outputs: List[range] = []
+        for i, op in enumerate(self.ops):
+            first = len(self.tensor_names)
+            for t in op.outputs:
+                tensor_index[t.name] = len(self.tensor_names)
+                self.tensor_names.append(t.name)
+                self.tensor_bytes.append(t.size_bytes)
+                self.producers.append(i)
+            self.outputs.append(range(first, len(self.tensor_names)))
+        self.inputs: List[List[int]] = []
+        self.consumers: List[List[int]] = [[] for _ in self.tensor_names]
+        for i, op in enumerate(self.ops):
+            distinct = list(dict.fromkeys(tensor_index[t.name] for t in op.inputs))
+            self.inputs.append(distinct)
+            for t in distinct:
+                self.consumers[t].append(i)
         self._cost_inputs = (
             perf.batch_op_cost_inputs(self.ops) if perf is not None else None
         )
-        self._base_times: Dict[str, np.ndarray] = {}
+        self._base_times: Dict[str, List[float]] = {}
 
-    def base_times(self, perf: PerfModel, device) -> np.ndarray:
+    def base_times(self, perf: PerfModel, device) -> List[float]:
         """Noise-free durations of every op on ``device`` (memoized)."""
-        arr = self._base_times.get(device.name)
-        if arr is None:
-            arr = perf.batch_base_op_times(*self._cost_inputs, device)
-            self._base_times[device.name] = arr
-        return arr
+        times = self._base_times.get(device.name)
+        if times is None:
+            times = perf.batch_base_op_times(*self._cost_inputs, device).tolist()
+            self._base_times[device.name] = times
+        return times
 
 
 class ExecutionSimulator:
@@ -136,12 +163,12 @@ class ExecutionSimulator:
         self.obs = get_obs(obs)
         self._fast = all(hasattr(perf_model, m) for m in _FAST_PERF_METHODS)
         self._plan: Optional[_GraphPlan] = None
-        # Topology is immutable, so routed-hop resolution and noise-free
-        # transfer/link base costs are memoized for the simulator's
-        # lifetime (shared by every step and graph revision).
-        self._route_hops: Dict[Tuple[str, str], Tuple[LinkSpec, ...]] = {}
-        self._transfer_base: Dict[Tuple[str, str, int], float] = {}
-        self._link_base: Dict[Tuple[LinkSpec, int], float] = {}
+        self.device_names: List[str] = topology.device_names
+        # Topology is immutable, so routes and noise-free per-hop base
+        # costs are memoized for the simulator's lifetime (shared by
+        # every step and graph revision), keyed by device ids.
+        self._routes: Dict[Tuple[int, int], _Route] = {}
+        self._hop_base: Dict[Tuple[int, int, int, int], float] = {}
 
     # ------------------------------------------------------------------
     def plan(self) -> _GraphPlan:
@@ -152,35 +179,39 @@ class ExecutionSimulator:
             self._plan = plan
         return plan
 
-    def route_hops(self, src: str, dst: str) -> Tuple[LinkSpec, ...]:
-        """The contended channels between two devices (per-pair memo).
+    def route(self, src: int, dst: int) -> _Route:
+        """The contended hops between two devices (per-pair memo).
 
         All-wire routes (no contended channel) still produce one hop —
         the effective link — so the transfer is traced and pays its
         route latency; infinite bandwidth makes the queueing harmless.
         """
         key = (src, dst)
-        hops = self._route_hops.get(key)
-        if hops is None:
-            route = self.topology.route(src, dst)
-            hops = route.channels or (self.topology.link(src, dst),)
-            self._route_hops[key] = hops
-        return hops
+        route = self._routes.get(key)
+        if route is None:
+            a, b = self.device_names[src], self.device_names[dst]
+            hops = self.topology.route(a, b).channels or (self.topology.link(a, b),)
+            route = (hops, tuple(link.shared_channel for link in hops))
+            self._routes[key] = route
+        return route
 
-    def _transfer_base_time(self, src: str, dst: str, num_bytes: int) -> float:
-        key = (src, dst, num_bytes)
-        base = self._transfer_base.get(key)
-        if base is None:
-            base = self.perf.base_transfer_time(src, dst, num_bytes)
-            self._transfer_base[key] = base
-        return base
+    def hop_base_time(self, src: int, dst: int, hop: int, num_bytes: int) -> float:
+        """Noise-free duration of one hop of a transfer (memoized).
 
-    def _link_base_time(self, link: LinkSpec, num_bytes: int) -> float:
-        key = (link, num_bytes)
-        base = self._link_base.get(key)
+        A one-hop route costs the whole endpoint-to-endpoint transfer;
+        a routed one costs each link's hop time.
+        """
+        key = (src, dst, hop, num_bytes)
+        base = self._hop_base.get(key)
         if base is None:
-            base = self.perf.base_link_time(link, num_bytes)
-            self._link_base[key] = base
+            hops = self.route(src, dst)[0]
+            if len(hops) == 1:
+                base = self.perf.base_transfer_time(
+                    self.device_names[src], self.device_names[dst], num_bytes
+                )
+            else:
+                base = self.perf.base_link_time(hops[hop], num_bytes)
+            self._hop_base[key] = base
         return base
 
     # ------------------------------------------------------------------
@@ -215,8 +246,8 @@ class ExecutionSimulator:
         if obs.enabled:
             metrics = obs.metrics
             metrics.counter("sim.steps").inc()
-            metrics.counter("sim.op_executions").inc(len(trace.op_records))
-            metrics.counter("sim.transfers").inc(len(trace.transfer_records))
+            metrics.counter("sim.op_executions").inc(trace.num_ops)
+            metrics.counter("sim.transfers").inc(trace.num_transfers)
             metrics.timer("sim.simulated").add(trace.makespan)
             metrics.timer("sim.queue_wait").add(trace.total_queue_wait)
             metrics.gauge("sim.last_makespan").set(trace.makespan)
@@ -224,7 +255,7 @@ class ExecutionSimulator:
 
 
 class _StepState:
-    """All mutable state of one simulated step."""
+    """All mutable state of one simulated step, indexed by integer ids."""
 
     def __init__(
         self,
@@ -234,94 +265,104 @@ class _StepState:
         policy: str,
     ) -> None:
         self.sim = sim
-        self.graph = sim.graph
-        self.policy = policy
-        self.plan = sim.plan()
-        plan = self.plan
-        self.device_names = sim.topology.device_names
-        dev_set = set(self.device_names)
-        self.placement: Dict[str, str] = {}
-        for op in plan.ops:
-            dev = placement.get(op.name)
-            if dev is None:
-                raise SimulationError(f"placement misses op {op.name!r}")
-            if dev not in dev_set:
-                raise SimulationError(
-                    f"op {op.name!r} placed on unknown device {dev!r}"
-                )
-            self.placement[op.name] = dev
+        self.plan = plan = sim.plan()
+        names = sim.device_names
+        self.num_devices = len(names)
+        device_index = {name: i for i, name in enumerate(names)}
+        try:
+            dev = [device_index[placement[name]] for name in plan.op_names]
+        except KeyError:
+            for name in plan.op_names:
+                device = placement.get(name)
+                if device is None:
+                    raise SimulationError(f"placement misses op {name!r}") from None
+                if device not in device_index:
+                    raise SimulationError(
+                        f"op {name!r} placed on unknown device {device!r}"
+                    ) from None
+            raise
+        self.dev = dev
 
-        self.priority: Dict[str, float] = {}
-        if order is not None:
-            self.priority = {name: i for i, name in enumerate(order)}
-        elif policy == PRIORITY:
-            raise SimulationError("priority policy requires an order list")
+        self.priority: Optional[List[float]] = None
+        if policy == PRIORITY:
+            if order is None:
+                raise SimulationError("priority policy requires an order list")
+            priority: List[float] = [_INF] * len(dev)
+            for rank, name in enumerate(order):
+                op = plan.op_index.get(name)
+                if op is not None:
+                    priority[op] = rank
+            self.priority = priority
 
-        # Per-tensor consumer ops grouped by consuming device.
-        self.consumers_by_device: Dict[str, Dict[str, List[Operation]]] = {}
-        self.deps_remaining: Dict[str, int] = {}
-        for i, op in enumerate(plan.ops):
-            distinct = plan.distinct_inputs[i]
-            self.deps_remaining[op.name] = len(distinct)
-            dev = self.placement[op.name]
-            for t in distinct:
-                per_dev = self.consumers_by_device.setdefault(t.name, {})
-                per_dev.setdefault(dev, []).append(op)
+        # Each tensor's consumers grouped by device, devices in order of
+        # first consumer: ((device, [op ids]), ...).
+        self.groups: List[Tuple[Tuple[int, List[int]], ...]] = []
+        for consumers in plan.consumers:
+            if len(consumers) == 1:
+                self.groups.append(((dev[consumers[0]], consumers),))
+                continue
+            by_device: Dict[int, List[int]] = {}
+            for op in consumers:
+                by_device.setdefault(dev[op], []).append(op)
+            self.groups.append(tuple(by_device.items()))
+        self.deps_remaining = [len(inputs) for inputs in plan.inputs]
 
         # Per-device noise-free kernel durations; None on the scalar
         # fallback path for perf models without batch support.
-        self.base_times: Optional[Dict[str, np.ndarray]] = None
+        self.base_times: Optional[List[List[float]]] = None
         if sim._fast:
             topo = sim.topology
-            self.base_times = {
-                d: plan.base_times(sim.perf, topo.device(d))
-                for d in self.device_names
-            }
+            self.base_times = [
+                plan.base_times(sim.perf, topo.device(name)) for name in names
+            ]
 
-        self.available: Set[Tuple[str, str]] = set()  # (tensor, device)
-        self.memory = MemoryTracker(
-            capacities={d.name: d.memory_bytes for d in sim.topology.devices},
-            enforce=sim.enforce_memory,
-        )
-        self.ready: Dict[str, List[Tuple[float, float, int, Operation]]] = {
-            d: [] for d in self.device_names
-        }
-        self.ready_time: Dict[str, float] = {}
-        # op name -> the input event whose arrival made it ready
-        # ("op:<name>" or "transfer:<tensor>:<src>-><dst>"), recorded so
-        # critical-path extraction is exact rather than inferred.
-        self.blocked_by: Dict[str, Optional[str]] = {}
-        self.device_busy: Dict[str, bool] = {d: False for d in self.device_names}
+        # Ref-counted memory, MemoryTracker's accounting over id-indexed
+        # lists (its name-keyed dicts cost about a fifth of the event
+        # loop): refs per (tensor, device) copy, usage and peak per
+        # device.  Each copy is allocated once (the producer's at
+        # dispatch, a destination's when its transfer starts) and
+        # released once per reference; a Variable's own copy persists.
+        self.refs = [0] * (len(plan.tensor_names) * self.num_devices)
+        self.usage = [0] * self.num_devices
+        self.peak = [0] * self.num_devices
+        self.capacity = [sim.topology.device(name).memory_bytes for name in names]
+
+        self.ready: List[List[tuple]] = [[] for _ in names]
+        self.device_busy = [False] * self.num_devices
         self.channel_busy: Dict[str, bool] = {}
         self.channel_queue: Dict[str, Deque[_Transfer]] = {}
-        self.events: List[Tuple[float, int, str, object]] = []
+        self.events: List[tuple] = []
         self.seq = itertools.count()
-        self.trace = StepTrace()
+        self.columns = TraceColumns(
+            plan.op_names, plan.op_types, plan.tensor_names, plan.tensor_bytes,
+            plan.producers, names, dev,
+        )
         self.completed = 0
 
     # ------------------------------------------------------------------
     def run(self) -> StepTrace:
-        for op in self.plan.ops:
-            if self.deps_remaining[op.name] == 0:
-                self._enqueue_ready(op, 0.0)
-        for dev in self.device_names:
-            self._dispatch_device(dev, 0.0)
+        for op, pending in enumerate(self.deps_remaining):
+            if pending == 0:
+                self._enqueue_ready(op, 0.0, None)
+        for device in range(self.num_devices):
+            self._dispatch_device(device, 0.0)
 
         # Telemetry: stride-sampled heap progress, computed only when a
         # live event bus is attached so the hot loop stays untouched.
         telemetry = self.sim.obs.events
-        num_ops = self.graph.num_ops
+        num_ops = len(self.dev)
         progress_stride = (
             max(1, num_ops // 16) if telemetry.enabled else 0
         )
         last_reported = 0
 
         makespan = 0.0
-        while self.events:
-            time, _, kind, payload = heapq.heappop(self.events)
+        events = self.events
+        while events:
+            time, _, payload = heapq.heappop(events)
             makespan = max(makespan, time)
-            if kind == "op_finish":
-                self._on_op_finish(payload, time)  # type: ignore[arg-type]
+            if payload.__class__ is int:
+                self._on_op_finish(payload, time)
                 if (
                     progress_stride
                     and self.completed - last_reported >= progress_stride
@@ -329,123 +370,129 @@ class _StepState:
                     last_reported = self.completed
                     telemetry.emit(
                         "sim.progress",
-                        graph=self.graph.name,
+                        graph=self.sim.graph.name,
                         completed=self.completed,
                         total=num_ops,
                         sim_time=time,
                     )
             else:
-                self._on_transfer_finish(payload, time)  # type: ignore[arg-type]
+                self._on_transfer_finish(payload, time)
 
-        if self.completed != self.graph.num_ops:
+        if self.completed != num_ops:
             stuck = [
-                name for name, n in self.deps_remaining.items() if n > 0
+                self.plan.op_names[op]
+                for op, pending in enumerate(self.deps_remaining)
+                if pending > 0
             ][:10]
             raise SimulationError(
-                f"deadlock: {self.graph.num_ops - self.completed} ops never "
+                f"deadlock: {num_ops - self.completed} ops never "
                 f"ran (e.g. {stuck})"
             )
-        self.trace.makespan = makespan
-        self.trace.peak_memory = dict(self.memory.peak)
-        self.trace.op_records.sort(key=lambda r: r.start)
-        self.trace.transfer_records.sort(key=lambda r: r.start)
-        return self.trace
+        # Records are appended at their start time and events retire in
+        # time order (durations are never negative), so the columns are
+        # already in start order.
+        names = self.sim.device_names
+        return StepTrace(
+            makespan=makespan,
+            peak_memory={name: self.peak[i] for i, name in enumerate(names)},
+            columns=self.columns,
+        )
 
     # ------------------------------------------------------------------
-    def _enqueue_ready(
-        self, op: Operation, time: float, cause: Optional[str] = None
-    ) -> None:
-        dev = self.placement[op.name]
-        self.ready_time[op.name] = time
-        self.blocked_by[op.name] = cause
-        if self.policy == PRIORITY:
-            key = self.priority.get(op.name, _INF)
-            heapq.heappush(self.ready[dev], (key, time, next(self.seq), op))
-        else:
-            heapq.heappush(self.ready[dev], (time, 0.0, next(self.seq), op))
+    def _allocate(self, tensor: int, device: int, consumers: int) -> None:
+        self.refs[tensor * self.num_devices + device] = consumers
+        usage = self.usage[device] + self.plan.tensor_bytes[tensor]
+        self.usage[device] = usage
+        if usage > self.peak[device]:
+            self.peak[device] = usage
+        if self.sim.enforce_memory and usage > self.capacity[device]:
+            raise SimulationOOMError(
+                self.sim.device_names[device], usage, self.capacity[device]
+            )
 
-    def _dispatch_device(self, dev: str, time: float) -> None:
-        if self.device_busy[dev] or not self.ready[dev]:
+    def _release(self, tensor: int, device: int) -> None:
+        key = tensor * self.num_devices + device
+        refs = self.refs[key] - 1
+        self.refs[key] = refs
+        if refs == 0:
+            producer = self.plan.producers[tensor]
+            if not (self.plan.persistent[producer] and self.dev[producer] == device):
+                self.usage[device] -= self.plan.tensor_bytes[tensor]
+
+    # ------------------------------------------------------------------
+    def _enqueue_ready(self, op: int, time: float, cause: object) -> None:
+        cols = self.columns
+        cols.ready[op] = time
+        cols.blocked[op] = cause
+        key = time if self.priority is None else self.priority[op]
+        heapq.heappush(self.ready[self.dev[op]], (key, time, next(self.seq), op))
+
+    def _dispatch_device(self, device: int, time: float) -> None:
+        queue = self.ready[device]
+        if self.device_busy[device] or not queue:
             return
-        _, _, _, op = heapq.heappop(self.ready[dev])
-        self.device_busy[dev] = True
-        self._allocate_outputs(op, dev)
+        op = heapq.heappop(queue)[3]
+        self.device_busy[device] = True
+        for tensor in self.plan.outputs[op]:
+            consumers = 0
+            for dst, ops in self.groups[tensor]:
+                consumers += len(ops) if dst == device else 1
+            self._allocate(tensor, device, consumers)
+        sim = self.sim
         if self.base_times is not None:
             # Same value, same jitter-stream consumption as
             # perf.op_time — only the base lookup is precomputed.
-            base = float(self.base_times[dev][self.plan.op_index[op.name]])
-            duration = self.sim.perf.jittered(base)
+            duration = sim.perf.jittered(self.base_times[device][op])
         else:
-            duration = self.sim.perf.op_time(op, self.sim.topology.device(dev))
+            duration = sim.perf.op_time(
+                self.plan.ops[op], sim.topology.device(sim.device_names[device])
+            )
         end = time + duration
-        self.trace.op_records.append(
-            OpRecord(
-                op.name, op.op_type, dev, time, end,
-                ready=self.ready_time.get(op.name, time),
-                blocked_by=self.blocked_by.get(op.name),
-            )
-        )
-        heapq.heappush(self.events, (end, next(self.seq), "op_finish", op))
+        cols = self.columns
+        cols.op.append(op)
+        cols.start.append(time)
+        cols.end.append(end)
+        heapq.heappush(self.events, (end, next(self.seq), op))
 
-    def _allocate_outputs(self, op: Operation, dev: str) -> None:
-        persistent = op.op_type == "Variable"
-        for t in op.outputs:
-            per_dev = self.consumers_by_device.get(t.name, {})
-            local = len(per_dev.get(dev, ()))
-            remote_devices = [d for d in per_dev if d != dev]
-            self.memory.allocate(
-                t.name,
-                dev,
-                t.size_bytes,
-                consumers=local + len(remote_devices),
-                persistent=persistent,
-            )
-
-    # ------------------------------------------------------------------
-    def _on_op_finish(self, op: Operation, time: float) -> None:
-        dev = self.placement[op.name]
-        self.device_busy[dev] = False
+    def _on_op_finish(self, op: int, time: float) -> None:
+        device = self.dev[op]
+        self.device_busy[device] = False
         self.completed += 1
         # Release this op's holds on its (local copies of) inputs.
-        for t in self.plan.distinct_inputs[self.plan.op_index[op.name]]:
-            self.memory.release(t.name, dev)
+        for tensor in self.plan.inputs[op]:
+            self._release(tensor, device)
         # Outputs become available locally and trigger remote transfers.
-        for t in op.outputs:
-            self._mark_available(t.name, dev, time, cause=f"op:{op.name}")
-            per_dev = self.consumers_by_device.get(t.name, {})
-            for dst, ops in per_dev.items():
-                if dst == dev:
-                    continue
-                self._enqueue_transfer(
-                    _Transfer(
-                        t.name, dev, dst, t.size_bytes, len(ops),
-                        queued_at=time, producer=op.name,
-                    ),
-                    time,
-                )
-        self._dispatch_device(dev, time)
+        for tensor in self.plan.outputs[op]:
+            self._mark_available(tensor, device, time, op)
+            for dst, ops in self.groups[tensor]:
+                if dst != device:
+                    self._enqueue_hop(
+                        _Transfer(
+                            tensor, device, dst, len(ops), time,
+                            self.sim.route(device, dst),
+                        ),
+                        time,
+                    )
+        self._dispatch_device(device, time)
 
     def _mark_available(
-        self, tensor_name: str, dev: str, time: float, cause: Optional[str] = None
+        self, tensor: int, device: int, time: float, cause: object
     ) -> None:
-        key = (tensor_name, dev)
-        if key in self.available:
-            return
-        self.available.add(key)
-        for op in self.consumers_by_device.get(tensor_name, {}).get(dev, ()):
-            self.deps_remaining[op.name] -= 1
-            if self.deps_remaining[op.name] == 0:
-                self._enqueue_ready(op, time, cause=cause)
-        self._dispatch_device(dev, time)
+        # Every (tensor, device) copy arrives exactly once: the producer
+        # marks its own, and each consuming device gets one transfer.
+        for dst, ops in self.groups[tensor]:
+            if dst == device:
+                pending = self.deps_remaining
+                for op in ops:
+                    pending[op] -= 1
+                    if pending[op] == 0:
+                        self._enqueue_ready(op, time, cause)
+                break
+        self._dispatch_device(device, time)
 
     # ------------------------------------------------------------------
-    def _enqueue_transfer(self, transfer: _Transfer, time: float) -> None:
-        transfer.hops = self.sim.route_hops(transfer.src, transfer.dst)
-        transfer.hop = 0
-        self._enqueue_hop(transfer, time)
-
     def _enqueue_hop(self, transfer: _Transfer, time: float) -> None:
-        channel = transfer.hops[transfer.hop].shared_channel
+        channel = transfer.route[1][transfer.hop]
         if self.channel_busy.get(channel):
             self.channel_queue.setdefault(channel, deque()).append(transfer)
         else:
@@ -453,69 +500,47 @@ class _StepState:
 
     def _start_transfer(self, channel: str, transfer: _Transfer, time: float) -> None:
         self.channel_busy[channel] = True
-        if transfer.hop == 0:
+        tensor, src, dst, hop = transfer.tensor, transfer.src, transfer.dst, transfer.hop
+        if hop == 0:
             # The destination copy is allocated when the transfer begins,
             # as receive buffers are pinned up front.
-            self.memory.allocate(
-                transfer.tensor_name,
-                transfer.dst,
-                transfer.num_bytes,
-                consumers=transfer.consumers,
-            )
+            self._allocate(tensor, dst, transfer.consumers)
         sim = self.sim
+        num_bytes = self.plan.tensor_bytes[tensor]
+        links = transfer.route[0]
         if sim._fast:
-            if len(transfer.hops) == 1:
-                base = sim._transfer_base_time(
-                    transfer.src, transfer.dst, transfer.num_bytes
-                )
-            else:
-                base = sim._link_base_time(
-                    transfer.hops[transfer.hop], transfer.num_bytes
-                )
+            base = sim.hop_base_time(src, dst, hop, num_bytes)
             duration = sim.perf.jittered(base) if base else 0.0
-        elif len(transfer.hops) == 1:
+        elif len(links) == 1:
             duration = sim.perf.transfer_time(
-                transfer.src, transfer.dst, transfer.num_bytes
+                sim.device_names[src], sim.device_names[dst], num_bytes
             )
         else:
-            duration = sim.perf.link_time(
-                transfer.hops[transfer.hop], transfer.num_bytes
-            )
+            duration = sim.perf.link_time(links[hop], num_bytes)
         end = time + duration
         # One record per hop; all hops carry the endpoint devices, so
         # per-device accounting sees one logical transfer while each
         # channel row shows its own span.
-        self.trace.transfer_records.append(
-            TransferRecord(
-                transfer.tensor_name,
-                transfer.src,
-                transfer.dst,
-                transfer.num_bytes,
-                time,
-                end,
-                channel=channel,
-                queued_at=transfer.queued_at,
-                producer=transfer.producer,
-            )
-        )
-        heapq.heappush(
-            self.events, (end, next(self.seq), "transfer_finish", (channel, transfer))
-        )
+        cols = self.columns
+        cols.tensor.append(tensor)
+        cols.src.append(src)
+        cols.dst.append(dst)
+        cols.xfer_start.append(time)
+        cols.xfer_end.append(end)
+        cols.channel.append(channel)
+        cols.queued_at.append(transfer.queued_at)
+        heapq.heappush(self.events, (end, next(self.seq), transfer))
 
-    def _on_transfer_finish(self, payload: Tuple[str, _Transfer], time: float) -> None:
-        channel, transfer = payload
-        last_hop = transfer.hop + 1 >= len(transfer.hops)
+    def _on_transfer_finish(self, transfer: _Transfer, time: float) -> None:
+        channels = transfer.route[1]
+        channel = channels[transfer.hop]
+        last_hop = transfer.hop + 1 >= len(channels)
         if last_hop:
             # The source copy drops the reference held for this transfer.
-            self.memory.release(transfer.tensor_name, transfer.src)
+            self._release(transfer.tensor, transfer.src)
             self._mark_available(
-                transfer.tensor_name,
-                transfer.dst,
-                time,
-                cause=(
-                    f"transfer:{transfer.tensor_name}|"
-                    f"{transfer.src}|{transfer.dst}"
-                ),
+                transfer.tensor, transfer.dst, time,
+                (transfer.tensor, transfer.src, transfer.dst),
             )
         queue = self.channel_queue.get(channel)
         if queue:
@@ -526,3 +551,4 @@ class _StepState:
             transfer.hop += 1
             transfer.queued_at = time
             self._enqueue_hop(transfer, time)
+

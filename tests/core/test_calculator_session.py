@@ -186,3 +186,52 @@ class TestSimulatorReuse:
         keys = [(id(graph), version) for graph, version in built]
         assert len(keys) == len(set(keys))
         assert len(steps) > len(built)  # some plans served several steps
+
+    def test_no_split_search_reuses_the_input_plan(self, monkeypatch):
+        """A coarse search that commits no split returns its input graph,
+        so the final measurement reuses the profiling simulator: one
+        execution plan and one full ``Graph.validate`` per optimize."""
+        from repro.cluster import cluster_for
+        from repro.graph import Graph
+        from repro.models.layers import LayerHelper
+        from repro.sim import runner
+
+        def mlp(graph, prefix, batch):
+            net = LayerHelper(graph, prefix)
+            x = net.placeholder("x", (batch, 64))
+            for i in range(60):
+                x = net.dense(x, f"fc{i}", 64, relu=True)
+            return net.softmax_loss(x)
+
+        topo = cluster_for(4)
+        session = FastTSession(
+            mlp, topo, 2,
+            perf_model=PerfModel(topo, noise_sigma=0.02, seed=1),
+            config=FastTConfig(
+                profiling_steps=1, max_rounds=1, min_rounds=1, measure_steps=1,
+                search=SearchOptions(
+                    coarsen_threshold=500, max_candidate_ops=2, split_counts=[2]
+                ),
+            ),
+        )
+        plans, full_checks = [], []
+        plan_init = runner._GraphPlan.__init__
+        validate = Graph.validate
+
+        def counting_plan_init(plan, graph, perf):
+            plans.append(graph)
+            plan_init(plan, graph, perf)
+
+        def counting_validate(graph):
+            if graph._validated_version != graph.version:
+                full_checks.append(graph)
+            validate(graph)
+
+        monkeypatch.setattr(runner._GraphPlan, "__init__", counting_plan_init)
+        monkeypatch.setattr(Graph, "validate", counting_validate)
+        report = session.optimize()
+        assert session.input_graph.num_ops >= 500  # the coarse path ran
+        assert report.metrics["search.splits_committed"] == 0
+        assert report.graph is session.input_graph
+        assert plans == [session.input_graph]
+        assert full_checks == [session.input_graph]

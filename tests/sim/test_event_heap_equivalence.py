@@ -1,14 +1,16 @@
 """Event-heap simulator vs the retained reference runner: bit-exact.
 
 The rewritten :class:`ExecutionSimulator` (single global event heap,
-numpy-batched cost lookups, route/transfer memos) is a pure performance
-layer over :class:`ReferenceSimulator`, the verbatim seed runner kept
-for exactly this suite.  Every observable — makespan, op records,
-transfer records (including multi-hop routed channels), peak memory,
-blocking-edge attribution — must be identical on every zoo model and
-every cluster preset, with and without jitter, because downstream
-analysis (critical-path attribution, the perf regression gate) assumes
-traces are reproducible across both runners.
+integer-indexed plan and step state, columnar trace, numpy-batched cost
+lookups, route/transfer memos) is a pure performance layer over
+:class:`ReferenceSimulator`, the verbatim seed runner kept in
+``reference_simulator.py`` for exactly this suite.  Every observable —
+makespan, op records, transfer records (including multi-hop routed
+channels), peak memory, blocking-edge attribution, the serialized
+trace — must be identical on every zoo model and every cluster preset,
+with and without jitter, because downstream analysis (critical-path
+attribution, the perf regression gate) assumes traces are reproducible
+across both runners.
 """
 
 import pytest
@@ -21,7 +23,9 @@ from repro.hardware import PerfModel
 from repro.models import get_model, model_names
 from repro.obs.analyze import analyze_step
 from repro.obs.chrome_trace import step_trace_events, trace_document, validate_trace
-from repro.sim import ExecutionSimulator, ReferenceSimulator
+from repro.sim import ExecutionSimulator
+
+from .reference_simulator import ReferenceSimulator
 
 PRESETS = {
     "two_tier": lambda: two_servers(2),
@@ -73,6 +77,8 @@ def _transfer_view(trace):
 
 
 def _assert_identical(trace_a, trace_b):
+    # The columnar trace serializes exactly like the record-built one.
+    assert trace_a.to_json() == trace_b.to_json()
     assert trace_a.makespan == trace_b.makespan
     assert _op_view(trace_a) == _op_view(trace_b)
     assert _transfer_view(trace_a) == _transfer_view(trace_b)
