@@ -7,19 +7,27 @@ dedicated critical-path devices chosen by average execution time within
 memory capacity; all other operations go wherever they finish earliest.
 The execution order is the schedule's start-time order, later enforced
 by the executor's priority queue.
+
+A run works over the op ids and device indices of a
+:class:`~repro.costmodel.CostCache` (per-op times, adjacency and edge
+costs in id-indexed lists); op and device names come back only in the
+:class:`DPOSResult`.  Each device keeps its busy intervals as two sorted
+lists plus their runs of back-to-back intervals, so the idle-slot search
+steps over real gaps only.
 """
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster import Topology
 from ..costmodel import CommunicationCostModel, ComputationCostModel, CostCache
-from ..graph import Graph, Operation
+from ..graph import Graph
 from ..obs import Observability, get_obs
-from .ranks import compute_ranks, critical_path
+from .ranks import max_rank_chain
 from .strategy import Strategy
 
 _INF = float("inf")
@@ -49,49 +57,6 @@ PlacementDecision`) is populated only when the engine's ``obs`` hook has
     @property
     def order(self) -> List[str]:
         return self.strategy.order
-
-
-class _DeviceSchedule:
-    """Sorted busy intervals of one device, with idle-slot insertion."""
-
-    __slots__ = ("starts", "ends")
-
-    def __init__(self) -> None:
-        self.starts: List[float] = []
-        self.ends: List[float] = []
-
-    def earliest_slot(
-        self, ready: float, duration: float, insertion: bool = True
-    ) -> float:
-        """Earliest start >= ready of an idle slot fitting ``duration``.
-
-        Scans gaps between already-scheduled intervals (the paper's
-        insertion policy) and falls back to after the last interval;
-        with ``insertion=False`` it only appends after the last interval.
-        """
-        if not self.starts:
-            return ready
-        ends = self.ends
-        if not insertion:
-            last = ends[-1]
-            return last if last > ready else ready
-        # Start scanning at the first interval that could constrain us;
-        # bisect_left guarantees every earlier interval ends before ready.
-        i = bisect.bisect_left(ends, ready)
-        prev_end = ready
-        starts = self.starts
-        for j in range(i, len(starts)):
-            if prev_end + duration <= starts[j]:
-                return prev_end
-            end = ends[j]
-            if end > prev_end:
-                prev_end = end
-        return prev_end
-
-    def insert(self, start: float, duration: float) -> None:
-        i = bisect.bisect_left(self.starts, start)
-        self.starts.insert(i, start)
-        self.ends.insert(i, start + duration)
 
 
 class DPOS:
@@ -139,8 +104,8 @@ class DPOS:
         """Compute placement, execution order, and estimated finish time.
 
         ``cost_cache`` (shared across the candidate evaluations of one
-        OS-DPOS search) serves memoized cost and adjacency lookups; without
-        one, the run builds a fresh cache.  The result is identical either
+        OS-DPOS search) serves the id-indexed cost and adjacency slots;
+        without one, the run builds a fresh cache.  The result is identical either
         way.
         """
         obs = self.obs
@@ -162,36 +127,59 @@ class DPOS:
         return result
 
     def _run(self, graph: Graph, costs: CostCache) -> DPOSResult:
-        devices = self.topology.device_names
-        capacities = self.capacities
+        """Alg. 1 over op ids and device indices; names return at the end."""
+        devices = costs.devices
+        num_devices = len(devices)
+        all_devices = range(num_devices)
+        capacities = [self.capacities[d] for d in devices]
         insertion = self.insertion_scheduling
-        time = costs.time
-        pair_time = costs.pair_time
-        edge_bytes = costs.edge_bytes
-        predecessors = costs.predecessors
         topo = costs.topological_order()
-        ranks = compute_ranks(
-            graph, costs.weight, costs.edge_comm, order=topo,
-            successors=costs.successors,
+        names, times, weights = costs.names, costs.times, costs.weights
+        persistent, groups = costs.persistent, costs.groups
+        preds, pred_bytes = costs.preds, costs.pred_bytes
+        succs, succ_comm = costs.succs, costs.succ_comm
+        transfer_row = costs.transfer_row
+
+        # Upward ranks, one reverse-topological sweep:
+        # rank_i = w_i + max_j (c_ij + rank_j).
+        rank = [0.0] * len(names)
+        for i in reversed(topo):
+            comm = succ_comm[i]
+            rank[i] = (
+                weights[i] + max(map(add, comm, map(rank.__getitem__, succs[i])))
+                if comm else weights[i]
+            )
+        cp = max_rank_chain(
+            [i for i in topo if not preds[i]], succs.__getitem__,
+            lambda i: (rank[i], names[i]),
         )
-        cp_ops = critical_path(graph, ranks, successors=costs.successors)
-        cp_names: Set[str] = {op.name for op in cp_ops}
+        on_cp = set(cp)
         # Placement sequence: decreasing rank; among equal ranks, the
         # critical-path op goes first ("the next operation to be placed is
         # always the entry operation in the new critical path"), so a
         # same-rank sibling cannot grab the CP device's next slot; then
-        # (canonical) topological index so predecessors precede successors
-        # (the sort is stable over the topological order).
+        # canonical topological index so predecessors precede successors.
+        # The path runs in topological order, so a stable sort by rank of
+        # the path followed by the other ops in topological order does it.
         sequence = sorted(
-            topo, key=lambda op: (-ranks[op.name], op.name not in cp_names)
+            cp + [i for i in topo if i not in on_cp],
+            key=rank.__getitem__, reverse=True,
         )
 
-        mem_used: Dict[str, int] = {d: 0 for d in devices}
-        schedules: Dict[str, _DeviceSchedule] = {d: _DeviceSchedule() for d in devices}
-        placement: Dict[str, str] = {}
-        start_times: Dict[str, float] = {}
-        finish_times: Dict[str, float] = {}
-        group_device: Dict[str, str] = {}
+        mem_used = [0] * num_devices
+        # The least planning memory any device has left.
+        room = min(capacities, default=0)
+        # Per-device busy intervals, sorted by start (and so by end), and
+        # their runs: maximal chains whose next start equals the previous
+        # end exactly.  Runs are separated by real gaps.
+        busy_starts: List[List[float]] = [[] for _ in all_devices]
+        busy_ends: List[List[float]] = [[] for _ in all_devices]
+        run_starts: List[List[float]] = [[] for _ in all_devices]
+        run_ends: List[List[float]] = [[] for _ in all_devices]
+        device_of = [-1] * len(names)
+        start_of = [0.0] * len(names)
+        finish_of = [0.0] * len(names)
+        group_device: Dict[str, int] = {}
 
         # Provenance (off by default): journal per-op decisions with the
         # alternatives each selection rule actually compared.  The
@@ -203,18 +191,16 @@ class DPOS:
 
             decisions = {}
 
-        cp_pending: List[Operation] = list(cp_ops)
-        cp_placed: Set[str] = set()
         cp_alts: Optional[List] = [] if recording else None
         cp_device = self._select_cp_device(
-            cp_pending, cp_placed, devices, mem_used, costs, collect=cp_alts
+            cp, capacities, mem_used, costs, collect=cp_alts
         )
 
         events = self.obs.events
         progress_stride = (
             max(1, len(sequence) // 8) if events.enabled else 0
         )
-        for seq_index, op in enumerate(sequence):
+        for seq_index, i in enumerate(sequence):
             if progress_stride and seq_index % progress_stride == 0:
                 events.emit(
                     "dpos.progress",
@@ -222,30 +208,26 @@ class DPOS:
                     placed=seq_index,
                     total=len(sequence),
                 )
-            name = op.name
-            need = costs.persistent_bytes(op)
-            forced = (
-                group_device.get(op.colocation_group)
-                if op.colocation_group is not None
-                else None
-            )
+            need = persistent[i]
+            group = groups[i]
+            forced = group_device.get(group) if group is not None else None
             if forced is not None:
                 reason = "colocated"
-                candidates: Sequence[str] = (forced,)
-            elif name in cp_names:
+                candidates: Sequence[int] = (forced,)
+            elif i in on_cp:
                 if mem_used[cp_device] + need > capacities[cp_device]:
                     cp_alts = [] if recording else None
                     cp_device = self._select_cp_device(
-                        cp_pending, cp_placed, devices, mem_used, costs,
-                        exclude={cp_device}, collect=cp_alts,
+                        [j for j in cp if device_of[j] < 0], capacities,
+                        mem_used, costs, exclude=cp_device, collect=cp_alts,
                     )
                 reason = "critical-path"
                 candidates = (cp_device,)
             else:
                 # Alg. 1 lines 12-19: min-EFT device among those with memory.
                 reason = "min-eft"
-                candidates = [
-                    d for d in devices if mem_used[d] + need <= capacities[d]
+                candidates = all_devices if need <= room else [
+                    k for k in all_devices if mem_used[k] + need <= capacities[k]
                 ]
                 if not candidates:
                     # Out of planning memory everywhere: overflow to the
@@ -253,182 +235,231 @@ class DPOS:
                     # failing the whole strategy computation.
                     reason = "memory-overflow"
                     candidates = (
-                        max(devices, key=lambda d: capacities[d] - mem_used[d]),
+                        max(all_devices, key=lambda k: capacities[k] - mem_used[k]),
                     )
 
             # Read each placed predecessor once; a predecessor not yet
             # placed can only happen for zero-rank ties, and its data is
             # treated as available immediately.
-            arrivals: List[Tuple[str, float, int]] = []
-            for pred in predecessors(op):
-                pred_dev = placement.get(pred.name)
-                if pred_dev is not None:
-                    arrivals.append(
-                        (pred_dev, finish_times[pred.name], edge_bytes(pred, op))
-                    )
+            arrivals = []
+            for pred, num_bytes in zip(preds[i], pred_bytes[i]):
+                pred_device = device_of[pred]
+                if pred_device >= 0:
+                    arrivals.append((
+                        pred_device, pred_device * num_devices,
+                        finish_of[pred], transfer_row(num_bytes),
+                    ))
             # One sweep prices every candidate: ready time, idle slot, EFT.
-            target = ""
+            op_times = times[i]
+            target = -1
             start = duration = 0.0
             best_eft = _INF
-            priced: Optional[Dict[str, Tuple[float, float]]] = (
+            priced: Optional[Dict[int, Tuple[float, float]]] = (
                 {} if recording else None
             )
-            for dev in candidates:
+            for k in candidates:
                 ready = 0.0
-                for pred_dev, arrival, num_bytes in arrivals:
-                    if pred_dev != dev:
-                        arrival += pair_time(pred_dev, dev, num_bytes)
+                for pred_device, base, arrival, row in arrivals:
+                    if pred_device != k:
+                        arrival += row[base + k]
                     if arrival > ready:
                         ready = arrival
-                dev_duration = time(op, dev)
-                est = schedules[dev].earliest_slot(ready, dev_duration, insertion)
+                dev_duration = op_times[k]
+                # Earliest idle slot >= ready that fits (the paper's
+                # insertion policy), else after the last interval.
+                ends = run_ends[k]
+                if not ends or ends[-1] <= ready:
+                    est = ready
+                elif not insertion:
+                    est = ends[-1]
+                elif ends[-1] + 0.5 * dev_duration > ends[-1]:
+                    # Then end + duration > end for every end, so no slot
+                    # fits between the intervals of a run: scan the gaps
+                    # between runs only.  Every run before bisect_left
+                    # ends before ready.
+                    b = bisect_left(ends, ready)
+                    starts = run_starts[k]
+                    if ready + dev_duration <= starts[b]:
+                        est = ready
+                    else:
+                        est = ends[-1]
+                        for j in range(b + 1, len(starts)):
+                            end = ends[j - 1]
+                            if end + dev_duration <= starts[j]:
+                                est = end
+                                break
+                else:
+                    # A duration too small to move the clock: scan every
+                    # interval, as the runs cannot tell where it fits.
+                    starts, ends = busy_starts[k], busy_ends[k]
+                    est = ready
+                    for j in range(bisect_left(ends, ready), len(starts)):
+                        if est + dev_duration <= starts[j]:
+                            break
+                        end = ends[j]
+                        if end > est:
+                            est = end
                 eft = est + dev_duration
                 if priced is not None:
-                    priced[dev] = (est, eft)
-                if not target or eft < best_eft:
-                    target, start, duration, best_eft = dev, est, dev_duration, eft
+                    priced[k] = (est, eft)
+                if target < 0 or eft < best_eft:
+                    target, start, duration, best_eft = k, est, dev_duration, eft
 
-            schedules[target].insert(start, duration)
-            placement[name] = target
-            start_times[name] = start
-            finish_times[name] = start + duration
+            finish = start + duration
+            # After every interval ending by start, so that a zero-length
+            # interval at start stays before it and ends stay sorted.
+            ends = busy_ends[target]
+            slot = bisect_right(ends, start)
+            busy_starts[target].insert(slot, start)
+            ends.insert(slot, finish)
+            # Join the run ending at start and the one starting at finish;
+            # an interval that lands inside a run has zero length there.
+            starts, ends = run_starts[target], run_ends[target]
+            slot = bisect_left(ends, start)
+            if slot < len(ends) and starts[slot] <= start:
+                if ends[slot] == start:
+                    ends[slot] = finish
+                    if slot + 1 < len(starts) and starts[slot + 1] == finish:
+                        ends[slot] = ends.pop(slot + 1)
+                        del starts[slot + 1]
+            elif slot < len(starts) and starts[slot] == finish:
+                starts[slot] = start
+            else:
+                starts.insert(slot, start)
+                ends.insert(slot, finish)
+            device_of[i] = target
+            start_of[i] = start
+            finish_of[i] = finish
             mem_used[target] += need
-            if op.colocation_group is not None and forced is None:
-                group_device[op.colocation_group] = target
-            if name in cp_names:
-                cp_placed.add(name)
+            room = min(room, capacities[target] - mem_used[target])
+            if group is not None and forced is None:
+                group_device[group] = target
             if recording:
+                name, device = names[i], devices[target]
                 if reason == "colocated":
                     # A forced op skips scoring; record its realized
                     # finish so every decision carries a scored choice.
                     alts = [PlacementAlternative(
-                        device=target, score=start + duration, start=start,
-                        chosen=True,
-                        note=f"colocation group {op.colocation_group!r}",
+                        device=device, score=finish, start=start,
+                        chosen=True, note=f"colocation group {group!r}",
                     )]
                 elif reason == "critical-path":
                     alts = [
                         PlacementAlternative(
                             device=a.device, score=a.score,
                             feasible=a.feasible,
-                            chosen=a.device == target, note=a.note,
+                            chosen=a.device == device, note=a.note,
                         )
                         for a in (cp_alts or [])
                     ]
                 else:
                     alts = [
                         PlacementAlternative(
-                            device=d, score=priced[d][1], start=priced[d][0],
-                            chosen=d == target,
+                            device=d, score=priced[k][1], start=priced[k][0],
+                            chosen=k == target,
                         )
-                        if reason == "min-eft" and d in priced
+                        if reason == "min-eft" and k in priced
                         else PlacementAlternative(
-                            device=d, feasible=False, chosen=d == target,
+                            device=d, feasible=False, chosen=k == target,
                             note="out of memory",
                         )
-                        for d in devices
+                        for k, d in enumerate(devices)
                     ]
                 if not any(a.chosen for a in alts):
                     alts.append(PlacementAlternative(
-                        device=target, chosen=True, note="memory fallback",
+                        device=device, chosen=True, note="memory fallback",
                     ))
                 decisions[name] = PlacementDecision(  # type: ignore[index]
                     op_name=name,
-                    device=target,
+                    device=device,
                     reason=reason,
                     start=start,
-                    finish=start + duration,
-                    rank=ranks[name],
-                    on_critical_path=name in cp_names,
+                    finish=finish,
+                    rank=rank[i],
+                    on_critical_path=i in on_cp,
                     alternatives=alts,
                 )
 
-        order = sorted(
-            start_times, key=lambda n: (start_times[n], -ranks[n], n)
-        )
+        finish_times = {names[i]: finish_of[i] for i in sequence}
         finish = max(finish_times.values(), default=0.0)
         strategy = Strategy(
-            placement=placement,
-            order=order,
+            placement={names[i]: devices[device_of[i]] for i in sequence},
+            order=[
+                names[i] for i in sorted(
+                    sequence, key=lambda i: (start_of[i], -rank[i], names[i])
+                )
+            ],
             estimated_time=finish,
             label="dpos",
         )
         return DPOSResult(
             strategy=strategy,
             finish_time=finish,
-            start_times=start_times,
+            start_times={names[i]: start_of[i] for i in sequence},
             finish_times=finish_times,
-            critical_path=[op.name for op in cp_ops],
-            ranks=ranks,
+            critical_path=[names[i] for i in cp],
+            ranks={names[i]: rank[i] for i in reversed(topo)},
             decisions=decisions,
         )
 
     # ------------------------------------------------------------------
     def _select_cp_device(
         self,
-        cp_pending: Sequence[Operation],
-        cp_placed: Set[str],
-        devices: Sequence[str],
-        mem_used: Dict[str, int],
+        remaining: Sequence[int],
+        capacities: Sequence[int],
+        mem_used: Sequence[int],
         costs: CostCache,
-        exclude: Optional[Set[str]] = None,
+        exclude: Optional[int] = None,
         collect: Optional[List] = None,
-    ) -> str:
-        """Pick the critical-path device (Alg. 1 line 5).
+    ) -> int:
+        """Pick the critical-path device index (Alg. 1 line 5).
 
-        For each device, greedily fit as many remaining (unplaced) CP ops
-        as memory allows and score by average computation time; the
-        smallest average wins, then the larger fitted count, then device
-        order.  ``collect`` (provenance recording only) receives one
+        For each device, greedily fit as many of the ``remaining``
+        (unplaced) CP op ids as memory allows and score by average
+        computation time; the smallest average wins, then the larger
+        fitted count, then device order.  ``collect`` (provenance
+        recording only) receives one
         :class:`~repro.obs.provenance.PlacementAlternative` per device
         considered, scored by that average.
         """
         if collect is not None:
             from ..obs.provenance import PlacementAlternative
-        exclude = exclude or set()
-        remaining = [op for op in cp_pending if op.name not in cp_placed]
-        best: Optional[Tuple[float, int, int, str]] = None
-        for idx, dev in enumerate(devices):
-            if dev in exclude:
-                continue
-            free = self.capacities[dev] - mem_used[dev]
+        persistent, times = costs.persistent, costs.times
+        candidates = [k for k in range(len(capacities)) if k != exclude]
+        best: Optional[Tuple[float, int, int]] = None
+        for k in candidates:
+            free = capacities[k] - mem_used[k]
             fitted = 0
             total = 0.0
             acc = 0
-            for op in remaining:
-                need = costs.persistent_bytes(op)
+            for i in remaining:
+                need = persistent[i]
                 if acc + need > free:
                     break
                 acc += need
                 fitted += 1
-                total += costs.time(op, dev)
+                total += times[i][k]
             if fitted == 0 and remaining:
                 if collect is not None:
                     collect.append(PlacementAlternative(
-                        device=dev, feasible=False,
+                        device=costs.devices[k], feasible=False,
                         note="no critical-path op fits in memory",
                     ))
                 continue
             avg = total / fitted if fitted else 0.0
             if collect is not None:
                 collect.append(PlacementAlternative(
-                    device=dev, score=avg,
+                    device=costs.devices[k], score=avg,
                     note=f"avg cp-op time over {fitted}/{len(remaining)} fitted",
                 ))
-            key = (avg, -fitted, idx, dev)
+            key = (avg, -fitted, k)
             if best is None or key < best:
                 best = key
         if best is None:
             # Every candidate is memory-full: fall back to the device with
             # the most free planning memory.
-            fallback = max(
-                (d for d in devices if d not in exclude),
-                key=lambda d: self.capacities[d] - mem_used[d],
-                default=None,
+            return max(
+                candidates or range(len(capacities)),
+                key=lambda k: capacities[k] - mem_used[k],
             )
-            if fallback is None:
-                fallback = max(
-                    devices, key=lambda d: self.capacities[d] - mem_used[d]
-                )
-            return fallback
-        return best[3]
+        return best[2]

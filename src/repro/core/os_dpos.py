@@ -32,7 +32,7 @@ from ..graph.rewrite import SplitDecision, SplitError, SplitTransaction
 from ..obs import MetricsSnapshot, Observability, get_obs
 from .context import WarmStartSeed
 from .dpos import DPOS, DPOSResult
-from .ranks import compute_ranks, critical_path
+from .ranks import max_rank_chain
 from .strategy import Strategy
 
 
@@ -369,7 +369,7 @@ class OSDPOS:
         engine's ``cache``); its nodes then expand to their fine members,
         ranked by computation time on the device the member inherits.
         """
-        coarse_cp = self._placement_critical_path(plan.coarse, result, cache)
+        coarse_cp = self._placement_critical_path(result, cache)
         placement = result.strategy.placement
         computation = self.dpos.computation
         pairs: List[Tuple[str, float]] = []
@@ -543,7 +543,7 @@ class OSDPOS:
         best = self.dpos.run(graph, cost_cache=cache)
         search.record_initial(best.finish_time)
         cp_ops = (
-            self._placement_critical_path(graph, best, cache)
+            self._placement_critical_path(best, cache)
             if self.split_counts else []
         )
         best, split_list, evaluated, rejected = self._walk(
@@ -704,36 +704,45 @@ class OSDPOS:
 
     # ------------------------------------------------------------------
     def _placement_critical_path(
-        self, graph: Graph, result: DPOSResult, cache: CostCache
+        self, result: DPOSResult, cache: CostCache
     ) -> List[str]:
         """Critical path under the committed placement (Alg. 2 lines 4-5).
 
         Ranks are recomputed with the *assigned-device* computation time
         and the *assigned-pair* communication time, then the path is
         sorted by decreasing computation time on the assigned device.
-        ``cache`` is the run's cost cache over ``graph``, so the costs
-        come from the same models the placement used.
+        ``cache`` is the run's cost cache over the scheduled graph, so the
+        costs come from the same models the placement used.
         """
+        index = {d: k for k, d in enumerate(cache.devices)}
         placement = result.strategy.placement
-
-        def weight(op: Operation) -> float:
-            return cache.time(op, placement[op.name])
-
-        def comm(src: Operation, dst: Operation) -> float:
-            return cache.pair_time(
-                placement[src.name],
-                placement[dst.name],
-                cache.edge_bytes(src, dst),
-            )
-
-        ranks = compute_ranks(
-            graph, weight, comm,
-            order=cache.topological_order(),
-            successors=cache.successors,
+        order = cache.topological_order()
+        names, times = cache.names, cache.times
+        preds, pred_bytes = cache.preds, cache.pred_bytes
+        num_devices = len(cache.devices)
+        device = [0] * len(names)
+        weight = [0.0] * len(names)
+        for i in order:
+            device[i] = k = index[placement[names[i]]]
+            weight[i] = times[i][k]
+        # Upward ranks pushed from each op to its producers: tail[p] is
+        # the max over p's consumers j of (c_pj + rank_j).
+        rank = [0.0] * len(names)
+        tail: List[Optional[float]] = [None] * len(names)
+        for j in reversed(order):
+            rest = tail[j]
+            rank[j] = weight[j] if rest is None else weight[j] + rest
+            for p, num_bytes in zip(preds[j], pred_bytes[j]):
+                row = cache.transfer_row(num_bytes)
+                value = row[device[p] * num_devices + device[j]] + rank[j]
+                if tail[p] is None or value > tail[p]:
+                    tail[p] = value
+        path = max_rank_chain(
+            [i for i in order if not preds[i]], cache.succs.__getitem__,
+            lambda i: (rank[i], names[i]),
         )
-        path = critical_path(graph, ranks, successors=cache.successors)
         return [
-            op.name
-            for op in sorted(path, key=lambda o: -weight(o))
-            if weight(op) > 0.0
+            names[i]
+            for i in sorted(path, key=lambda i: -weight[i])
+            if weight[i] > 0.0
         ]

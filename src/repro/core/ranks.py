@@ -11,7 +11,7 @@ path (greedy max-rank chain from the max-rank entry op).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from ..graph import Graph, Operation
 
@@ -19,6 +19,7 @@ from ..graph import Graph, Operation
 WeightFn = Callable[[Operation], float]
 #: (src op, dst op) -> communication-time estimate used as ``c_ij``.
 CommFn = Callable[[Operation, Operation], float]
+T = TypeVar("T")
 
 
 def compute_ranks(
@@ -60,28 +61,43 @@ def critical_path(
     the successor with the largest rank.  Ties break by op name, so the
     path is a pure function of the graph's content.
     """
-    entries = graph.entry_ops()
+    return max_rank_chain(
+        graph.entry_ops(),
+        successors if successors is not None else graph.successors,
+        lambda op: (ranks[op.name], op.name),
+    )
+
+
+def max_rank_chain(
+    entries: Sequence[T], successors: Callable[[T], Sequence[T]], key
+) -> List[T]:
+    """:func:`critical_path` over any node type (DPOS passes op ids).
+
+    ``key`` orders nodes by (rank, name); the chain starts at the entry
+    with the largest key and steps to the successor with the largest.
+    """
     if not entries:
         raise ValueError("graph has no entry operations")
-    successors_of = successors if successors is not None else graph.successors
-    current = max(entries, key=lambda op: (ranks[op.name], op.name))
+    current = max(entries, key=key)
     path = [current]
     while True:
-        succs = successors_of(current)
+        succs = successors(current)
         if not succs:
             return path
-        current = max(succs, key=lambda op: (ranks[op.name], op.name))
+        current = max(succs, key=key)
         path.append(current)
 
 
 def rank_order(graph: Graph, ranks: Dict[str, float]) -> List[str]:
-    """Op names by decreasing rank — the DPOS placement sequence.
+    """Op names by decreasing rank, ties by topological index.
 
     A parent's rank is >= any child's (weights and comm times are
     non-negative), but equality happens whenever unexplored costs are 0;
     ties therefore break by topological index so that predecessors are
     always placed before their successors (EFT needs predecessor finish
-    times).
+    times).  DPOS's placement sequence differs on ties: among equal
+    ranks it places the critical-path op first, then goes by canonical
+    topological index.
     """
     topo_index = {op.name: i for i, op in enumerate(graph.topological_order())}
     return sorted(ranks, key=lambda name: (-ranks[name], topo_index[name]))

@@ -1,38 +1,55 @@
-"""Per-graph-version cost and adjacency cache for the strategy search.
+"""Id-indexed cost and adjacency arrays for the strategy search.
 
 One OS-DPOS run invokes DPOS once per surviving split candidate, and every
-DPOS run re-reads the same (op, device) execution times, the same
-max-over-pairs transmission times, the same edge byte counts, and the same
-predecessor/successor lists — quantities that a candidate split changes
-only for the handful of ops around the split point.  :class:`CostCache`
-memoizes all of them keyed by op name and supports *selective*
-invalidation of exactly the ops a split touched (the transaction journal
-reports them), so candidate evaluation cost tracks the split size rather
-than the graph size.
+DPOS run re-reads the same (op, device) execution times, max-over-pairs
+transmission times, edge byte counts and adjacency — quantities that a
+candidate split changes only for the handful of ops around the split
+point.  :class:`CostCache` numbers every op name it sees with a stable
+int id and keeps those quantities in lists indexed by id, so DPOS runs its
+hot loops over ints.  The search reports the ops each split touched (the
+transaction journal does) and :meth:`invalidate` clears exactly those
+ids' slots; the next read refills them, so candidate evaluation cost
+tracks the split size rather than the graph size.
 
-The cache is read-through: every value it returns is computed by the
-underlying cost-model calls themselves, so a DPOS run over a fresh cache
-and one over a cache shared by a whole search return bit-identical
-strategies.  DPOS reads every cost through one.
+An id names one op name for the cache's lifetime and survives split
+apply, undo and :meth:`rebind`.  An undo restores the graph's name
+counters, so the next candidate's sub-ops get their old names, and with
+them their old ids.
+
+Every slot is filled by the underlying cost-model and graph calls
+themselves, so a DPOS run over a fresh cache and one over a cache shared
+by a whole search return bit-identical strategies.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..graph import Graph, GraphError, Operation
 
 
 class CostCache:
-    """Memoized cost-model and adjacency lookups over one working graph.
+    """Cost-model and adjacency slots, one per op id, over one working graph.
 
     Args:
         graph: The working graph the strategy search mutates in place.
-        computation: Computation cost model (``time``/``max_time`` duck
-            type).
+        computation: Computation cost model (``time`` duck type).
         communication: Communication cost model (``time``/``max_time``).
-        devices: Candidate device names, in topology order.
+        devices: Candidate device names, in topology order; a device's
+            index in this list is its device index.
+
+    Per-id slots (``None`` while cleared or once the op is gone), read
+    after :meth:`topological_order` has refilled them:
+
+    * ``times[i]``: the op's time on every device, by device index;
+    * ``weights[i]``: ``w_i`` of the rank computation, the max of those;
+    * ``persistent[i]``: ``op.persistent_bytes``;
+    * ``groups[i]``: the op's colocation group;
+    * ``preds[i]`` / ``pred_bytes[i]``: producer ids, in input order,
+      and the bytes each sends the op;
+    * ``succs[i]`` / ``succ_comm[i]``: consumer ids and ``c_ij``, the
+      worst-case transfer time over device pairs of each edge.
 
     The search must call :meth:`invalidate` with the touched-op set after
     every graph mutation (split apply, rollback, or commit); everything
@@ -50,247 +67,226 @@ class CostCache:
         self.computation = computation
         self.communication = communication
         self.devices = list(devices)
-        self.pairs: List[Tuple[str, str]] = [
+        self.pairs = [
             (a, b) for a in self.devices for b in self.devices if a != b
         ]
-        # name-keyed memos
-        self._time: Dict[Tuple[str, str], float] = {}
-        self._weight: Dict[str, float] = {}
-        self._min_weight: Dict[str, float] = {}
-        self._persistent: Dict[str, int] = {}
-        self._preds: Dict[str, List[Operation]] = {}
-        self._succs: Dict[str, List[Operation]] = {}
-        # edge-keyed memos, with a per-name index for invalidation
-        self._edge_bytes: Dict[Tuple[str, str], int] = {}
-        self._edge_comm: Dict[Tuple[str, str], float] = {}
-        self._edge_index: Dict[str, Set[Tuple[str, str]]] = {}
-        # graph-independent memos (the models are frozen during a search)
+        self.ids: Dict[str, int] = {}
+        self.names: List[str] = []
+        self.times: List[Optional[List[float]]] = []
+        self.weights: List[Optional[float]] = []
+        self.persistent: List[Optional[int]] = []
+        self.groups: List[Optional[str]] = []
+        self.preds: List[Optional[List[int]]] = []
+        self.pred_bytes: List[Optional[List[int]]] = []
+        self.succs: List[Optional[List[int]]] = []
+        self.succ_comm: List[Optional[List[float]]] = []
+        self._slots = (
+            self.times, self.weights, self.persistent, self.groups,
+            self.preds, self.pred_bytes, self.succs, self.succ_comm,
+        )
+        #: Ids of the ops in the graph.
+        self.live: Set[int] = set()
+        # Names whose slots await a refill; None means every op's.
+        self._stale: Optional[Set[str]] = None
+        # Graph-independent memos (the models are frozen during a search).
         self._comm_by_bytes: Dict[int, float] = {}
-        self._pair_time: Dict[Tuple[str, str, int], float] = {}
-        # canonical topological order, valid while graph.version matches
-        self._topo: List[Operation] = []
-        self._topo_version: Optional[int] = None
-        # observability: misses are counted unconditionally (the increment
-        # is noise next to the cost-model call each miss already makes);
-        # per-lookup counting is opt-in via enable_stats() so the default
-        # hot path stays untouched.
+        self._rows: Dict[int, List[float]] = {}
+        # Canonical topological order, valid while graph.version matches.
+        self._order: List[int] = []
+        self._order_version: Optional[int] = None
+        # Observability: fills are counted unconditionally; reads only
+        # after enable_stats() (see stats()).
         self.misses = 0
         self.lookups = 0
         self.invalidations = 0
         self.stats_enabled = False
 
     # ------------------------------------------------------------------
-    # Computation times
+    # Ids and slots
     # ------------------------------------------------------------------
-    def time(self, op: Operation, device: str) -> float:
-        """Memoized ``computation.time(op, device)``."""
-        key = (op.name, device)
-        value = self._time.get(key)
-        if value is None:
-            self.misses += 1
-            value = self._time[key] = self.computation.time(op, device)
-        return value
+    def id_of(self, name: str) -> int:
+        """The op name's id, assigned on first sight."""
+        index = self.ids.get(name)
+        if index is None:
+            index = self.ids[name] = len(self.names)
+            self.names.append(name)
+            for slots in self._slots:
+                slots.append(None)
+        return index
 
-    def weight(self, op: Operation) -> float:
-        """``w_i`` of the rank computation: max time over all devices."""
-        value = self._weight.get(op.name)
-        if value is None:
+    def _fill(self, index: int, op: Operation) -> None:
+        times = [self.computation.time(op, d) for d in self.devices]
+        self.times[index] = times
+        self.weights[index] = max(times, default=0.0)
+        self.persistent[index] = op.persistent_bytes
+        self.groups[index] = op.colocation_group
+        # graph.predecessors/successors with graph.edge_bytes of each
+        # edge, in one pass over the op's inputs and its outputs' uses.
+        sent: Dict[str, int] = {}
+        for tensor in op.inputs:
+            if tensor.producer is not None:
+                name = tensor.producer.name
+                sent[name] = sent.get(name, 0) + tensor.size_bytes
+        self.preds[index] = [self.id_of(name) for name in sent]
+        self.pred_bytes[index] = list(sent.values())
+        sent = {}
+        for tensor in op.outputs:
+            for consumer, _ in self.graph.consumers(tensor):
+                name = consumer.name
+                sent[name] = sent.get(name, 0) + tensor.size_bytes
+        self.succs[index] = [self.id_of(name) for name in sent]
+        self.succ_comm[index] = [
+            self.max_transfer_time(num_bytes) for num_bytes in sent.values()
+        ]
+
+    def _sync(self) -> None:
+        """Refill the slots of every stale op still in the graph."""
+        graph = self.graph
+        if self._stale is None:
+            for slots in self._slots:
+                slots[:] = [None] * len(slots)
+            self.live.clear()
+            ops: Iterable[Operation] = graph
+        else:
+            ops = []
+            for name in sorted(self._stale):
+                if name in graph:
+                    ops.append(graph.get_op(name))
+                elif name in self.ids:
+                    self.live.discard(self.ids[name])
+        self._stale = set()
+        for op in ops:
+            index = self.id_of(op.name)
+            self.live.add(index)
+            self._fill(index, op)
             self.misses += 1
-            value = self._weight[op.name] = max(
-                (self.time(op, d) for d in self.devices), default=0.0
+
+    # ------------------------------------------------------------------
+    # Communication times (graph-independent)
+    # ------------------------------------------------------------------
+    def max_transfer_time(self, num_bytes: int) -> float:
+        """``c_ij`` of ``num_bytes``: worst case over device pairs."""
+        value = self._comm_by_bytes.get(num_bytes)
+        if value is None:
+            value = self._comm_by_bytes[num_bytes] = (
+                self.communication.max_time(num_bytes, self.pairs)
             )
         return value
 
-    def min_weight(self, op: Operation) -> float:
-        """Best-case execution time: min over all devices (bounds)."""
-        value = self._min_weight.get(op.name)
-        if value is None:
-            self.misses += 1
-            value = self._min_weight[op.name] = min(
-                (self.time(op, d) for d in self.devices), default=0.0
-            )
-        return value
+    def transfer_row(self, num_bytes: int) -> List[float]:
+        """``communication.time`` of ``num_bytes`` over every device pair.
 
-    def persistent_bytes(self, op: Operation) -> int:
-        """Memoized ``op.persistent_bytes`` (summed over output tensors)."""
-        value = self._persistent.get(op.name)
-        if value is None:
-            value = self._persistent[op.name] = op.persistent_bytes
-        return value
-
-    # ------------------------------------------------------------------
-    # Communication times
-    # ------------------------------------------------------------------
-    def edge_bytes(self, src: Operation, dst: Operation) -> int:
-        """Memoized ``graph.edge_bytes(src, dst)``."""
-        key = (src.name, dst.name)
-        value = self._edge_bytes.get(key)
-        if value is None:
-            self.misses += 1
-            value = self._edge_bytes[key] = self.graph.edge_bytes(src, dst)
-            self._edge_index.setdefault(src.name, set()).add(key)
-            self._edge_index.setdefault(dst.name, set()).add(key)
-        return value
-
-    def edge_comm(self, src: Operation, dst: Operation) -> float:
-        """``c_ij`` of the rank computation: worst case over device pairs."""
-        key = (src.name, dst.name)
-        value = self._edge_comm.get(key)
-        if value is None:
-            self.misses += 1
-            num_bytes = self.edge_bytes(src, dst)
-            value = self._comm_by_bytes.get(num_bytes)
-            if value is None:
-                value = self._comm_by_bytes[num_bytes] = (
-                    self.communication.max_time(num_bytes, self.pairs)
-                )
-            self._edge_comm[key] = value
-            self._edge_index.setdefault(src.name, set()).add(key)
-            self._edge_index.setdefault(dst.name, set()).add(key)
-        return value
-
-    def pair_time(self, src_dev: str, dst_dev: str, num_bytes: int) -> float:
-        """Memoized ``communication.time`` for one device pair."""
-        key = (src_dev, dst_dev, num_bytes)
-        value = self._pair_time.get(key)
-        if value is None:
-            value = self._pair_time[key] = self.communication.time(
-                src_dev, dst_dev, num_bytes
-            )
-        return value
-
-    # ------------------------------------------------------------------
-    # Adjacency
-    # ------------------------------------------------------------------
-    def predecessors(self, op: Operation) -> List[Operation]:
-        value = self._preds.get(op.name)
-        if value is None:
-            self.misses += 1
-            value = self._preds[op.name] = self.graph.predecessors(op)
-        return value
-
-    def successors(self, op: Operation) -> List[Operation]:
-        value = self._succs.get(op.name)
-        if value is None:
-            self.misses += 1
-            value = self._succs[op.name] = self.graph.successors(op)
-        return value
-
-    def topological_order(self) -> List[Operation]:
-        """Canonical (name-tie-broken) Kahn order via cached adjacency.
-
-        Matches ``graph.topological_order(canonical=True)`` exactly.  The
-        order is memoized on ``graph.version`` (a structural mutation
-        counter), so every reader of one committed graph shares it;
-        callers must not mutate the returned list.
+        Entry ``src * len(devices) + dst`` is the time from device index
+        ``src`` to device index ``dst``.
         """
-        if self._topo_version == self.graph.version:
-            return self._topo
-        indegree: Dict[str, int] = {}
-        for op in self.graph:
-            indegree[op.name] = len(self.predecessors(op))
-        heap = [name for name, degree in indegree.items() if degree == 0]
+        row = self._rows.get(num_bytes)
+        if row is None:
+            time = self.communication.time
+            row = self._rows[num_bytes] = [
+                time(a, b, num_bytes) for a in self.devices for b in self.devices
+            ]
+        return row
+
+    # ------------------------------------------------------------------
+    # Traversal
+    # ------------------------------------------------------------------
+    def topological_order(self) -> List[int]:
+        """Canonical (name-tie-broken) Kahn order of the live op ids.
+
+        Refills stale slots first.  Matches
+        ``graph.topological_order(canonical=True)`` exactly.  The order is
+        memoized on ``graph.version`` (a structural mutation counter), so
+        every reader of one committed graph shares it; callers must not
+        mutate the returned list.
+        """
+        if self._order_version == self.graph.version and not self._stale:
+            if self.stats_enabled:
+                self.lookups += len(self.live)
+            return self._order
+        self._sync()
+        if self.stats_enabled:
+            self.lookups += len(self.live)
+        ids, names, preds, succs = self.ids, self.names, self.preds, self.succs
+        indegree = [0] * len(names)
+        heap = []
+        for index in self.live:
+            degree = indegree[index] = len(preds[index])
+            if not degree:
+                heap.append(names[index])
         heapq.heapify(heap)
-        order: List[Operation] = []
+        pop, push = heapq.heappop, heapq.heappush
+        order: List[int] = []
         while heap:
-            op = self.graph.get_op(heapq.heappop(heap))
-            order.append(op)
-            for succ in self.successors(op):
-                indegree[succ.name] -= 1
-                if indegree[succ.name] == 0:
-                    heapq.heappush(heap, succ.name)
-        if len(order) != self.graph.num_ops:
+            index = ids[pop(heap)]
+            order.append(index)
+            for succ in succs[index]:
+                degree = indegree[succ] - 1
+                indegree[succ] = degree
+                if not degree:
+                    push(heap, names[succ])
+        if len(order) != len(self.live):
             raise GraphError(
                 f"graph {self.graph.name!r} contains a cycle; FastT only "
                 "handles DAGs — unroll while-loops before scheduling"
             )
-        self._topo, self._topo_version = order, self.graph.version
+        self._order, self._order_version = order, self.graph.version
         return order
 
     def rebind(self, graph: Graph) -> None:
-        """Serve the memos over ``graph``, a structural copy of this one.
+        """Serve the slots over ``graph``, a structural copy of this one.
 
-        The copy has the same op names and structure, so every cost memo
-        (keyed by name) stays valid; memoized adjacency is re-pointed at
-        the copy's op objects.
+        The copy has the same op names and structure, and the slots hold
+        ids and numbers only, so they all stay valid.
         """
-        get_op = graph.get_op
-        for memo in (self._preds, self._succs):
-            for name, ops in memo.items():
-                memo[name] = [get_op(op.name) for op in ops]
-        if self._topo_version == self.graph.version:
-            self._topo = [get_op(op.name) for op in self._topo]
-            self._topo_version = graph.version
+        if self._order_version == self.graph.version:
+            self._order_version = graph.version
         else:
-            self._topo_version = None
+            self._order_version = None
         self.graph = graph
 
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
     def invalidate(self, names: Optional[Iterable[str]] = None) -> None:
-        """Drop every memo involving ``names`` (or everything if None).
+        """Clear the slots of ``names`` (or of every op if None).
 
-        The graph-independent memos (transfer time by byte count) survive:
-        the communication model is frozen during a search, so those values
-        cannot go stale.
+        The graph-independent memos (transfer times by byte count)
+        survive: the communication model is frozen during a search, so
+        those values cannot go stale.
         """
         self.invalidations += 1
         if names is None:
-            self._time.clear()
-            self._weight.clear()
-            self._min_weight.clear()
-            self._persistent.clear()
-            self._preds.clear()
-            self._succs.clear()
-            self._edge_bytes.clear()
-            self._edge_comm.clear()
-            self._edge_index.clear()
+            self._stale = None
             return
+        if self._stale is None:
+            return
+        ids, slots = self.ids, self._slots
         for name in names:
-            for device in self.devices:
-                self._time.pop((name, device), None)
-            self._weight.pop(name, None)
-            self._min_weight.pop(name, None)
-            self._persistent.pop(name, None)
-            self._preds.pop(name, None)
-            self._succs.pop(name, None)
-            for key in self._edge_index.pop(name, ()):
-                self._edge_bytes.pop(key, None)
-                self._edge_comm.pop(key, None)
+            index = ids.get(name)
+            if index is not None:
+                for column in slots:
+                    column[index] = None
+            self._stale.add(name)
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def enable_stats(self) -> None:
-        """Count lookups on the hot accessors (observability runs only).
-
-        Wraps the memoized lookups with per-call counting by rebinding
-        them as instance attributes, so the default (un-observed) path
-        keeps the plain methods and pays nothing.  Hits are then
-        ``lookups - misses``.
-        """
-        if self.stats_enabled:
-            return
+        """Count slot reads too (observability runs only)."""
         self.stats_enabled = True
-        for name in (
-            "time", "weight", "min_weight", "edge_bytes", "edge_comm",
-            "predecessors", "successors",
-        ):
-            inner = getattr(self, name)
-
-            def counting(*args, _inner=inner):
-                self.lookups += 1
-                return _inner(*args)
-
-            setattr(self, name, counting)
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/invalidation counters plus the live entry count.
+        """Read/fill/invalidation counters plus the filled-id count.
 
-        ``lookups`` and ``hits`` are only meaningful after
-        :meth:`enable_stats`; ``misses`` (cost-model/adjacency
-        evaluations) is always tracked.
+        * ``misses``: slot fills — one per op whose costs and adjacency
+          were (re)computed from the models and the graph; always
+          counted.
+        * ``lookups``: slot reads — every live op once per
+          :meth:`topological_order` call, i.e. per DPOS run or placement
+          critical path; counted only after :meth:`enable_stats`.
+        * ``hits``: ``lookups - misses``.
+        * ``invalidations``: :meth:`invalidate` calls.
+        * ``entries``: ids whose slots are filled.
         """
         return {
             "lookups": self.lookups,
@@ -302,14 +298,5 @@ class CostCache:
 
     @property
     def num_entries(self) -> int:
-        """Total live memo entries (introspection/tests)."""
-        return (
-            len(self._time)
-            + len(self._weight)
-            + len(self._min_weight)
-            + len(self._persistent)
-            + len(self._preds)
-            + len(self._succs)
-            + len(self._edge_bytes)
-            + len(self._edge_comm)
-        )
+        """Ids whose slots are filled (introspection/tests)."""
+        return sum(1 for times in self.times if times is not None)

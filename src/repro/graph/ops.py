@@ -191,8 +191,8 @@ class Operation:
         """Bytes pinned on a device for the whole step: parameters + outputs.
 
         This is the static accounting DPOS uses for its memory-capacity
-        checks (Alg. 1 line 13); the simulator's dynamic tracker in
-        :mod:`repro.sim.memory` is the precise model.
+        checks (Alg. 1 line 13); the simulator's ref-counted liveness
+        accounting (:mod:`repro.sim.runner`) is the precise model.
         """
         return self.param_bytes + self.output_bytes
 

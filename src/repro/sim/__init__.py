@@ -1,12 +1,16 @@
 """Discrete-event multi-GPU training-step simulator (the testbed stand-in)."""
 
-from .memory import MemoryTracker, SimulationOOMError
-from .runner import FIFO, PRIORITY, ExecutionSimulator, SimulationError
+from .runner import (
+    FIFO,
+    PRIORITY,
+    ExecutionSimulator,
+    SimulationError,
+    SimulationOOMError,
+)
 
 __all__ = [
     "ExecutionSimulator",
     "FIFO",
-    "MemoryTracker",
     "PRIORITY",
     "SimulationError",
     "SimulationOOMError",

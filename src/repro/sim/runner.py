@@ -42,7 +42,6 @@ from ..graph import Graph, Operation
 from ..hardware import PerfModel
 from ..obs import Observability, get_obs
 from ..profiling.trace import StepTrace, TraceColumns
-from .memory import SimulationOOMError
 
 FIFO = "fifo"
 PRIORITY = "priority"
@@ -66,6 +65,26 @@ _Route = Tuple[Tuple[LinkSpec, ...], Tuple[str, ...]]
 
 class SimulationError(RuntimeError):
     """Raised on inconsistent simulator inputs (bad placement, deadlock)."""
+
+
+class SimulationOOMError(RuntimeError):
+    """Raised when a device exceeds its memory capacity during a step.
+
+    Tensors are allocated on a device when their producing op starts
+    there (or a transfer delivers a remote copy) and freed once every
+    consumer there has finished; ``Variable`` outputs persist.  This
+    liveness model is what makes the paper's Table 3 reproducible:
+    activations held for the backward pass dominate peak memory.
+    """
+
+    def __init__(self, device: str, needed: int, capacity: int) -> None:
+        super().__init__(
+            f"device {device} out of memory: needs {needed} bytes, "
+            f"capacity {capacity} bytes"
+        )
+        self.device = device
+        self.needed = needed
+        self.capacity = capacity
 
 
 class _Transfer:
@@ -316,8 +335,8 @@ class _StepState:
                 plan.base_times(sim.perf, topo.device(name)) for name in names
             ]
 
-        # Ref-counted memory, MemoryTracker's accounting over id-indexed
-        # lists (its name-keyed dicts cost about a fifth of the event
+        # Ref-counted memory over id-indexed lists (the seed's name-keyed
+        # tracker, now in tests/sim, cost about a fifth of the event
         # loop): refs per (tensor, device) copy, usage and peak per
         # device.  Each copy is allocated once (the producer's at
         # dispatch, a destination's when its transfer starts) and

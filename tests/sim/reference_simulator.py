@@ -26,7 +26,8 @@ from repro.graph import Graph, Operation
 from repro.hardware import PerfModel
 from repro.obs import Observability, get_obs
 from repro.profiling.trace import OpRecord, StepTrace, TransferRecord
-from repro.sim.memory import MemoryTracker, SimulationOOMError
+
+from .memory_tracker import MemoryTracker
 
 FIFO = "fifo"
 PRIORITY = "priority"

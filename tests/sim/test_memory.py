@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import MemoryTracker, SimulationOOMError
+from repro.sim import SimulationOOMError
+
+from .memory_tracker import MemoryTracker
 
 
 @pytest.fixture
