@@ -8,19 +8,22 @@ execution order enforced through priorities.  The paper reports up to
 
 from __future__ import annotations
 
-from conftest import export_rows, label, models_under_test
+from conftest import StepTimePins, export_rows, label, models_under_test
 
 from repro.experiments import order_enforcement_comparison
 from repro.experiments.paper_reference import FIG2_MAX_ORDER_GAIN
 from repro.experiments.reporting import format_table
 
 MODELS = models_under_test(("alexnet", "vgg19", "lenet", "resnet200"))
+PINS = StepTimePins(__file__)
 
 
 def compute_fig2():
     rows = []
     for model in MODELS:
         comparison = order_enforcement_comparison(model, num_gpus=2)
+        PINS.check(f"{model}_fig2fifo_2x1", comparison["fifo_time"])
+        PINS.check(f"{model}_fig2enforced_2x1", comparison["enforced_time"])
         rows.append(
             [
                 label(model),
@@ -34,6 +37,7 @@ def compute_fig2():
 
 def test_fig2_order_enforcement(benchmark):
     rows = benchmark.pedantic(compute_fig2, rounds=1, iterations=1)
+    PINS.assert_complete()
     headers = ["Model", "Default FIFO (s)", "Order enforce (s)", "Gain %"]
     print()
     print(

@@ -11,9 +11,7 @@ a hard wall-clock budget, and land on the pinned simulated step time
 simulated number.
 
 The budget defaults to 30 s and can be tuned via ``REPRO_SCALE_BUDGET``
-(seconds) for slow CI hosts.  With ``--trace-dir`` the run also writes a
-gate summary, so the perf regression gate tracks both the simulated
-step time and the end-to-end wall seconds of the scale path.
+(seconds) for slow CI hosts.
 """
 
 from __future__ import annotations
@@ -26,9 +24,7 @@ from conftest import export_rows
 import repro
 from repro.core.calculator import FastTConfig
 from repro.core.os_dpos import SearchOptions
-from repro.experiments import harness
 from repro.models.layers import LayerHelper
-from repro.obs import write_gate_summary
 
 #: 9100 dense+relu layers x 11 training-graph ops/layer = 100103 ops.
 NUM_LAYERS = 9100
@@ -93,22 +89,6 @@ def test_scale_100k(benchmark):
         f"(budget {budget:.0f}s), step {result.iteration_time:.4f}s"
     )
     export_rows("scale", headers, rows)
-    trace_dir = harness.get_trace_dir()
-    if trace_dir:
-        write_gate_summary(
-            os.path.join(trace_dir, "deep_mlp_100k_fastt_4x1.summary.json"),
-            model=result.model_name,
-            method="fastt",
-            num_gpus=4,
-            num_servers=1,
-            cluster="pcie",
-            global_batch=GLOBAL_BATCH,
-            oom=False,
-            iteration_time=result.iteration_time,
-            speed=result.training_speed,
-            search_seconds=wall,
-            algorithm_seconds=None,
-        )
     assert num_ops >= MIN_OPS, f"graph too small for the gate: {num_ops}"
     assert wall < budget, (
         f"scale gate blown: {num_ops} ops took {wall:.1f}s "

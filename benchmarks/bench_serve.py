@@ -10,25 +10,21 @@ pins their ordering:
   seeded from the cached strategy, and must be faster than the same
   edit searched cold by a fresh service.
 
-With ``--trace-dir`` each model writes cold/warm gate summaries, so the
-perf regression gate tracks the warm-start path's wall seconds across
-runs alongside the cold search it competes with.
+The makespan of each searched answer — the cold base request, the warm
+edit and the cold edit — is pinned exactly (``step_time_pins.json``).
 
 Each trial also scrapes the service's own Prometheus exposition: the
 latency-histogram ``_count`` must equal the stats request total (the
 same invariant the CI serve-smoke curls for), and the reported p50/p95
-join the gate table so latency drift is visible across runs.
+join the printed table so latency drift is visible across runs.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-from conftest import export_rows, models_under_test
+from conftest import StepTimePins, export_rows, models_under_test
 
-from repro.experiments import harness
-from repro.obs import write_gate_summary
 from repro.obs.prometheus import parse_prometheus, sample_value
 from repro.serve import StrategyService, StrategyStore
 from repro.serve.top import LATENCY_FAMILY, quantile_from_samples
@@ -37,6 +33,7 @@ MODELS = ("lenet", "alexnet")
 TOPOLOGY = "pcie:2"
 BASE_BATCH = 64
 EDITED_BATCH = 128
+PINS = StepTimePins(__file__)
 
 CONFIG = {
     "profiling_steps": 1, "max_rounds": 2, "min_rounds": 1,
@@ -88,7 +85,6 @@ def test_serve_warm_start_beats_cold(benchmark):
     headers = ["Model", "Cold s", "Cache s", "Warm s", "Cold-edit s",
                "Warm speedup", "Warm source", "p50 s", "p95 s"]
     rows = []
-    trace_dir = harness.get_trace_dir()
     print()
     for trial in trials:
         model = trial["model"]
@@ -98,7 +94,7 @@ def test_serve_warm_start_beats_cold(benchmark):
         cold_edit, t_cold_edit = trial["cold_edit"]
         speedup = t_cold_edit / t_warm if t_warm else float("inf")
 
-        # The service's own exposition: latency quantiles for the gate
+        # The service's own exposition: latency quantiles for the
         # table, and the _count == requests invariant CI curls for.
         samples = parse_prometheus(trial["exposition"])
         p50 = quantile_from_samples(samples, 0.50)
@@ -118,27 +114,12 @@ def test_serve_warm_start_beats_cold(benchmark):
             f"{t_cold_edit:.3f}s ({speedup:.2f}x), "
             f"latency p50 {p50:.4f}s p95 {p95:.4f}s"
         )
-        if trace_dir:
-            for phase, response, wall in (
-                ("cold", trial["cold"][0], t_cold_edit),
-                ("warm", warm, t_warm),
-            ):
-                write_gate_summary(
-                    os.path.join(
-                        trace_dir, f"{model}_serve_{phase}_2x1.summary.json"
-                    ),
-                    model=model,
-                    method=f"serve-{phase}",
-                    num_gpus=2,
-                    num_servers=1,
-                    cluster="pcie",
-                    global_batch=EDITED_BATCH,
-                    oom=False,
-                    iteration_time=response["makespan"],
-                    speed=response["training_speed"],
-                    search_seconds=wall,
-                    algorithm_seconds=None,
-                )
+        for name, response in (
+            ("coldbase", trial["cold"][0]),
+            ("warmedit", warm),
+            ("coldedit", cold_edit),
+        ):
+            PINS.check(f"{model}_serve_{name}_2x1", response["makespan"])
 
         stats = trial["stats"]
         # Exposition cross-check: the unlabeled latency histogram counts
@@ -164,4 +145,5 @@ def test_serve_warm_start_beats_cold(benchmark):
         # And produces a valid finite answer either way.
         assert warm["makespan"] < float("inf")
         assert cold_edit["makespan"] < float("inf")
+    PINS.assert_complete()
     export_rows("serve", headers, rows)

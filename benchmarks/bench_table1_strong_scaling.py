@@ -9,7 +9,7 @@ the paper's speed-up metric: FastT over the best DP configuration.
 
 from __future__ import annotations
 
-from conftest import export_rows, label
+from conftest import StepTimePins, export_rows, label
 
 from repro.experiments import trial
 from repro.experiments.paper_reference import TABLE1_STRONG_SCALING
@@ -17,6 +17,7 @@ from repro.experiments.reporting import format_table, speedup_percent
 from repro.models import model_names
 
 CONFIGS = [(1, 1), (2, 1), (4, 1), (8, 1), (8, 2)]
+PINS = StepTimePins(__file__)
 
 
 def compute_table1():
@@ -26,12 +27,12 @@ def compute_table1():
         dp_speeds = []
         fastt_speeds = []
         for gpus, servers in CONFIGS:
-            dp = trial(model, "dp", gpus, servers)
+            dp = PINS.check_trial(trial(model, "dp", gpus, servers))
             dp_speed = None if dp.oom else dp.speed
             dp_speeds.append(dp_speed)
             cells.append(dp_speed)
             if gpus > 1:
-                ft = trial(model, "fastt", gpus, servers)
+                ft = PINS.check_trial(trial(model, "fastt", gpus, servers))
                 ft_speed = None if ft.oom else ft.speed
                 fastt_speeds.append(ft_speed)
                 cells.append(ft_speed)
@@ -47,6 +48,7 @@ def compute_table1():
 
 def test_table1_strong_scaling(benchmark):
     rows = benchmark.pedantic(compute_table1, rounds=1, iterations=1)
+    PINS.assert_complete()
     headers = [
         "Model", "1GPU DP",
         "2 DP", "2 FastT", "4 DP", "4 FastT", "8 DP", "8 FastT",

@@ -4,18 +4,20 @@ Runs DP and FastT over the interconnect presets the link-graph cluster
 model adds beyond the paper's two-tier testbed: a PCIe-only box (every
 pair crosses one shared host bridge), a DGX-like NVLink ring with PCIe
 fallback, a heterogeneous V100+P100 box, and multi-server clusters
-routed through a core switch.  With ``--trace-dir`` each trial also
-writes its gate summary, so the perf regression gate covers routed
-multi-channel contention.
+routed through a core switch.  Every trial's simulated step time is
+pinned exactly (``step_time_pins.json``), so routed multi-channel
+contention cannot drift unnoticed.
 """
 
 from __future__ import annotations
 
-from conftest import export_rows, label, models_under_test
+from conftest import StepTimePins, export_rows, label, models_under_test
 
 from repro.experiments import trial
 from repro.experiments.harness import TOPOLOGY_CONFIGS
 from repro.experiments.reporting import format_table, speedup_percent
+
+PINS = StepTimePins(__file__)
 
 
 def _column(gpus, servers, cluster):
@@ -30,8 +32,12 @@ def compute_topology_grid():
     for model in models_under_test(["lenet", "alexnet"]):
         cells = [label(model)]
         for gpus, servers, cluster in TOPOLOGY_CONFIGS:
-            dp = trial(model, "dp", gpus, servers, cluster=cluster)
-            ft = trial(model, "fastt", gpus, servers, cluster=cluster)
+            dp = PINS.check_trial(
+                trial(model, "dp", gpus, servers, cluster=cluster)
+            )
+            ft = PINS.check_trial(
+                trial(model, "fastt", gpus, servers, cluster=cluster)
+            )
             dp_speed = None if dp.oom else dp.speed
             ft_speed = None if ft.oom else ft.speed
             cells.append(ft_speed)
@@ -42,6 +48,7 @@ def compute_topology_grid():
 
 def test_topology_grid(benchmark):
     rows = benchmark.pedantic(compute_topology_grid, rounds=1, iterations=1)
+    PINS.assert_complete()
     headers = ["Model"]
     for gpus, servers, cluster in TOPOLOGY_CONFIGS:
         headers.append(f"{_column(gpus, servers, cluster)} FastT")

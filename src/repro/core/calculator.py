@@ -137,25 +137,21 @@ class StrategyCalculator:
     """Drives the pre-training loop for one training job.
 
     All mutable per-request state — cost models, perf-model RNG,
-    observability sinks, calibration predictions — lives on a
-    :class:`~repro.core.context.SearchContext`; pass one explicitly (the
-    multi-tenant path, see :mod:`repro.serve`) or let the constructor
-    wrap the given ``topology``/``perf_model``/``config``/``obs`` in
-    a fresh one (the legacy path, byte-identical to the pre-context
-    engine).  One calculator serves one request; concurrent requests
-    each build their own calculator over their own context.
+    observability sinks, calibration predictions — lives on the given
+    :class:`~repro.core.context.SearchContext` (see
+    :meth:`SearchContext.create <repro.core.context.SearchContext.create>`
+    and :meth:`FastTSession.new_context
+    <repro.core.session.FastTSession.new_context>`).  One calculator
+    serves one request; concurrent requests each build their own
+    calculator over their own context.
     """
 
     def __init__(
         self,
         input_graph: Graph,
         initial_strategy: Strategy,
-        topology: Optional[Topology] = None,
-        perf_model: Optional[PerfModel] = None,
-        config: Optional[FastTConfig] = None,
+        context: SearchContext,
         alternative_inputs: Optional[List] = None,
-        obs: Optional[Observability] = None,
-        context: Optional[SearchContext] = None,
     ) -> None:
         """``alternative_inputs`` is a list of ``(graph, default strategy)``
         pairs the calculator may deploy instead of ``input_graph`` — e.g.
@@ -165,25 +161,6 @@ class StrategyCalculator:
         profiled once under its default strategy to seed the cost models,
         then competes in every OS-DPOS round on estimated finish time.
         """
-        if context is None:
-            if topology is None or perf_model is None:
-                raise TypeError(
-                    "StrategyCalculator needs either a context= or both "
-                    "topology= and perf_model="
-                )
-            # Pair classes come from the topology's routed link kinds
-            # (the generalization of the old intra/inter split), the
-            # computation model learns heterogeneous device speeds
-            # through the relative compute scales, and the communication
-            # model prices unprofiled pairs from the topology's route
-            # times instead of zero.
-            context = SearchContext.create(
-                topology, perf_model=perf_model, config=config, obs=obs
-            )
-        elif topology is not None or perf_model is not None:
-            raise TypeError(
-                "pass either context= or topology=/perf_model=, not both"
-            )
         self.context = context
         self.input_graph = input_graph
         self.alternative_inputs = list(alternative_inputs or [])

@@ -187,7 +187,7 @@ class FastTSession:
     ) -> CalculationReport:
         """Run (or return the cached) pre-training stage.
 
-        Without ``context`` this is the legacy single-tenant path: one
+        Without ``context`` this is the single-tenant path: one
         memoized run over the session's own perf model and freshly
         created cost models (byte-identical to the pre-context engine).
         With an explicit ``context`` (see :meth:`new_context`) the run
@@ -200,8 +200,8 @@ class FastTSession:
             report = StrategyCalculator(
                 self.input_graph,
                 self.initial_strategy,
+                context,
                 alternative_inputs=self.alternative_inputs,
-                context=context,
             ).run()
             with self._report_lock:
                 if self._report is None:
@@ -214,11 +214,13 @@ class FastTSession:
                 calculator = StrategyCalculator(
                     self.input_graph,
                     self.initial_strategy,
-                    self.topology,
-                    self.perf_model,
-                    config=self.config,
+                    SearchContext.create(
+                        self.topology,
+                        perf_model=self.perf_model,
+                        config=self.config,
+                        obs=self.obs,
+                    ),
                     alternative_inputs=self.alternative_inputs,
-                    obs=self.obs,
                 )
                 self._report = calculator.run()
             return self._report

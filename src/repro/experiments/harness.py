@@ -39,7 +39,6 @@ from ..obs import (
     Observability,
     ensure_dir,
     export_step_trace,
-    write_gate_summary,
     write_metrics_json,
 )
 from ..obs.log import get_logger
@@ -119,7 +118,7 @@ def get_progress() -> bool:
 #: Opt-in env flag: ``REPRO_TRACE_PROVENANCE=1`` makes traced trials
 #: also journal every search decision (exported as
 #: ``<stem>.provenance.json`` / ``<stem>.calibration.json``).  Off by
-#: default so the perf gate measures the provenance-off search path.
+#: default so traced benchmark runs measure the provenance-off search path.
 _PROVENANCE_ENV = "REPRO_TRACE_PROVENANCE"
 
 
@@ -147,7 +146,8 @@ def _progress_scope(obs: Optional[Observability]) -> Iterator[None]:
         renderer.close()
 
 
-def _trial_stem(result: "TrialResult") -> str:
+def trial_stem(result: "TrialResult") -> str:
+    """``<model>_<method>_<G>x<S>[_<cluster>]``: names a trial's exports."""
     stem = (
         f"{result.model}_{result.method}_"
         f"{result.num_gpus}x{result.num_servers}"
@@ -155,44 +155,6 @@ def _trial_stem(result: "TrialResult") -> str:
     if result.cluster != "default":
         stem += f"_{result.cluster}"
     return stem
-
-
-def _export_summary(result: "TrialResult") -> None:
-    """One gate-comparable ``<stem>.summary.json`` per trial.
-
-    This is what ``python -m repro.obs.analyze --baseline/--candidate``
-    (the perf regression gate) compares between two ``--trace-dir``
-    runs; unlike the trace exports it is (re)written even when the
-    trial came from the disk cache, so a cached run still produces a
-    complete gate input.  A cached trial's wall-clock was measured by
-    whatever code wrote the cache entry, so it is written as null with
-    ``cached: true`` rather than presented as a new measurement.
-    """
-    if not _TRACE_DIR:
-        return
-    cached = bool(result.extra.get("cached"))
-    write_gate_summary(
-        os.path.join(_TRACE_DIR, f"{_trial_stem(result)}.summary.json"),
-        model=result.model,
-        method=result.method,
-        num_gpus=result.num_gpus,
-        num_servers=result.num_servers,
-        cluster=result.cluster,
-        global_batch=result.global_batch,
-        oom=result.oom,
-        iteration_time=(
-            None if result.iteration_time != result.iteration_time
-            else result.iteration_time
-        ),
-        speed=None if result.speed != result.speed else result.speed,
-        search_seconds=None if cached else result.search_seconds or None,
-        algorithm_seconds=(
-            None if cached else result.algorithm_seconds or None
-        ),
-        cached=cached,
-        devices_used=result.devices_used,
-        calibration=result.extra.get("calibration"),
-    )
 
 
 def _export_trial(
@@ -204,7 +166,7 @@ def _export_trial(
     """Write ``<model>_<method>_<G>x<S>.{trace,metrics,step}`` files."""
     if not _TRACE_DIR:
         return
-    stem = _trial_stem(result)
+    stem = trial_stem(result)
     base = os.path.join(_TRACE_DIR, stem)
     if obs is not None and obs.enabled:
         obs.export_chrome_trace(f"{base}.trace.json")
@@ -589,14 +551,12 @@ def trial(
         "source": source_fingerprint(),
     }
     runner = _RUNNERS[method]
-    result = cached_trial(
+    return cached_trial(
         key,
         lambda: runner(
             model, num_gpus, num_servers, batch, seed=seed, cluster=cluster
         ),
     )
-    _export_summary(result)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -679,22 +639,8 @@ def order_enforcement_comparison(
         base = os.path.join(_TRACE_DIR, f"{model_name}_fig2_{num_gpus}gpu")
         export_step_trace(f"{base}.fifo.step.trace.json", fifo[-1])
         export_step_trace(f"{base}.enforced.step.trace.json", enforced[-1])
-        for variant, traces, mean_time in (
-            ("fifo", fifo, fifo_time),
-            ("enforced", enforced, enforced_time),
-        ):
-            traces[-1].save(f"{base}.{variant}.step.json")
-            write_gate_summary(
-                os.path.join(
-                    _TRACE_DIR,
-                    f"{model_name}_fig2{variant}_{num_gpus}x1.summary.json",
-                ),
-                model=model_name,
-                method=f"fig2_{variant}",
-                num_gpus=num_gpus,
-                num_servers=1,
-                iteration_time=mean_time,
-            )
+        fifo[-1].save(f"{base}.fifo.step.json")
+        enforced[-1].save(f"{base}.enforced.step.json")
     return {
         "fifo_time": fifo_time,
         "enforced_time": enforced_time,

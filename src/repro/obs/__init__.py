@@ -210,7 +210,6 @@ _ANALYZE_EXPORTS = (
     "ChannelReport",
     "CriticalPath",
     "DeviceReport",
-    "GateReport",
     "PathSegment",
     "StepAnalysis",
     "StrategyDiff",
@@ -218,13 +217,10 @@ _ANALYZE_EXPORTS = (
     "analyze_step",
     "analyze_utilization",
     "cite_divergences",
-    "compare_runs",
     "diff_results",
     "diff_strategies",
     "diff_traces",
     "extract_critical_path",
-    "load_gate_summaries",
-    "write_gate_summary",
 )
 
 #: Provenance-journal names, lazily re-exported for the same reason

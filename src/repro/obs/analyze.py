@@ -15,17 +15,17 @@ rest of ``repro.obs`` already produces:
 * :func:`diff_strategies` / :func:`diff_traces` / :func:`diff_results`
   — explain *why strategy A is faster than B*: placement moves, order
   changes, split-list changes, and the makespan delta attributed to
-  specific ops and path composition;
-* :func:`compare_runs` — a trace-based performance regression gate over
-  two benchmark ``--trace-dir`` outputs, with ``BENCH_<date>.json``
-  trajectory entries.
+  specific ops and path composition.
 
-CLI (also the CI ``perf-gate`` entry point)::
+This module explains traces; it gates nothing.  The performance gate
+is ``benchmarks/perf`` (end-to-end wall-clock, memory and simulated
+speed) plus the exact simulated step-time pins the benchmark suite
+asserts (``benchmarks/step_time_pins.json``).
+
+CLI::
 
     python -m repro.obs.analyze TRACE_DIR_OR_STEP_JSON ...
     python -m repro.obs.analyze --diff A.step.json B.step.json
-    python -m repro.obs.analyze --baseline DIR --candidate DIR \
-        --tolerance 5% [--bench-dir DIR] [--warn-only]
 """
 
 from __future__ import annotations
@@ -842,193 +842,8 @@ def diff_results(result_a, result_b, steps: int = 1) -> TraceDiff:
 
 
 # ---------------------------------------------------------------------------
-# Regression gate over benchmark --trace-dir outputs
-# ---------------------------------------------------------------------------
-#: Version of the ``*.summary.json`` gate envelope the harness emits.
-GATE_SUMMARY_SCHEMA = 1
-
-#: Metric name -> summary key compared by the gate (higher = regression).
-GATE_METRICS = {
-    "step_time": "iteration_time",
-    "search_seconds": "search_seconds",
-}
-
-
-def write_gate_summary(path: str, **fields: object) -> str:
-    """One gate-comparable trial summary (the harness calls this)."""
-    document: Dict[str, object] = {"schema": GATE_SUMMARY_SCHEMA}
-    document.update(fields)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-    return path
-
-
-def load_gate_summaries(directory: str) -> Dict[str, Dict[str, object]]:
-    """Every ``*.summary.json`` under ``directory``, keyed by file stem."""
-    summaries: Dict[str, Dict[str, object]] = {}
-    pattern = os.path.join(directory, "**", "*.summary.json")
-    for path in sorted(glob.glob(pattern, recursive=True)):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            continue
-        if not isinstance(data, dict):
-            continue
-        if data.get("schema") != GATE_SUMMARY_SCHEMA:
-            continue
-        stem = os.path.basename(path)[: -len(".summary.json")]
-        summaries[stem] = data
-    return summaries
-
-
-@dataclass
-class GateEntry:
-    """One (trial, metric) comparison between baseline and candidate."""
-
-    key: str
-    metric: str
-    baseline: Optional[float]
-    candidate: Optional[float]
-    status: str  # "ok" | "regression" | "improved" | "new" | "missing"
-
-    @property
-    def ratio(self) -> float:
-        if not self.baseline or self.candidate is None:
-            return float("nan")
-        return self.candidate / self.baseline
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "metric": self.metric,
-            "baseline": self.baseline,
-            "candidate": self.candidate,
-            "ratio": self.ratio,
-            "status": self.status,
-        }
-
-
-@dataclass
-class GateReport:
-    """The regression gate's verdict over two ``--trace-dir`` outputs."""
-
-    baseline_dir: str
-    candidate_dir: str
-    tolerance: float
-    entries: List[GateEntry] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> List[GateEntry]:
-        return [e for e in self.entries if e.status == "regression"]
-
-    @property
-    def compared(self) -> int:
-        return sum(
-            1 for e in self.entries if e.status not in ("new", "missing")
-        )
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "baseline_dir": self.baseline_dir,
-            "candidate_dir": self.candidate_dir,
-            "tolerance": self.tolerance,
-            "compared": self.compared,
-            "ok": self.ok,
-            "entries": [e.to_json() for e in self.entries],
-        }
-
-    def render(self) -> str:
-        from .report import render_gate
-
-        return render_gate(self)
-
-
-def compare_runs(
-    baseline_dir: str, candidate_dir: str, tolerance: float = 0.05
-) -> GateReport:
-    """Compare two benchmark ``--trace-dir`` outputs trial by trial.
-
-    For every trial present in both, each gate metric (simulated step
-    time, search wall-clock) regresses when the candidate exceeds the
-    baseline by more than ``tolerance`` (a fraction, e.g. 0.05 = 5%).
-    Search wall-clock gets 4x the tolerance — it is host-noise-bound,
-    unlike the deterministic simulated step time — and is skipped when
-    either side recorded it as null (a trial served from the cache).
-    """
-    base = load_gate_summaries(baseline_dir)
-    cand = load_gate_summaries(candidate_dir)
-    report = GateReport(baseline_dir, candidate_dir, tolerance)
-    for key in sorted(set(base) | set(cand)):
-        in_base, in_cand = key in base, key in cand
-        for metric, field_name in GATE_METRICS.items():
-            b = base[key].get(field_name) if in_base else None
-            c = cand[key].get(field_name) if in_cand else None
-            if metric == "search_seconds" and (
-                (in_base and b is None) or (in_cand and c is None)
-            ):
-                continue
-            b = float(b) if isinstance(b, (int, float)) else None
-            c = float(c) if isinstance(c, (int, float)) else None
-            if b is not None and (b != b or b <= 0.0):
-                b = None  # NaN / OOM rows carry no comparable number
-            if c is not None and (c != c or c <= 0.0):
-                c = None
-            if b is None and c is None:
-                continue
-            if c is None:
-                status = "missing"
-            elif b is None:
-                status = "new"
-            else:
-                allowed = tolerance * (4.0 if metric == "search_seconds" else 1.0)
-                if c > b * (1.0 + allowed):
-                    status = "regression"
-                elif c < b * (1.0 - allowed):
-                    status = "improved"
-                else:
-                    status = "ok"
-            report.entries.append(GateEntry(key, metric, b, c, status))
-    return report
-
-
-def write_bench_trajectory(
-    report: GateReport, out_dir: str, date_str: str
-) -> str:
-    """Append this comparison to the repo's ``BENCH_<date>.json`` trajectory."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"BENCH_{date_str}.json")
-    entries: List[Dict[str, object]] = []
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                existing = json.load(handle)
-            if isinstance(existing, dict) and isinstance(
-                existing.get("runs"), list
-            ):
-                entries = existing["runs"]
-        except (OSError, json.JSONDecodeError):
-            pass
-    entries.append(report.to_json())
-    with open(path, "w") as handle:
-        json.dump({"date": date_str, "runs": entries}, handle, indent=2)
-    return path
-
-
-# ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-def _parse_tolerance(value: str) -> float:
-    value = value.strip()
-    if value.endswith("%"):
-        return float(value[:-1]) / 100.0
-    return float(value)
-
-
 def _step_trace_paths(targets: Sequence[str]) -> List[str]:
     paths: List[str] = []
     for target in targets:
@@ -1084,49 +899,12 @@ def _diff_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gate_command(args: argparse.Namespace) -> int:
-    # A missing/empty baseline downgrades the gate to warn-only, but the
-    # comparison still runs (every candidate entry comes out "new") and
-    # the trajectory below is still written — first runs used to return
-    # here early, which is why repos accumulated an empty perf
-    # trajectory: BENCH_<date>.json was never created until a baseline
-    # happened to be restored.
-    first_run = not os.path.isdir(args.baseline) or not load_gate_summaries(
-        args.baseline
-    )
-    if first_run:
-        print(
-            f"perf-gate: no baseline summaries under {args.baseline!r}; "
-            "treating this as the first run (warn only)"
-        )
-    report = compare_runs(args.baseline, args.candidate, args.tolerance)
-    print(report.render())
-    if args.date:
-        date_str = args.date
-    else:
-        import datetime
-
-        date_str = datetime.date.today().strftime("%Y%m%d")
-    bench_path = write_bench_trajectory(report, args.bench_dir, date_str)
-    print(f"trajectory entry appended to {bench_path}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.to_json(), handle, indent=1)
-        print(f"wrote {args.json}")
-    if not report.ok and not (args.warn_only or first_run):
-        return 1
-    if not report.ok:
-        print("perf-gate: regressions found, but --warn-only is set")
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.analyze",
         description=(
-            "Explain step traces (critical path + utilization), diff two "
-            "strategies' traces, or run the trace-based perf regression "
-            "gate over two benchmark --trace-dir outputs."
+            "Explain step traces (critical path + utilization) or diff "
+            "two strategies' traces."
         ),
     )
     parser.add_argument(
@@ -1137,37 +915,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--diff", nargs=2, metavar=("A", "B"),
         help="diff two serialized step traces",
     )
-    parser.add_argument("--baseline", help="baseline --trace-dir output")
-    parser.add_argument("--candidate", help="candidate --trace-dir output")
-    parser.add_argument(
-        "--tolerance", type=_parse_tolerance, default=0.05,
-        help="allowed step-time growth, e.g. '5%%' or '0.05' (default 5%%)",
-    )
-    parser.add_argument(
-        "--bench-dir", default=".",
-        help="directory receiving BENCH_<date>.json trajectory entries",
-    )
-    parser.add_argument(
-        "--date", help="override the BENCH_<date>.json datestamp (YYYYMMDD)"
-    )
-    parser.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions without failing (first-run / soft mode)",
-    )
     parser.add_argument("--json", help="also write the report as JSON here")
     args = parser.parse_args(argv)
 
-    if args.baseline or args.candidate:
-        if not (args.baseline and args.candidate):
-            parser.error("--baseline and --candidate must be given together")
-        return _gate_command(args)
     if args.diff:
         return _diff_command(args)
     if not args.paths:
-        parser.error(
-            "give step traces/directories, --diff A B, or "
-            "--baseline/--candidate"
-        )
+        parser.error("give step traces/directories or --diff A B")
     return _analyze_command(args)
 
 

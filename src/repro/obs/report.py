@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .analyze import CriticalPath, GateReport, StepAnalysis, TraceDiff
+    from .analyze import CriticalPath, StepAnalysis, TraceDiff
     from .calibration import CalibrationReport
 
 
@@ -306,31 +306,3 @@ def render_calibration(report: "CalibrationReport", limit: int = 8) -> str:
         )
     return "\n".join(lines)
 
-
-def render_gate(report: "GateReport") -> str:
-    """The perf-gate verdict table."""
-    rows = [
-        [
-            e.key,
-            e.metric,
-            None if e.baseline is None else _ms(e.baseline),
-            None if e.candidate is None else _ms(e.candidate),
-            e.ratio,
-            e.status.upper() if e.status == "regression" else e.status,
-        ]
-        for e in report.entries
-    ]
-    verdict = (
-        "PASS"
-        if report.ok
-        else f"FAIL ({len(report.regressions)} regression(s))"
-    )
-    out = table(
-        ["trial", "metric", "baseline (ms)", "candidate (ms)", "ratio", "status"],
-        rows,
-        title=(
-            f"perf-gate: {report.candidate_dir} vs {report.baseline_dir} "
-            f"(tolerance {report.tolerance * 100:.1f}%)"
-        ),
-    )
-    return f"{out}\n{report.compared} comparison(s): {verdict}"

@@ -6,6 +6,7 @@ from repro.cluster import single_server
 from repro.core import (
     FastTConfig,
     FastTSession,
+    SearchContext,
     SearchOptions,
     Strategy,
     StrategyCalculator,
@@ -72,7 +73,10 @@ class TestCalculatorWorkflow:
             label="data-parallel",
         )
         perf = PerfModel(topo, noise_sigma=0.01, seed=2)
-        return StrategyCalculator(graph, strategy, topo, perf, config=config)
+        return StrategyCalculator(
+            graph, strategy,
+            SearchContext.create(topo, perf_model=perf, config=config),
+        )
 
     def test_report_has_rounds_and_measurement(self, topo2, quick_config):
         report = self._calculator(topo2, quick_config).run()

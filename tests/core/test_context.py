@@ -7,8 +7,6 @@ them one at a time — no shared mutable state leaks between requests.
 
 import threading
 
-import pytest
-
 from repro.core import FastTConfig, FastTSession, SearchContext, SearchOptions
 
 from tests.util import build_mlp
@@ -50,20 +48,6 @@ class TestContextIsolation:
         assert a.predictions is not b.predictions
         # Same seed, own RNG stream: the replicas draw identically.
         assert a.perf_model.seed == b.perf_model.seed
-
-    def test_context_requires_either_context_or_legacy_args(self, topo2):
-        session = _session(topo2)
-        with pytest.raises(TypeError):
-            # Both a context and legacy topology/perf_model args.
-            from repro.core import StrategyCalculator
-
-            StrategyCalculator(
-                session.input_graph,
-                session.initial_strategy,
-                session.topology,
-                session.perf_model,
-                context=session.new_context(),
-            )
 
 
 class TestParallelEquivalence:

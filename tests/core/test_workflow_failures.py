@@ -7,7 +7,13 @@ strategy (the paper's rollback guarantee).
 
 import pytest
 
-from repro.core import FastTConfig, SearchOptions, Strategy, StrategyCalculator
+from repro.core import (
+    FastTConfig,
+    SearchContext,
+    SearchOptions,
+    Strategy,
+    StrategyCalculator,
+)
 from repro.core.calculator import CalculationReport
 from repro.graph import build_data_parallel_training_graph, data_parallel_placement
 from repro.hardware import PerfModel
@@ -22,7 +28,10 @@ def _setup(topo, config, seed=2, noise=0.01):
         label="data-parallel",
     )
     perf = PerfModel(topo, noise_sigma=noise, seed=seed)
-    return StrategyCalculator(graph, strategy, topo, perf, config=config)
+    return StrategyCalculator(
+        graph, strategy,
+        SearchContext.create(topo, perf_model=perf, config=config),
+    )
 
 
 class TestRollbackGuarantee:

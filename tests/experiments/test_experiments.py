@@ -157,12 +157,10 @@ class TestTrialCache:
     def test_cached_trial_summary_carries_no_wall_clock(
         self, tmp_path, monkeypatch
     ):
-        import json
-
         from repro.experiments import harness
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.setattr(harness, "_TRACE_DIR", str(tmp_path))
+        monkeypatch.setattr(harness, "_TRACE_DIR", str(tmp_path / "traces"))
 
         def fake_fastt(model, num_gpus, num_servers, batch, **kwargs):
             return TrialResult(
@@ -173,22 +171,14 @@ class TestTrialCache:
             )
 
         monkeypatch.setitem(harness._RUNNERS, "fastt", fake_fastt)
-        summary = tmp_path / "lenet_fastt_2x1.summary.json"
         first = harness.trial("lenet", "fastt", 2)
-        fresh = json.loads(summary.read_text())
         assert not first.extra.get("cached")
-        assert fresh["cached"] is False
-        assert fresh["search_seconds"] == 3.0
-        assert fresh["algorithm_seconds"] == 1.0
-
         second = harness.trial("lenet", "fastt", 2)
-        cached = json.loads(summary.read_text())
+        # A cache hit says so: its wall-clock is as old as the entry.
         assert second.extra["cached"] is True
-        assert cached["cached"] is True
-        assert cached["search_seconds"] is None
-        assert cached["algorithm_seconds"] is None
-        # Simulated quality is deterministic, so the cache may report it.
-        assert cached["iteration_time"] == 0.5
+        assert second.iteration_time == 0.5
+        # --trace-dir exports traces only; no trial writes a summary.
+        assert not list(tmp_path.rglob("*.summary.json"))
 
     def test_source_fingerprint_keys_the_cache(self, tmp_path, monkeypatch):
         from repro.experiments import harness

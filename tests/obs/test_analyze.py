@@ -14,13 +14,10 @@ from repro.obs.analyze import (
     ATTRIBUTION_KINDS,
     analyze_step,
     analyze_utilization,
-    compare_runs,
     diff_strategies,
     diff_traces,
     extract_critical_path,
-    load_gate_summaries,
     main,
-    write_gate_summary,
 )
 from repro.profiling.trace import OpRecord, StepTrace, TransferRecord
 from repro.sim import ExecutionSimulator
@@ -289,77 +286,6 @@ class TestTraceDiff:
         assert json.loads(json.dumps(diff.to_json()))
 
 
-class TestRegressionGate:
-    @staticmethod
-    def _summaries(directory, step_time, search_seconds=10.0):
-        directory.mkdir(parents=True, exist_ok=True)
-        write_gate_summary(
-            str(directory / "lenet_fastt_2x1.summary.json"),
-            model="lenet", method="fastt", iteration_time=step_time,
-            search_seconds=search_seconds,
-        )
-
-    def test_identical_runs_pass(self, tmp_path):
-        self._summaries(tmp_path / "base", 1.0)
-        self._summaries(tmp_path / "cand", 1.0)
-        report = compare_runs(str(tmp_path / "base"), str(tmp_path / "cand"))
-        assert report.ok and report.compared == 2
-
-    def test_slowed_candidate_regresses(self, tmp_path):
-        self._summaries(tmp_path / "base", 1.0)
-        self._summaries(tmp_path / "cand", 1.2)  # +20% >> 5% tolerance
-        report = compare_runs(
-            str(tmp_path / "base"), str(tmp_path / "cand"), tolerance=0.05
-        )
-        assert not report.ok
-        assert [e.metric for e in report.regressions] == ["step_time"]
-        assert "FAIL" in report.render()
-
-    def test_search_seconds_gets_4x_tolerance(self, tmp_path):
-        self._summaries(tmp_path / "base", 1.0, search_seconds=10.0)
-        self._summaries(tmp_path / "cand", 1.0, search_seconds=11.5)
-        report = compare_runs(
-            str(tmp_path / "base"), str(tmp_path / "cand"), tolerance=0.05
-        )
-        assert report.ok  # +15% < 4 * 5%
-        self._summaries(tmp_path / "cand2", 1.0, search_seconds=13.0)
-        assert not compare_runs(
-            str(tmp_path / "base"), str(tmp_path / "cand2"), tolerance=0.05
-        ).ok
-
-    def test_nan_and_oom_rows_are_not_comparable(self, tmp_path):
-        (tmp_path / "base").mkdir()
-        (tmp_path / "cand").mkdir()
-        write_gate_summary(
-            str(tmp_path / "base" / "big_dp_8x1.summary.json"),
-            iteration_time=None, search_seconds=float("nan"), oom=True,
-        )
-        write_gate_summary(
-            str(tmp_path / "cand" / "big_dp_8x1.summary.json"),
-            iteration_time=2.0, search_seconds=1.0, oom=False,
-        )
-        report = compare_runs(str(tmp_path / "base"), str(tmp_path / "cand"))
-        assert report.ok
-        assert {e.status for e in report.entries} == {"new"}
-
-    def test_null_wall_clock_is_skipped_not_compared(self, tmp_path):
-        self._summaries(tmp_path / "base", 1.0, search_seconds=10.0)
-        # A cached candidate trial: deterministic step time, no wall-clock.
-        self._summaries(tmp_path / "cand", 1.0, search_seconds=None)
-        report = compare_runs(str(tmp_path / "base"), str(tmp_path / "cand"))
-        assert report.ok
-        assert [e.metric for e in report.entries] == ["step_time"]
-        reverse = compare_runs(str(tmp_path / "cand"), str(tmp_path / "base"))
-        assert [e.metric for e in reverse.entries] == ["step_time"]
-
-    def test_wrong_schema_summaries_skipped(self, tmp_path):
-        (tmp_path / "d").mkdir()
-        (tmp_path / "d" / "x.summary.json").write_text(
-            json.dumps({"schema": 99, "iteration_time": 1.0})
-        )
-        assert load_gate_summaries(str(tmp_path / "d")) == {}
-
-
 class TestCLI:
     def _trace_dir(self, tmp_path, name="run"):
         directory = tmp_path / name
@@ -381,57 +307,6 @@ class TestCLI:
         a = str(self._trace_dir(tmp_path, "a") / "diamond.step.json")
         assert main(["--diff", a, a]) == 0
         assert "makespan" in capsys.readouterr().out
-
-    def test_gate_missing_baseline_warns_but_writes_trajectory(
-        self, tmp_path, capsys
-    ):
-        cand = self._trace_dir(tmp_path, "cand")
-        write_gate_summary(
-            str(cand / "lenet_dpos_2x1.summary.json"),
-            iteration_time=1.0, search_seconds=0.5,
-        )
-        code = main([
-            "--baseline", str(tmp_path / "nope"), "--candidate", str(cand),
-            "--bench-dir", str(tmp_path), "--date", "20260806",
-        ])
-        assert code == 0
-        assert "first run" in capsys.readouterr().out
-        # The trajectory is written even on the first run: every
-        # candidate metric lands as a status-"new" entry.
-        document = json.loads((tmp_path / "BENCH_20260806.json").read_text())
-        run = document["runs"][-1]
-        assert run["ok"]
-        assert {e["status"] for e in run["entries"]} == {"new"}
-
-    def test_gate_regression_exits_nonzero_and_writes_bench(self, tmp_path):
-        TestRegressionGate._summaries(tmp_path / "base", 1.0)
-        TestRegressionGate._summaries(tmp_path / "cand", 2.0)  # 2x slower
-        bench = tmp_path / "bench"
-        bench.mkdir()
-        argv = [
-            "--baseline", str(tmp_path / "base"),
-            "--candidate", str(tmp_path / "cand"),
-            "--tolerance", "5%",
-            "--bench-dir", str(bench),
-            "--date", "20260806",
-        ]
-        assert main(argv) == 1
-        document = json.loads((bench / "BENCH_20260806.json").read_text())
-        assert document["date"] == "20260806"
-        assert not document["runs"][-1]["ok"]
-        # --warn-only reports but passes, appending a second entry.
-        assert main(argv + ["--warn-only"]) == 0
-        document = json.loads((bench / "BENCH_20260806.json").read_text())
-        assert len(document["runs"]) == 2
-
-    def test_tolerance_accepts_percent_and_fraction(self, tmp_path):
-        TestRegressionGate._summaries(tmp_path / "base", 1.0)
-        TestRegressionGate._summaries(tmp_path / "cand", 1.08)
-        base, cand = str(tmp_path / "base"), str(tmp_path / "cand")
-        common = ["--baseline", base, "--candidate", cand,
-                  "--bench-dir", str(tmp_path), "--date", "20260806"]
-        assert main(common + ["--tolerance", "10%"]) == 0
-        assert main(common + ["--tolerance", "0.05"]) == 1
 
 
 class TestLazyExports:

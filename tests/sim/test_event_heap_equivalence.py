@@ -9,7 +9,7 @@ makespan, op records, transfer records (including multi-hop routed
 channels), peak memory, blocking-edge attribution, the serialized
 trace — must be identical on every zoo model and every cluster preset,
 with and without jitter, because downstream analysis (critical-path
-attribution, the perf regression gate) assumes traces are reproducible
+attribution, the step-time pins) assumes traces are reproducible
 across both runners.
 """
 
