@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -42,6 +40,7 @@ from ..obs import (
     write_metrics_json,
 )
 from ..obs.log import get_logger
+from ..obs.runs import source_fingerprint
 from ..profiling import StepTrace
 from ..sim import ExecutionSimulator, SimulationOOMError
 
@@ -243,26 +242,6 @@ def _cache_dir() -> str:
 #: entries written under another schema are invalidated on read instead
 #: of being deserialized into the wrong dataclass.
 CACHE_SCHEMA_VERSION = 2
-
-
-@functools.lru_cache(maxsize=None)
-def source_fingerprint() -> str:
-    """Content hash of the ``repro`` package's Python sources.
-
-    Computed once per process.  Keys the trial cache, so an entry
-    written by other code misses instead of being served as current.
-    """
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    digest = hashlib.sha256()
-    for directory, subdirs, files in os.walk(root):
-        subdirs.sort()
-        for name in sorted(files):
-            if name.endswith(".py"):
-                path = os.path.join(directory, name)
-                digest.update(os.path.relpath(path, root).encode())
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-    return digest.hexdigest()[:16]
 
 
 def cached_trial(key: Dict[str, object], fn: Callable[[], TrialResult]) -> TrialResult:

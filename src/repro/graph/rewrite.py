@@ -3,8 +3,8 @@
 Splitting an operation into ``n`` sub-operations inserts split nodes on
 partitionable input edges, broadcasts the remaining inputs, and merges
 the sub-outputs with concat nodes — a pure graph transformation that
-preserves training semantics (verified numerically in the test suite via
-:mod:`repro.graph.numeric`).
+preserves training semantics (verified numerically by the test suite's
+reference executor, ``tests/graph/numeric.py``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ be consumed by any number of downstream operations.  FastT's scheduling
 algorithms only ever need a tensor's *size in bytes* (to estimate transfer
 cost) and its *shape* (to reason about split dimensions), so tensors here
 are lightweight descriptors, not numeric buffers.  Numeric execution for
-semantics tests lives in :mod:`repro.graph.numeric`.
+semantics tests lives in the test suite (``tests/graph/numeric.py``).
 """
 
 from __future__ import annotations

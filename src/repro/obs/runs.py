@@ -28,6 +28,7 @@ like every other persisted document in the repo: readers raise
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -132,6 +133,27 @@ def combine_fingerprints(
         "options": options_fp,
         "combined": combined,
     }
+
+
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """Content hash of the ``repro`` package's Python sources.
+
+    Computed once per process.  Keys the experiment trial cache and the
+    strategy service's persisted graph-fingerprint memo, so an entry
+    written by other code misses instead of being served as current.
+    """
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for directory, subdirs, files in os.walk(root):
+        subdirs.sort()
+        for name in sorted(files):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                digest.update(os.path.relpath(path, root).encode())
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+    return digest.hexdigest()[:16]
 
 
 def capture_environment() -> Dict[str, str]:

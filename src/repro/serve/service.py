@@ -6,12 +6,16 @@ process, concurrently, with three progressively cheaper paths:
 
 1. **Cache hit** — the request's combined config fingerprint matches a
    :class:`~repro.serve.store.StoredStrategy`; answer without searching.
-   A repeat hit does not even build the session: the input graph's
-   fingerprint is memoized per (model, batch, cluster fingerprint).
+   A hit does not even build the session: the input graph's fingerprint
+   is memoized per (model, batch, cluster fingerprint), in memory and
+   persisted by the store under the source fingerprint, so a restarted
+   server answers stored problems without one.
 2. **Warm start** — a stored entry for the same cluster/options is a
-   small graph edit away (:mod:`repro.graph.delta`); seed OS-DPOS from
-   its split list (:class:`~repro.core.WarmStartSeed`) and let the
-   engine's safety valve fall back to cold search if the seed misleads.
+   small graph edit away (:mod:`repro.graph.delta`), found by the
+   store's indexed :meth:`~repro.serve.store.StrategyStore.find_similar`;
+   seed OS-DPOS from its split list (:class:`~repro.core.WarmStartSeed`)
+   and let the engine's safety valve fall back to cold search if the
+   seed misleads.
 3. **Cold search** — the full reentrant pipeline on a fresh
    :class:`~repro.core.SearchContext`.
 
@@ -73,6 +77,7 @@ from ..obs import runs as obs_runs
 from .store import (
     STORE_SCHEMA_VERSION,
     StoredStrategy,
+    StoreSchemaError,
     StrategyStore,
     request_fingerprint,
 )
@@ -94,6 +99,7 @@ METRIC_HELP = {
     "serve.timeouts": "Requests that exceeded their deadline",
     "serve.inflight": "Searches currently in flight",
     "serve.store.write_errors": "Strategy-store disk writes that failed",
+    "serve.store.memo_errors": "Graph-fingerprint memo reads or writes that failed",
     "serve.access_log.errors": "Access-log writes that failed",
     "serve.request.latency": "End-to-end request latency",
     "serve.search": "Strategy-search wall-clock per request",
@@ -348,6 +354,7 @@ class StrategyService:
         for field in ServiceStats.__dataclass_fields__:
             self.metrics.counter(f"serve.{field}")
         self.metrics.counter("serve.store.write_errors")
+        self.metrics.counter("serve.store.memo_errors")
         self.metrics.counter("serve.access_log.errors")
         self.metrics.gauge("serve.inflight")
         self.metrics.histogram("serve.request.latency")
@@ -546,8 +553,10 @@ class StrategyService:
         )
         # The problem identity needs the input graph's fingerprint,
         # which depends on (model, batch, cluster) only — never on the
-        # config — so build a session (two graph builds and a fit
-        # check) the first time a triple is seen, or on a store miss.
+        # config.  It is memoized here and persisted by the store, so a
+        # session (two graph builds and a fit check) is built only for
+        # a triple no server of this source tree has seen, or on a
+        # store miss.
         session: Optional[FastTSession] = None
         cluster_fp = obs_runs.cluster_fingerprint(topology)
         memo_key = (spec.name, batch, cluster_fp)
@@ -556,8 +565,17 @@ class StrategyService:
             if graph_fp is not None:
                 self._graph_fps.move_to_end(memo_key)
         if graph_fp is None:
-            session = build_session()
-            graph_fp = obs_runs.graph_fingerprint(session.input_graph)
+            try:
+                graph_fp = self.store.graph_fingerprint(*memo_key)
+            except StoreSchemaError:
+                self.metrics.counter("serve.store.memo_errors").inc()
+            if graph_fp is None:
+                session = build_session()
+                graph_fp = obs_runs.graph_fingerprint(session.input_graph)
+                if not self.store.remember_graph_fingerprint(
+                    *memo_key, graph_fp
+                ):
+                    self.metrics.counter("serve.store.memo_errors").inc()
             with self._graph_fps_lock:
                 self._graph_fps[memo_key] = graph_fp
                 while len(self._graph_fps) > GRAPH_MEMO_CAPACITY:

@@ -11,11 +11,22 @@ warm-start its search from the cached split list.
 Entries live in two tiers:
 
 * an in-memory LRU (``capacity`` entries, least-recently-used evicted);
-* a write-through on-disk tier — one ``<key>.json`` per entry under
-  ``<runs root>/strategies/``, co-located with the run registry so
-  ``REPRO_RUNS_DIR`` relocates both together.  (The registry only
-  treats directories *containing a manifest* as runs, so the
-  ``strategies/`` subdirectory is invisible to ``runs list``/``gc``.)
+* a write-through on-disk tier under ``<runs root>/strategies/``,
+  co-located with the run registry so ``REPRO_RUNS_DIR`` relocates both
+  together.  (The registry only treats directories *containing a
+  manifest* as runs, so ``strategies/`` is invisible to ``runs
+  list``/``gc``.)  Its layout::
+
+      strategies/
+        <key>.json                  one stored strategy per combined key
+        graphs/<request_fingerprint of (model, batch, cluster fp,
+                source fp)>         graph-fingerprint memo, one per triple
+
+The memo (:meth:`StrategyStore.graph_fingerprint`) spares a restarted
+server the session build that computes a request's graph fingerprint;
+the source fingerprint in its key retires it when the code changes.
+:meth:`StrategyStore.find_similar` filters on an in-memory index
+(cluster, options, op count per key) and loads only what it keeps.
 
 Documents are schema-versioned like every persisted artifact in this
 repo; a stored entry with an unknown schema is **invalidated on read**
@@ -39,8 +50,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.strategy import Strategy
-from ..graph.delta import GraphDelta, diff_signatures
+from ..graph.delta import DEFAULT_WARM_RATIO, GraphDelta, diff_signatures
 from ..graph.rewrite import SplitDecision
+from ..obs import runs as obs_runs
 from ..obs.events import NULL_EVENTS, EventBus
 from ..obs.log import get_logger
 
@@ -56,6 +68,11 @@ STORE_KIND = "repro.strategy"
 
 #: Subdirectory of the runs root holding the on-disk tier.
 STORE_DIRNAME = "strategies"
+
+#: Subdirectory of the store root holding the graph-fingerprint memo,
+#: and the discriminator inside each memo document.
+GRAPH_MEMO_DIRNAME = "graphs"
+GRAPH_MEMO_KIND = "repro.graph-memo"
 
 
 def request_fingerprint(document: object, schema: int) -> str:
@@ -74,9 +91,7 @@ def request_fingerprint(document: object, schema: int) -> str:
 
 def default_store_root() -> str:
     """``<runs root>/strategies`` — co-located with the run registry."""
-    from ..obs.runs import default_runs_dir
-
-    return os.path.join(default_runs_dir(), STORE_DIRNAME)
+    return os.path.join(obs_runs.default_runs_dir(), STORE_DIRNAME)
 
 
 @dataclass
@@ -196,6 +211,8 @@ class StrategyStore:
         self.persist = persist
         self.events = events if events is not None else NULL_EVENTS
         self._lru: "OrderedDict[str, StoredStrategy]" = OrderedDict()
+        #: key -> _index_row of every entry this store has seen
+        self._index: Dict[str, Tuple[Optional[str], Optional[str], int]] = {}
         self._lock = threading.Lock()
 
     # -- core mapping ---------------------------------------------------
@@ -219,33 +236,46 @@ class StrategyStore:
         """
         if not entry.created_at:
             entry.created_at = time.time()
-        written = True
-        if self.persist:
-            path = self._path(entry.key)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            try:
-                os.makedirs(self.root, exist_ok=True)
-                with open(tmp, "w") as handle:
-                    json.dump(entry.to_json(), handle, indent=2)
-                os.replace(tmp, path)
-            except OSError:
-                _logger.exception("strategy-store write of %s failed", path)
-                written = False
-                try:
-                    os.remove(tmp)
-                except OSError:
-                    pass
+        written = not self.persist or self._write(
+            self._path(entry.key), entry.to_json()
+        )
         self._admit(entry)
         return written
+
+    def _write(self, path: str, document: Dict[str, object]) -> bool:
+        """Atomically replace ``path`` with ``document``; False on failure.
+
+        Writes a temporary file beside ``path`` and renames it over the
+        target, so a reader sees the old document or the new one, never
+        half of one.  A failed write is logged and leaves no temporary
+        file behind.
+        """
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(tmp, "w") as handle:
+                json.dump(document, handle, indent=2)
+            os.replace(tmp, path)
+        except OSError:
+            _logger.exception("strategy-store write of %s failed", path)
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
+            return False
+        return True
 
     def _admit(self, entry: StoredStrategy) -> None:
         evicted: List[str] = []
         with self._lock:
             self._lru[entry.key] = entry
             self._lru.move_to_end(entry.key)
+            self._index[entry.key] = _index_row(entry)
             while len(self._lru) > self.capacity:
                 victim, _ = self._lru.popitem(last=False)
                 evicted.append(victim)
+                if not self.persist:  # gone for good: no disk copy
+                    del self._index[victim]
         for victim in evicted:
             if self.events.enabled:
                 self.events.emit("serve.evict", key=victim, tier="memory")
@@ -262,7 +292,7 @@ class StrategyStore:
                 document = json.load(handle)
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # unreadable, truncated, not JSON
             self._invalidate(path)
             return None
         try:
@@ -295,19 +325,6 @@ class StrategyStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-    def entries(self) -> List[StoredStrategy]:
-        """Every loadable entry (disk-only ones are *not* admitted)."""
-        out: List[StoredStrategy] = []
-        with self._lock:
-            in_memory = dict(self._lru)
-        for key in self.keys():
-            entry = in_memory.get(key)
-            if entry is None:
-                entry = self._load(key)
-            if entry is not None:
-                out.append(entry)
-        return out
-
     def find_similar(
         self,
         signature: Dict[str, str],
@@ -322,20 +339,52 @@ class StrategyStore:
         given — a strategy for a different machine or different search
         knobs is not a valid seed), diffs signatures, keeps candidates
         passing :meth:`GraphDelta.is_warm_startable`, and returns the
-        one with the fewest total edits.
+        one with the fewest total edits (the first in key order on a
+        tie).
+
+        The filters run on the index, so an entry is loaded and diffed
+        only when its fingerprints match and its op count leaves room
+        for both a warm start and fewer edits than the best so far: two
+        graphs whose op counts differ by ``gap`` differ by at least
+        ``gap`` added or removed ops.  A disk-only entry is read once to
+        index it.
         """
+        ratio = DEFAULT_WARM_RATIO if max_ratio is None else max_ratio
+        size = len(signature)
+        with self._lock:
+            index = dict(self._index)
+            in_memory = dict(self._lru)
         best: Optional[Tuple[StoredStrategy, GraphDelta]] = None
         best_edits = -1
-        for entry in self.entries():
-            if cluster and entry.fingerprints.get("cluster") != cluster:
+        for key in self.keys():
+            entry = in_memory.get(key)
+            row = index.get(key)
+            if row is None:
+                entry = entry or self._load(key)
+                if entry is None:
+                    continue
+                row = _index_row(entry)
+                with self._lock:
+                    self._index[key] = row
+            entry_cluster, entry_options, ops = row
+            if cluster and entry_cluster != cluster:
                 continue
-            if options and entry.fingerprints.get("options") != options:
+            if options and entry_options != options:
                 continue
-            if not entry.signature:
+            if not ops:
+                continue
+            gap = abs(ops - size)
+            if gap / max(ops, size) > ratio:
+                continue
+            if best is not None and gap >= best_edits:
+                continue
+            entry = entry or self._load(key)
+            if entry is None:  # deleted, or corrupt and now invalidated
+                with self._lock:
+                    self._index.pop(key, None)
                 continue
             delta = diff_signatures(entry.signature, signature)
-            kwargs = {} if max_ratio is None else {"max_ratio": max_ratio}
-            if not delta.is_warm_startable(**kwargs):
+            if not delta.is_warm_startable(ratio):
                 continue
             edits = delta.structural_edits + len(delta.changed)
             if best is None or edits < best_edits:
@@ -343,7 +392,77 @@ class StrategyStore:
                 best_edits = edits
         return best
 
+    # -- graph-fingerprint memo -----------------------------------------
+    def graph_fingerprint(
+        self, model: str, batch: int, cluster: str
+    ) -> Optional[str]:
+        """The persisted input-graph fingerprint of a (model, batch,
+        cluster) triple under this source tree, or None.
+
+        A memo file that cannot be read is deleted and reported as
+        :class:`StoreSchemaError`.  Memory-only stores keep no memo.
+        """
+        if not self.persist:
+            return None
+        key = _memo_key(model, batch, cluster)
+        path = self._memo_path(key)
+        try:
+            with open(path) as handle:
+                document = json.load(handle)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError):  # unreadable, truncated, not JSON
+            document = None
+        if (
+            isinstance(document, dict)
+            and document.get("schema") == STORE_SCHEMA_VERSION
+            and document.get("kind") == GRAPH_MEMO_KIND
+            and document.get("key") == key
+            and isinstance(document.get("graph"), str)
+        ):
+            return document["graph"]
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        raise StoreSchemaError(f"unreadable graph memo {path}")
+
+    def remember_graph_fingerprint(
+        self, model: str, batch: int, cluster: str, graph_fp: str
+    ) -> bool:
+        """Persist :meth:`graph_fingerprint`'s answer; False if the
+        write failed (logged, no temporary file left)."""
+        if not self.persist:
+            return True
+        key = _memo_key(model, batch, cluster)
+        return self._write(self._memo_path(key), {
+            "schema": STORE_SCHEMA_VERSION, "kind": GRAPH_MEMO_KIND,
+            "key": key, "graph": graph_fp,
+        })
+
+    def _memo_path(self, key: List[object]) -> str:
+        name = request_fingerprint(key, STORE_SCHEMA_VERSION)
+        return os.path.join(self.root, GRAPH_MEMO_DIRNAME, name)
+
     def clear_memory(self) -> None:
         """Drop the LRU tier (testing; disk entries survive)."""
         with self._lock:
             self._lru.clear()
+            if not self.persist:
+                self._index.clear()
+
+
+def _index_row(entry: StoredStrategy) -> Tuple[Optional[str], Optional[str], int]:
+    """What :meth:`StrategyStore.find_similar` filters on: the entry's
+    cluster and options fingerprints and its graph's op count."""
+    return (
+        entry.fingerprints.get("cluster"),
+        entry.fingerprints.get("options"),
+        len(entry.signature),
+    )
+
+
+def _memo_key(model: str, batch: int, cluster: str) -> List[object]:
+    """The graph-memo key; the source fingerprint retires every memo
+    written by other code."""
+    return [model, batch, cluster, obs_runs.source_fingerprint()]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph import Graph, GraphError
-from repro.graph.numeric import UnsupportedOpError, execute
+from tests.graph.numeric import UnsupportedOpError, execute
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import Graph, SplitDecision, SplitError, apply_split_list, split_operation
-from repro.graph.numeric import execute
+from tests.graph.numeric import execute
 from repro.graph.rewrite import sub_op_names
 
 

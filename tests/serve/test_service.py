@@ -251,11 +251,11 @@ class TestSessionMemo:
         del session_builds[:]
         hit = service.submit(_request())
         assert hit["source"] == "cache"
-        assert session_builds == ["lenet"]  # first sight of the triple
+        assert session_builds == []  # the persisted memo answered
 
         repeat = service.submit(_request())
         assert repeat["source"] == "cache"
-        assert session_builds == ["lenet"]  # the repeat built nothing
+        assert session_builds == []
         assert repeat["request_id"] != hit["request_id"]
         assert _without_request_id(repeat) == _without_request_id(hit)
         assert service.stats.searches == 0
@@ -328,6 +328,87 @@ class TestSessionMemo:
             service.submit(_request(global_batch=batch))
             assert len(service._graph_fps) <= 2
         assert [key[1] for key in service._graph_fps] == [16, 64]
+
+
+class TestPersistedMemo:
+    """The graph-fingerprint memo persisted under the store root."""
+
+    def _memo_files(self, tmp_path):
+        root = tmp_path / "strategies" / store_module.GRAPH_MEMO_DIRNAME
+        return sorted(root.iterdir()) if root.is_dir() else []
+
+    def test_changed_source_misses_the_memo(
+        self, tmp_path, session_builds, monkeypatch
+    ):
+        first = _service(tmp_path).submit(_request())
+        assert len(self._memo_files(tmp_path)) == 1
+
+        monkeypatch.setattr(
+            store_module.obs_runs, "source_fingerprint", lambda: "other"
+        )
+        service = _service(tmp_path)
+        del session_builds[:]
+        hit = service.submit(_request())
+        assert hit["source"] == "cache" and hit["key"] == first["key"]
+        assert session_builds == ["lenet"]  # the old memo was not reused
+        assert len(self._memo_files(tmp_path)) == 2  # one per source tree
+
+    @pytest.mark.parametrize("content", [
+        b"", b'{"schema": 1, "kind": "repro.gr', b"\xff\xfe garbage",
+        b'{"schema": 1, "kind": "repro.graph-memo", "key": [], "graph": "x"}',
+        b"[1, 2, 3]",
+    ])
+    def test_corrupt_memo_is_deleted_counted_and_rebuilt(
+        self, tmp_path, session_builds, content
+    ):
+        first = _service(tmp_path).submit(_request())
+        (path,) = self._memo_files(tmp_path)
+        intact = path.read_bytes()
+        path.write_bytes(content)
+
+        service = _service(tmp_path)
+        del session_builds[:]
+        hit = service.submit(_request())
+        assert hit["source"] == "cache" and hit["key"] == first["key"]
+        assert session_builds == ["lenet"]
+        assert service.metrics.counter("serve.store.memo_errors").value == 1
+        assert service.stats.errors == 0
+        assert path.read_bytes() == intact  # rewritten by the rebuild
+
+    def test_failed_memo_write_is_counted_apart(
+        self, tmp_path, session_builds, monkeypatch
+    ):
+        replace = os.replace
+
+        def no_space_for_memos(src, dst):
+            if os.sep + store_module.GRAPH_MEMO_DIRNAME + os.sep in str(dst):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            replace(src, dst)
+
+        monkeypatch.setattr(store_module.os, "replace", no_space_for_memos)
+        service = _service(tmp_path)
+        assert service.submit(_request())["source"] == "search"
+        assert service.metrics.counter("serve.store.memo_errors").value == 1
+        assert service.metrics.counter("serve.store.write_errors").value == 0
+        memo_dir = tmp_path / "strategies" / store_module.GRAPH_MEMO_DIRNAME
+        assert os.listdir(memo_dir) == []  # no .tmp. file left behind
+        samples = parse_prometheus(service.metrics_document())
+        assert sample_value(samples, "repro_serve_store_memo_errors_total") == 1
+
+        monkeypatch.setattr(store_module.os, "replace", replace)
+        del session_builds[:]
+        fresh = _service(tmp_path)  # nothing persisted: builds again
+        assert fresh.submit(_request())["source"] == "cache"
+        assert session_builds == ["lenet"]
+        assert len(self._memo_files(tmp_path)) == 1
+
+    def test_memory_only_store_persists_no_memo(self, tmp_path, session_builds):
+        store = StrategyStore(root=str(tmp_path / "strategies"), persist=False)
+        service = StrategyService(store=store)
+        service.submit(_request())
+        assert service.submit(_request())["source"] == "cache"
+        assert session_builds == ["lenet"]
+        assert not (tmp_path / "strategies").exists()
 
 
 class TestWriteFailures:

@@ -1,4 +1,5 @@
-"""Cross-request race hardening: metrics, event bus, comm-model caches.
+"""Cross-request race hardening: metrics, event bus, comm-model caches,
+strategy store.
 
 The strategy service runs N searches in one process concurrently; the
 pieces they may share — a MetricsRegistry, an EventBus, a profiled
@@ -6,11 +7,14 @@ CommunicationCostModel — must tolerate that without losing updates or
 corrupting their lazy caches.
 """
 
+import os
+import sys
 import threading
 
 from repro.costmodel import CommunicationCostModel
 from repro.obs import EventBus
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import StrategyStore
 
 
 def _hammer(n_threads, fn):
@@ -90,3 +94,59 @@ class TestCommunicationModelUnderContention:
 
         _hammer(8, mixed)
         assert model.num_pairs == len(pairs)
+
+
+class TestStrategyStoreUnderContention:
+    """Worker threads share one store: its LRU, its find_similar index
+    and its on-disk files."""
+
+    def _switch_often(self):
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        return previous
+
+    def test_index_survives_concurrent_put_and_lookup(self, tmp_path):
+        from tests.serve.test_store import _entry, full_scan_find_similar
+
+        store = StrategyStore(root=str(tmp_path), capacity=4)
+        signatures = {
+            i: {f"op{j}": f"{i}" for j in range(4 + i % 3)} for i in range(8)
+        }
+
+        def work(i):
+            for n in range(12):
+                store.put(_entry(f"k{i}-{n:02d}", signature=signatures[i]))
+                store.find_similar(signatures[(i + 1) % 8], cluster="c1",
+                                   options="o1")
+
+        previous = self._switch_often()
+        try:
+            _hammer(8, work)
+        finally:
+            sys.setswitchinterval(previous)
+        assert sorted(store._index) == store.keys()
+        assert len(store.keys()) == 8 * 12
+        for signature in signatures.values():
+            got = store.find_similar(signature, cluster="c1", options="o1")
+            expected = full_scan_find_similar(store, signature, cluster="c1",
+                                              options="o1")
+            assert got[0].key == expected[0].key and got[1] == expected[1]
+
+    def test_concurrent_writes_of_one_memo_all_land(self, tmp_path):
+        store = StrategyStore(root=str(tmp_path))
+        results = []
+
+        def work(i):
+            for _ in range(20):
+                results.append(
+                    store.remember_graph_fingerprint("lenet", 64, "c", "fp")
+                )
+
+        previous = self._switch_often()
+        try:
+            _hammer(8, work)
+        finally:
+            sys.setswitchinterval(previous)
+        assert results == [True] * 8 * 20
+        (name,) = os.listdir(tmp_path / "graphs")  # no .tmp. file left
+        assert store.graph_fingerprint("lenet", 64, "c") == "fp"
