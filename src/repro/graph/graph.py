@@ -9,10 +9,10 @@ mutation helpers so consumer bookkeeping stays consistent.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .index import GraphIndex
 from .ops import Operation, get_spec
 from .tensor import Tensor
 
@@ -40,10 +40,12 @@ class Graph:
         # identical structure, so per-graph caches — e.g. the simulator's
         # execution plan — key on it instead of hashing the whole graph.
         self._version = 0
-        # Per-version memos of derived structure: canonical flag ->
-        # (version, topological order), and the last version that
-        # passed validate().  A version bump makes both stale.
-        self._topo_cache: Dict[bool, Tuple[int, List[Operation]]] = {}
+        # Per-version memos of derived structure: the integer index (it
+        # also holds the canonical order), the insertion-order Kahn order
+        # as (version, ops), and the last version that passed validate().
+        # A version bump makes all three stale.
+        self._index: Optional[GraphIndex] = None
+        self._fifo_order: Optional[Tuple[int, List[Operation]]] = None
         self._validated_version: Optional[int] = None
         # Open mutation journal; None outside a transaction.
         self._txn: Optional[List[tuple]] = None
@@ -190,6 +192,13 @@ class Graph:
     # ------------------------------------------------------------------
     # Traversal / validation
     # ------------------------------------------------------------------
+    def index(self) -> GraphIndex:
+        """The integer index of this version (built once per version)."""
+        index = self._index
+        if index is None or index.version != self._version:
+            index = self._index = GraphIndex(self)
+        return index
+
     def topological_order(self, canonical: bool = False) -> List[Operation]:
         """Kahn's algorithm; raises :class:`GraphError` on a cycle.
 
@@ -197,12 +206,17 @@ class Graph:
         (a min-heap), making the result a pure function of the graph's
         *content*, independent of insertion order.  The strategy search
         relies on this so that an in-place-mutated graph and a structural
-        copy of it order-tie-break identically.
+        copy of it order-tie-break identically.  That order is the
+        :meth:`index`'s.
 
         The order is computed once per (:attr:`version`, ``canonical``);
         each call returns a fresh list the caller may mutate.
         """
-        cached = self._topo_cache.get(canonical)
+        if canonical:
+            index = self.index()
+            ops = index.ops
+            return [ops[i] for i in index.canonical_order()]
+        cached = self._fifo_order
         if cached is not None and cached[0] == self._version:
             return list(cached[1])
         ops, consumers = self._ops, self._consumers
@@ -213,22 +227,10 @@ class Graph:
             name: len({t.producer.name for t in op.inputs if t.producer is not None})
             for name, op in ops.items()
         }
-        if canonical:
-            ready = [name for name, degree in indegree.items() if degree == 0]
-            heapq.heapify(ready)
-
-            def pop() -> Operation:
-                return ops[heapq.heappop(ready)]
-
-            def push(op: Operation) -> None:
-                heapq.heappush(ready, op.name)
-
-        else:
-            ready = deque(ops[name] for name, degree in indegree.items() if degree == 0)
-            pop, push = ready.popleft, ready.append
+        ready = deque(ops[name] for name, degree in indegree.items() if degree == 0)
         order: List[Operation] = []
         while ready:
-            op = pop()
+            op = ready.popleft()
             order.append(op)
             released: Set[str] = set()
             for t in op.outputs:
@@ -238,14 +240,14 @@ class Graph:
                         released.add(name)
                         indegree[name] -= 1
                         if indegree[name] == 0:
-                            push(succ)
+                            ready.append(succ)
         if len(order) != len(self._ops):
             raise GraphError(
                 f"graph {self.name!r} contains a cycle "
                 f"({len(self._ops) - len(order)} ops unreachable); FastT only "
                 "handles DAGs — unroll while-loops before scheduling"
             )
-        self._topo_cache[canonical] = (self._version, order)
+        self._fifo_order = (self._version, order)
         return list(order)
 
     def validate(self) -> None:

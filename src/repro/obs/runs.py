@@ -75,9 +75,8 @@ class RunNotFoundError(KeyError):
 def graph_fingerprint(graph) -> str:
     """Content hash of a training graph (structure + shapes + attrs).
 
-    Same idiom as the coarsener's cluster fingerprints: a sha1 over
-    canonical per-op tuples in topological order, so two runs over the
-    same model/batch collide and anything else does not.
+    A sha1 over canonical per-op tuples in topological order, so two
+    runs over the same model/batch collide and anything else does not.
     """
     h = hashlib.sha1()
     for op in graph.topological_order():
