@@ -1,5 +1,6 @@
 """Tests for the ground-truth roofline performance model."""
 
+import numpy as np
 import pytest
 
 from repro.graph import Graph
@@ -85,6 +86,20 @@ class TestNoise:
         p1.reseed(9)
         second = [p1.op_time(op, dev) for _ in range(4)]
         assert first == second
+
+    def test_jitter_stream_is_one_scalar_draw_per_execution(self, topo2):
+        # Across several refills of the drawn-ahead factors and a reseed,
+        # each jittered value is the base times one scalar normal draw.
+        perf = PerfModel(topo2, noise_sigma=0.3, seed=5)
+        bases = [1.0 + (i % 7) for i in range(10_000)]
+        rng = np.random.default_rng(5)
+        expected = [b * max(float(rng.normal(1.0, 0.3)), 0.1) for b in bases]
+        got = [perf.jittered(b) for b in bases[:6000]]
+        got += [perf.jittered(0.0), perf.jittered(-1.0)]  # no draw
+        got += [perf.jittered(b) for b in bases[6000:]]
+        assert got == expected[:6000] + [0.0, -1.0] + expected[6000:]
+        perf.reseed(5)
+        assert [perf.jittered(b) for b in bases[:10]] == expected[:10]
 
     def test_noise_never_negative(self, topo2):
         perf = PerfModel(topo2, noise_sigma=2.0, seed=3)
