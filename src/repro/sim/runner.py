@@ -18,16 +18,15 @@ op/transfer completion is one heap entry, and dispatch decisions are
 made inline when an event retires — no per-device or per-channel
 polling.  A :class:`_GraphPlan`, built once per graph revision, reads
 the graph's integer index (distinct inputs, consumers by tensor, output
-sizes), so one step's state — placement, pending-input counts, consumer
-groups, ready queues, memory — is lists indexed by op, tensor or device
-id.  Kernel durations are numpy-batched
-per device up front (bit-identical to the scalar roofline; see
-:meth:`PerfModel.batch_base_op_times`) and per-hop transfer base costs
-are memoized on the simulator.  The step is recorded as
-:class:`~repro.profiling.trace.TraceColumns`; record objects are built
-only for readers that ask for them.  ``tests/sim`` pins this runner
-bit-exact against the seed's per-dispatch runner (same event times,
-same jitter-stream draws, same trace records).
+sizes), so one step's state — placement, pending-input counts, ready
+queues, memory — is flat lists indexed by op, tensor or device id.
+Kernel durations are numpy-batched per device up front (bit-identical
+to the scalar roofline; see :meth:`PerfModel.batch_base_op_times`) and
+per-hop transfer base costs are memoized on the simulator.  The step is
+recorded as :class:`~repro.profiling.trace.TraceColumns`; record objects
+are built only for readers that ask for them.  ``tests/sim`` pins this
+runner bit-exact against the seed's per-dispatch runner (same event
+times, same jitter-stream draws, same trace records).
 """
 
 from __future__ import annotations
@@ -295,22 +294,12 @@ class _StepState:
             rank_of = dict(zip(order, itertools.count()))
             self.priority = [rank_of.get(name, _INF) for name in plan.op_names]
 
-        # Each tensor's consumers grouped by device, devices in order of
-        # first consumer: ((device, [op ids]), ...).
+        # Each tensor's consumers are read as a CSR slice of the index,
+        # with ``dev``, where they are used: a container per tensor would
+        # live through the step, and every full collection rescans it.
         index = plan.index
         self.in_ptr, self.in_ids = index.in_ptr, index.in_ids
-        cons_ptr, cons_ids = index.cons_ptr, index.cons_ids
-        self.groups: List[Tuple[Tuple[int, Sequence[int]], ...]] = []
-        append = self.groups.append
-        for start, stop in zip(cons_ptr, cons_ptr[1:]):
-            if stop - start == 1:
-                op = cons_ids[start]
-                append(((dev[op], (op,)),))
-                continue
-            by_device: Dict[int, List[int]] = {}
-            for op in cons_ids[start:stop]:
-                by_device.setdefault(dev[op], []).append(op)
-            append(tuple(by_device.items()))
+        self.cons_ptr, self.cons_ids = index.cons_ptr, index.cons_ids
         self.deps_remaining = list(map(sub, self.in_ptr[1:], self.in_ptr))
 
         # Per-device noise-free kernel durations; None on the scalar
@@ -439,11 +428,15 @@ class _StepState:
             return
         op = heapq.heappop(queue)[3]
         self.device_busy[device] = True
+        cons_ptr = self.cons_ptr
         for tensor in self.plan.outputs[op]:
-            consumers = 0
-            for dst, ops in self.groups[tensor]:
-                consumers += len(ops) if dst == device else 1
-            self._allocate(tensor, device, consumers)
+            # One reference per local consumer, one per remote device
+            # (held until its transfer finishes).
+            refs = cons_ptr[tensor + 1] - cons_ptr[tensor]
+            if refs > 1:
+                remote = self._remote_consumers(tensor, device)
+                refs += len(remote) - sum(remote.values())
+            self._allocate(tensor, device, refs)
         sim = self.sim
         if self.base_times is not None:
             # Same value, same jitter-stream consumption as
@@ -471,30 +464,38 @@ class _StepState:
         # Outputs become available locally and trigger remote transfers.
         for tensor in self.plan.outputs[op]:
             self._mark_available(tensor, device, time, op)
-            for dst, ops in self.groups[tensor]:
-                if dst != device:
-                    self._enqueue_hop(
-                        _Transfer(
-                            tensor, device, dst, len(ops), time,
-                            self.sim.route(device, dst),
-                        ),
-                        time,
-                    )
+            for dst, consumers in self._remote_consumers(tensor, device).items():
+                self._enqueue_hop(
+                    _Transfer(
+                        tensor, device, dst, consumers, time,
+                        self.sim.route(device, dst),
+                    ),
+                    time,
+                )
         self._dispatch_device(device, time)
+
+    def _remote_consumers(self, tensor: int, device: int) -> Dict[int, int]:
+        """Consumers of ``tensor`` off ``device``, counted per device;
+        devices in order of first consumer (the transfer order)."""
+        dev = self.dev
+        remote: Dict[int, int] = {}
+        for op in self.cons_ids[self.cons_ptr[tensor]:self.cons_ptr[tensor + 1]]:
+            dst = dev[op]
+            if dst != device:
+                remote[dst] = remote.get(dst, 0) + 1
+        return remote
 
     def _mark_available(
         self, tensor: int, device: int, time: float, cause: object
     ) -> None:
         # Every (tensor, device) copy arrives exactly once: the producer
         # marks its own, and each consuming device gets one transfer.
-        for dst, ops in self.groups[tensor]:
-            if dst == device:
-                pending = self.deps_remaining
-                for op in ops:
-                    pending[op] -= 1
-                    if pending[op] == 0:
-                        self._enqueue_ready(op, time, cause)
-                break
+        dev, pending = self.dev, self.deps_remaining
+        for op in self.cons_ids[self.cons_ptr[tensor]:self.cons_ptr[tensor + 1]]:
+            if dev[op] == device:
+                pending[op] -= 1
+                if pending[op] == 0:
+                    self._enqueue_ready(op, time, cause)
         self._dispatch_device(device, time)
 
     # ------------------------------------------------------------------
