@@ -1,7 +1,7 @@
 """FastT's computation cost model (Sec. 4, Cost Models).
 
 Keyed by ``(operation name, device)``, exactly as in the paper, and fed
-only from profiled step traces.  Three lookup tiers:
+only from profiled step traces.  Four lookup tiers:
 
 1. a direct profiled average for the key;
 2. for sub-operations created by Alg. 2 splits, the parent operation's
@@ -41,20 +41,6 @@ BANDWIDTH_BOUND_TYPES = frozenset(
         "DropoutGrad",
     }
 )
-
-
-class _RunningStat:
-    # Slots: one instance per (op, device) and per op name, so tens of
-    # thousands on a large graph.
-    __slots__ = ("count", "mean")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.mean += (value - self.mean) / self.count
 
 
 @dataclass
@@ -101,8 +87,14 @@ class ComputationCostModel:
     ) -> None:
         self.homogeneous_fallback = homogeneous_fallback
         self.device_scale = dict(device_scale or {})
-        self._stats: Dict[Tuple[str, str], _RunningStat] = {}
-        self._by_name: Dict[str, _RunningStat] = {}
+        # Running means as plain dicts of counts and means, per (op,
+        # device) key and per op name: ints and floats are not tracked by
+        # the garbage collector, so a fit over a large graph adds no
+        # per-op object for it to scan.
+        self._counts: Dict[Tuple[str, str], int] = {}
+        self._means: Dict[Tuple[str, str], float] = {}
+        self._name_counts: Dict[str, int] = {}
+        self._name_means: Dict[str, float] = {}
         self._types: Dict[str, str] = {}
         self._bandwidth: Dict[str, _BandwidthProxy] = {}
 
@@ -119,18 +111,10 @@ class ComputationCostModel:
         bytes_accessed: int = 0,
     ) -> None:
         """Record one profiled execution."""
-        key = (op_name, device)
-        self._stats.setdefault(key, _RunningStat()).add(duration)
-        # The per-name pool stores scale-normalized ("fastest device
-        # equivalent") durations so heterogeneous observations mix.
-        self._by_name.setdefault(op_name, _RunningStat()).add(
-            duration * self._scale_of(device)
+        self.observe_many(
+            (op_name,), (op_type,), (device,), (duration,),
+            lambda _name: bytes_accessed,
         )
-        self._types[op_name] = op_type
-        if op_type in BANDWIDTH_BOUND_TYPES and bytes_accessed > 0:
-            self._bandwidth.setdefault(device, _BandwidthProxy()).add(
-                bytes_accessed, duration
-            )
 
     def observe_many(
         self,
@@ -143,23 +127,27 @@ class ComputationCostModel:
         """Record profiled executions in order, in one pass.
 
         Parallel sequences; ``bytes_accessed(op_name)`` is asked only for
-        bandwidth-bound op types.  Every running mean and bandwidth
-        proxy accumulates in sequence order, leaving exactly the state
-        repeated :meth:`observe` calls would.
+        bandwidth-bound op types.  Every running mean
+        (``mean += (x - mean) / count``) and bandwidth proxy accumulates
+        in sequence order; :meth:`observe` is the one-record call.
         """
-        stats, by_name, types = self._stats, self._by_name, self._types
+        counts, means = self._counts, self._means
+        name_counts, name_means = self._name_counts, self._name_means
+        types = self._types
         scale_of = self.device_scale.get
         for name, op_type, device, duration in zip(
             op_names, op_types, devices, durations
         ):
-            stat = stats.get((name, device))
-            if stat is None:
-                stat = stats[(name, device)] = _RunningStat()
-            stat.add(duration)
-            pooled = by_name.get(name)
-            if pooled is None:
-                pooled = by_name[name] = _RunningStat()
-            pooled.add(duration * scale_of(device, 1.0))
+            key = (name, device)
+            count = counts[key] = counts.get(key, 0) + 1
+            mean = means.get(key, 0.0)
+            means[key] = mean + (duration - mean) / count
+            # The per-name pool holds scale-normalized ("fastest device
+            # equivalent") durations so heterogeneous observations mix.
+            value = duration * scale_of(device, 1.0)
+            count = name_counts[name] = name_counts.get(name, 0) + 1
+            mean = name_means.get(name, 0.0)
+            name_means[name] = mean + (value - mean) / count
             types[name] = op_type
             if op_type in BANDWIDTH_BOUND_TYPES:
                 num_bytes = bytes_accessed(name)
@@ -169,11 +157,10 @@ class ComputationCostModel:
                     )
 
     def known(self, op_name: str, device: str) -> bool:
-        return (op_name, device) in self._stats
+        return (op_name, device) in self._means
 
     def profiled_time(self, op_name: str, device: str) -> Optional[float]:
-        stat = self._stats.get((op_name, device))
-        return stat.mean if stat else None
+        return self._means.get((op_name, device))
 
     # ------------------------------------------------------------------
     def time(self, op: Operation, device: str) -> float:
@@ -198,9 +185,9 @@ class ComputationCostModel:
         if direct is not None:
             return direct
         if self.homogeneous_fallback:
-            stat = self._by_name.get(op_name)
-            if stat is not None:
-                return stat.mean / self._scale_of(device)
+            mean = self._name_means.get(op_name)
+            if mean is not None:
+                return mean / self._scale_of(device)
         return None
 
     def _derived_from_parent(self, op: Operation, device: str) -> Optional[float]:
@@ -220,8 +207,8 @@ class ComputationCostModel:
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[Tuple[str, str], float]:
         """Current means — used by the stability test of pre-training."""
-        return {key: stat.mean for key, stat in self._stats.items()}
+        return dict(self._means)
 
     @property
     def num_entries(self) -> int:
-        return len(self._stats)
+        return len(self._means)

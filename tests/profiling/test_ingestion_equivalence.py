@@ -1,10 +1,13 @@
-"""One-pass cost-model ingestion vs one ``observe`` call per record.
+"""One-pass cost-model ingestion vs one call per record.
 
 :func:`update_cost_models` reads each trace's columns in one pass per
-model.  It must leave bit-identical state to the per-record loop it
-replaced: every (op, device) running mean, every per-name pool, every
-bandwidth proxy and every pair or class sample window accumulates in
-the same sequential order.  A single changed bit in a mean can move a
+model.  It must leave bit-identical state to a per-record loop: every
+(op, device) running mean, every per-name pool, every bandwidth proxy
+and every pair or class sample window accumulates in the same
+sequential order.  The computation model's ``observe`` is itself a
+one-record ``observe_many``, so its reference is a test-local oracle
+that spells out the running-mean recurrence; the communication model
+is compared against its own ``observe``.  A single changed bit in a mean can move a
 strategy, so the comparison is exact, never approximate.
 """
 
@@ -13,6 +16,7 @@ import pytest
 from repro.cluster import topology_from, two_servers
 from repro.core.placer import model_parallel_placement
 from repro.costmodel import CommunicationCostModel, ComputationCostModel
+from repro.costmodel.computation import BANDWIDTH_BOUND_TYPES
 from repro.graph import build_single_device_training_graph
 from repro.hardware import PerfModel
 from repro.models import get_model, model_names
@@ -61,8 +65,53 @@ def _traces(model_name, topo):
     return graph, traces
 
 
+class _ComputationOracle:
+    """Per-record reference for :class:`ComputationCostModel`'s state.
+
+    The running-mean recurrence, per-name pooling and bandwidth sums
+    spelled out once per record, independent of the model's own code.
+    """
+
+    def __init__(self, device_scale):
+        self.device_scale = device_scale
+        self.stats = {}  # (op, device) -> (count, mean)
+        self.by_name = {}  # op -> (count, scale-normalized mean)
+        self.types = {}
+        self.bandwidth = {}  # device -> (total bytes, total seconds)
+
+    @staticmethod
+    def _add(stats, key, value):
+        count, mean = stats.get(key, (0, 0.0))
+        count += 1
+        mean += (value - mean) / count
+        stats[key] = (count, mean)
+
+    def observe(self, op_name, op_type, device, duration, bytes_accessed):
+        self._add(self.stats, (op_name, device), duration)
+        self._add(
+            self.by_name, op_name,
+            duration * self.device_scale.get(device, 1.0),
+        )
+        self.types[op_name] = op_type
+        if op_type in BANDWIDTH_BOUND_TYPES and bytes_accessed > 0:
+            total_bytes, total_seconds = self.bandwidth.get(device, (0.0, 0.0))
+            self.bandwidth[device] = (
+                total_bytes + bytes_accessed, total_seconds + duration,
+            )
+
+    def state(self):
+        return (
+            [(key, mean) for key, (_, mean) in self.stats.items()],
+            [(key, count, mean) for key, (count, mean) in self.stats.items()],
+            [(name, count, mean) for name, (count, mean) in self.by_name.items()],
+            list(self.types.items()),
+            [(dev, b, s) for dev, (b, s) in self.bandwidth.items()],
+        )
+
+
 def _per_record(graph, traces, computation, communication):
-    """The reference: one observe call per materialized record."""
+    """The reference: one oracle or ``observe`` call per materialized
+    record."""
     for trace in traces:
         for rec in trace.op_records:
             bytes_accessed = (
@@ -80,10 +129,14 @@ def _per_record(graph, traces, computation, communication):
 
 
 def _computation_state(model):
+    """Per-key and per-name ``(count, mean)``, exactly, in key order."""
     return (
         list(model.snapshot().items()),
-        [(key, s.count, s.mean) for key, s in model._stats.items()],
-        [(name, s.count, s.mean) for name, s in model._by_name.items()],
+        [(key, model._counts[key], mean) for key, mean in model._means.items()],
+        [
+            (name, model._name_counts[name], mean)
+            for name, mean in model._name_means.items()
+        ],
         list(model._types.items()),
         [
             (dev, p.total_bytes, p.total_seconds)
@@ -111,12 +164,13 @@ def test_one_pass_matches_per_record_observe(model_name, preset):
     # Ingestion reads columns; no trace had to build its records.
     assert all(t._op_records is None for t in traces)
     assert all(t._transfer_records is None for t in traces)
-    reference = _models(topo)
-    _per_record(graph, traces, *reference)
+    oracle = _ComputationOracle(topo.relative_compute_scales())
+    reference = _models(topo)[1]
+    _per_record(graph, traces, oracle, reference)
 
-    assert _computation_state(one_pass[0]) == _computation_state(reference[0])
+    assert _computation_state(one_pass[0]) == oracle.state()
     assert one_pass[0]._bandwidth, "expected bandwidth-bound ops"
-    assert _communication_state(one_pass[1]) == _communication_state(reference[1])
+    assert _communication_state(one_pass[1]) == _communication_state(reference)
 
 
 def test_matrix_overflows_sample_windows():
