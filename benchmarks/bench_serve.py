@@ -33,6 +33,8 @@ MODELS = ("lenet", "alexnet")
 TOPOLOGY = "pcie:2"
 BASE_BATCH = 64
 EDITED_BATCH = 128
+#: Runs per timed answer; the fastest counts.
+REPEATS = 3
 PINS = StepTimePins(__file__)
 
 CONFIG = {
@@ -56,22 +58,37 @@ def _timed_submit(service, model, batch):
 
 
 def run_serve_trial(model):
-    primed = _fresh_service()
-    cold_base, t_cold_base = _timed_submit(primed, model, BASE_BATCH)
-    cached, t_cache = _timed_submit(primed, model, BASE_BATCH)
-    warm, t_warm = _timed_submit(primed, model, EDITED_BATCH)
+    """Each timed answer is the fastest of ``REPEATS`` runs, each on a
+    fresh service: one ~20 ms timing per side is too noisy to order
+    warm against cold.  The responses, stats and exposition are the
+    first run's; every run must answer the same."""
+    runs = []
+    for _ in range(REPEATS):
+        primed = _fresh_service()
+        cold_base = _timed_submit(primed, model, BASE_BATCH)
+        cached = _timed_submit(primed, model, BASE_BATCH)
+        warm = _timed_submit(primed, model, EDITED_BATCH)
+        # The same edited problem, searched cold by a service with an
+        # empty store — the baseline the warm path must beat.
+        cold_edit = _timed_submit(_fresh_service(), model, EDITED_BATCH)
+        runs.append((primed, cold_base, cached, warm, cold_edit))
 
-    # The same edited problem, searched cold by a service with an empty
-    # store — the baseline the warm path must beat.
-    control = _fresh_service()
-    cold_edit, t_cold_edit = _timed_submit(control, model, EDITED_BATCH)
+    def fastest(side):
+        answers = [run[side] for run in runs]
+        first = answers[0][0]
+        for response, _ in answers[1:]:
+            assert (response["source"], response["makespan"]) == (
+                first["source"], first["makespan"]
+            ), (model, side, response, first)
+        return first, min(seconds for _, seconds in answers)
 
+    primed = runs[0][0]
     return {
         "model": model,
-        "cold": (cold_base, t_cold_base),
-        "cache": (cached, t_cache),
-        "warm": (warm, t_warm),
-        "cold_edit": (cold_edit, t_cold_edit),
+        "cold": fastest(1),
+        "cache": fastest(2),
+        "warm": fastest(3),
+        "cold_edit": fastest(4),
         "stats": primed.stats,
         "exposition": primed.metrics_document(),
     }
