@@ -903,7 +903,15 @@ async def handle_connection(
             if not line:
                 break
             try:
-                message = json.loads(line)
+                try:
+                    message = json.loads(line)
+                except ValueError as exc:
+                    raise RequestError(f"request line is not JSON: {exc}") from None
+                if not isinstance(message, dict):
+                    raise RequestError(
+                        "request line must be a JSON object, got "
+                        f"{type(message).__name__}"
+                    )
                 op = message.get("op", "optimize")
                 if op == "ping":
                     response: Dict[str, object] = {"status": "ok", "pong": True}

@@ -19,6 +19,8 @@ document-verified:
 
 import asyncio
 import json
+import logging
+import socket
 import threading
 import time
 import urllib.error
@@ -363,6 +365,25 @@ class TestHttpListener:
                     )
         finally:
             service._inflight.pop(key, None)
+
+
+class TestProtocolInput:
+    def test_lines_that_are_not_json_objects_get_typed_errors(
+        self, server, caplog
+    ):
+        lines = [b"not json", b"[1, 2]", b'"str"', b'{"op": "ping"}']
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            with socket.create_connection(server.addr["tcp"], timeout=30) as sock:
+                sock.sendall(b"".join(line + b"\n" for line in lines))
+                with sock.makefile("rb") as answers:
+                    responses = [json.loads(answers.readline()) for _ in lines]
+        *errors, pong = responses
+        assert [r["status"] for r in errors] == ["error"] * 3
+        assert "not JSON" in errors[0]["error"]
+        assert errors[1]["error"].endswith("got list")
+        assert errors[2]["error"].endswith("got str")
+        assert pong == {"status": "ok", "pong": True}
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
 class TestTopDashboard:
