@@ -296,7 +296,7 @@ class StrategyCalculator:
                     report.metrics[key] = report.metrics.get(key, 0) + value
             else:
                 dpos_result = dpos.run(graph)
-                self.obs.provenance.record_dpos(graph.name, dpos_result)
+                self.obs.provenance.record(graph.name, "dpos", dpos_result)
                 strategy, rewritten = dpos_result.strategy, graph
             estimate = strategy.estimated_time
             if best is None or (

@@ -27,6 +27,7 @@ from ..costmodel import CommunicationCostModel, ComputationCostModel, CostCache
 from ..graph import Graph
 from ..obs import Observability, get_obs
 from .ranks import max_rank_chain
+from .records import PlacementAlternative, PlacementDecision
 from .strategy import Strategy
 
 _INF = float("inf")
@@ -35,7 +36,7 @@ _INF = float("inf")
 class DPOSResult:
     """Output of one DPOS run.
 
-    ``decisions`` (op name -> :class:`~repro.obs.provenance.\
+    ``decisions`` (op name -> :class:`~repro.core.records.\
 PlacementDecision`) is populated only when the engine's ``obs`` hook has
     provenance recording enabled; it never influences the strategy.
 
@@ -201,11 +202,7 @@ class DPOS:
         # alternatives each selection rule actually compared.  The
         # recording never feeds back into the schedule.
         recording = self.obs.provenance.enabled
-        decisions: Optional[Dict[str, object]] = None
-        if recording:
-            from ..obs.provenance import PlacementAlternative, PlacementDecision
-
-            decisions = {}
+        decisions: Optional[Dict[str, object]] = {} if recording else None
 
         cp_alts: Optional[List] = [] if recording else None
         cp_device = self._select_cp_device(
@@ -436,11 +433,9 @@ class DPOS:
         computation time; the smallest average wins, then the larger
         fitted count, then device order.  ``collect`` (provenance
         recording only) receives one
-        :class:`~repro.obs.provenance.PlacementAlternative` per device
+        :class:`~repro.core.records.PlacementAlternative` per device
         considered, scored by that average.
         """
-        if collect is not None:
-            from ..obs.provenance import PlacementAlternative
         persistent, times = costs.persistent, costs.times
         candidates = [k for k in range(len(capacities)) if k != exclude]
         best: Optional[Tuple[float, int, int]] = None

@@ -33,6 +33,7 @@ from ..obs import MetricsSnapshot, Observability, get_obs
 from .context import WarmStartSeed
 from .dpos import DPOS, DPOSResult
 from .ranks import max_rank_chain
+from .records import OpRound, SplitCandidate
 from .strategy import Strategy
 
 
@@ -120,11 +121,14 @@ SearchOptions.__init__ = _search_options_kwonly_init  # type: ignore[method-assi
 
 @dataclass
 class OSDPOSResult:
-    """Output of Alg. 2: rewritten graph, full strategy, search metrics.
+    """Output of Alg. 2: rewritten graph, full strategy, search record.
 
     The search counters live in ``metrics`` (a
-    :class:`~repro.obs.MetricsSnapshot`); ``candidates_evaluated`` and
-    friends remain as read-only views over it.
+    :class:`~repro.obs.MetricsSnapshot`) and are counted from ``rounds``;
+    ``candidates_evaluated`` and friends remain as read-only views over
+    them.  ``rounds`` holds one :class:`~repro.core.records.OpRound` per
+    critical-path op the walk examined, on every run; the provenance
+    journal copies this record as it is.
     """
 
     graph: Graph
@@ -132,6 +136,17 @@ class OSDPOSResult:
     finish_time: float
     dpos_result: DPOSResult
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
+    #: ``incremental`` | ``coarse`` | ``warm`` (also after a warm start
+    #: fell back to the cold search).
+    mode: str = "incremental"
+    #: Finish time of the first DPOS schedule, before any split.
+    initial_finish: Optional[float] = None
+    #: Critical-path ops the walk considered, in walk order.
+    candidate_ops: List[str] = field(default_factory=list)
+    rounds: List[OpRound] = field(default_factory=list)
+    #: The coarse search's contraction (coarse op -> fine member names;
+    #: the plan's own dict, not a copy); empty for flat searches.
+    coarse_members: Dict[str, List[str]] = field(default_factory=dict)
 
     @property
     def split_list(self) -> List[SplitDecision]:
@@ -255,16 +270,16 @@ class OSDPOS:
             mode = "coarse"
         else:
             mode = "incremental"
-        search = obs.provenance.begin_search(graph=graph.name, mode=mode)
         with obs.events.span(
             "search.osdpos", graph=graph.name, ops=graph.num_ops, mode=mode
         ) as span:
             if warm_start is not None:
-                result = self._run_warm(graph, search, warm_start)
+                result = self._run_warm(graph, warm_start)
             elif use_coarse:
-                result = self._run_coarse(graph, search)
+                result = self._run_coarse(graph)
             else:
-                result = self._run_incremental(graph, search)
+                result = self._run_incremental(graph)
+            result.mode = mode
             span.set(
                 makespan=result.finish_time,
                 splits=len(result.strategy.split_list),
@@ -276,6 +291,7 @@ class OSDPOS:
                 if isinstance(value, int):
                     metrics.counter(name).inc(value)
             metrics.gauge("search.finish_time_estimate").set(result.finish_time)
+        obs.provenance.record(graph.name, mode, result)
         return result
 
     # ------------------------------------------------------------------
@@ -301,7 +317,7 @@ class OSDPOS:
         engine.insertion_scheduling = self.dpos.insertion_scheduling
         return engine
 
-    def _run_coarse(self, graph: Graph, search) -> OSDPOSResult:
+    def _run_coarse(self, graph: Graph) -> OSDPOSResult:
         """Hierarchical OS-DPOS: place coarse, refine splits fine.
 
         Placement and ordering run over the contracted graph (the cost
@@ -321,12 +337,11 @@ class OSDPOS:
             plan.coarse, engine.computation, engine.communication,
             engine.topology.device_names,
         )
-        best = engine.run(plan.coarse, cost_cache=cache)
-        search.record_initial(best.finish_time)
+        initial = engine.run(plan.coarse, cost_cache=cache)
         cp_ops = (
-            self._coarse_candidate_ops(plan, best, cache)
+            self._coarse_candidate_ops(plan, initial, cache)
             if self.split_counts else []
-        )
+        )[: self.max_candidate_ops]
 
         def schedule() -> DPOSResult:
             candidate = contract_graph(
@@ -346,18 +361,19 @@ class OSDPOS:
                 events=self.obs.events,
             )
 
-        best, split_list, evaluated, rejected = self._walk(
-            working, best, cp_ops, search,
+        best, split_list, rounds = self._walk(
+            working, initial, cp_ops,
             schedule=schedule,
             touched=lambda _names: None,
             committed=recontract,
         )
-        search.set_super_ops(plan.super_ops)
-        fine_result = self._expand_result(plan, best, split_list)
-        return self._package(
-            working.result(split_list), fine_result, split_list, evaluated,
-            rejected, search=search,
+        result = self._package(
+            working.result(split_list),
+            self._expand_result(plan, best, split_list),
+            split_list, initial, cp_ops, rounds,
         )
+        result.coarse_members = plan.members
+        return result
 
     def _coarse_candidate_ops(
         self, plan: CoarsePlan, result: DPOSResult, cache: CostCache
@@ -397,7 +413,7 @@ class OSDPOS:
         valid fine topological order).  Times/ranks are the coarse
         aggregates each member belongs to; ``decisions`` stay keyed by
         coarse node so provenance can report the super-op that absorbed
-        an op (see ``SearchRecord.super_ops``).
+        an op (see ``OSDPOSResult.coarse_members``).
         """
         def build() -> Dict[str, object]:
             fields: Dict[str, object] = {
@@ -427,9 +443,7 @@ class OSDPOS:
     # ------------------------------------------------------------------
     # Warm path: replay a cached partition list, schedule once
     # ------------------------------------------------------------------
-    def _run_warm(
-        self, graph: Graph, search, seed: WarmStartSeed
-    ) -> OSDPOSResult:
+    def _run_warm(self, graph: Graph, seed: WarmStartSeed) -> OSDPOSResult:
         """Seed the search from a cached strategy (Alg. 2 skipped).
 
         Each :class:`SplitDecision` of the seed is replayed onto a
@@ -476,7 +490,6 @@ class OSDPOS:
         if obs.enabled:
             cache.enable_stats()
         best = self.dpos.run(working.graph, cost_cache=cache)
-        search.record_initial(best.finish_time)
 
         reference = seed.reference_makespan
         if (
@@ -496,7 +509,7 @@ class OSDPOS:
                     factor=seed.safety_factor,
                     source=seed.source,
                 )
-            result = self._run_incremental(graph, search)
+            result = self._run_incremental(graph)
             result.metrics["search.warm_fallbacks"] = 1
             return result
 
@@ -510,8 +523,7 @@ class OSDPOS:
                 source=seed.source,
             )
         result = self._package(
-            working.result(applied), best, applied, 0, 0, cache=cache,
-            search=search,
+            working.result(applied), best, applied, best, [], [], cache=cache
         )
         result.strategy.label = "warm-start"
         result.metrics["search.warm_runs"] = 1
@@ -522,7 +534,7 @@ class OSDPOS:
     # ------------------------------------------------------------------
     # Incremental path: one working graph, transactional candidates
     # ------------------------------------------------------------------
-    def _run_incremental(self, graph: Graph, search) -> OSDPOSResult:
+    def _run_incremental(self, graph: Graph) -> OSDPOSResult:
         devices = self.dpos.topology.device_names
         cache = CostCache(
             graph, self.dpos.computation, self.dpos.communication, devices
@@ -530,21 +542,20 @@ class OSDPOS:
         if self.obs.enabled:
             cache.enable_stats()
         working = _WorkingGraph(graph, on_copy=cache.rebind)
-        best = self.dpos.run(graph, cost_cache=cache)
-        search.record_initial(best.finish_time)
+        initial = self.dpos.run(graph, cost_cache=cache)
         cp_ops = (
-            self._placement_critical_path(best, cache)
+            self._placement_critical_path(initial, cache)
             if self.split_counts else []
-        )
-        best, split_list, evaluated, rejected = self._walk(
-            working, best, cp_ops, search,
+        )[: self.max_candidate_ops]
+        best, split_list, rounds = self._walk(
+            working, initial, cp_ops,
             schedule=lambda: self.dpos.run(working.graph, cost_cache=cache),
             touched=cache.invalidate,
             committed=cache.invalidate,
         )
         return self._package(
-            working.result(split_list), best, split_list, evaluated, rejected,
-            cache=cache, search=search,
+            working.result(split_list), best, split_list, initial, cp_ops,
+            rounds, cache=cache,
         )
 
     # ------------------------------------------------------------------
@@ -555,12 +566,11 @@ class OSDPOS:
         working: _WorkingGraph,
         best: DPOSResult,
         cp_ops: List[str],
-        search,
         *,
         schedule: Callable[[], DPOSResult],
         touched: Callable[[Set[str]], None],
         committed: Callable[[Set[str]], None],
-    ) -> Tuple[DPOSResult, List[SplitDecision], int, int]:
+    ) -> Tuple[DPOSResult, List[SplitDecision], List[OpRound]]:
         """Try to split each critical-path op in turn.
 
         Every candidate of an op is scored by :meth:`_best_split`
@@ -568,15 +578,11 @@ class OSDPOS:
         committed if it beats the incumbent, and ``committed`` hears the
         op names the commit touched.  The first op whose best candidate
         does not improve stops the walk (the paper's early exit).
-        Returns the final schedule, the committed splits and the
-        evaluated/rejected counts.
+        Returns the final schedule, the committed splits and one
+        :class:`OpRound` per examined op.
         """
-        if self.max_candidate_ops is not None:
-            cp_ops = cp_ops[: self.max_candidate_ops]
-        search.set_candidate_ops(cp_ops)
         split_list: List[SplitDecision] = []
-        evaluated = 0
-        rejected = 0
+        rounds: List[OpRound] = []
         events = self.obs.events
         for op_index, op_name in enumerate(cp_ops):
             if op_name not in working.graph:
@@ -584,30 +590,31 @@ class OSDPOS:
             op = working.graph.get_op(op_name)
             if not op.is_splittable:
                 continue
-            rnd = search.begin_op(op_name, incumbent=best.finish_time)
+            rnd = OpRound(op_name, incumbent=best.finish_time)
+            rounds.append(rnd)
             with events.span(
                 "search.op", op=op_name, index=op_index + 1,
                 total=len(cp_ops), incumbent=best.finish_time,
             ) as span:
-                outcome = self._best_split(working, op, rnd, schedule, touched)
+                rnd.candidates, outcome = self._best_split(
+                    working, op, schedule, touched
+                )
                 if outcome is None:
-                    rnd.no_candidates()
-                    span.set(verdict="no-candidates")
+                    rnd.verdict = "no-candidates"
+                    span.set(verdict=rnd.verdict)
                     continue  # no structurally possible split
-                decision, result, tried = outcome
-                evaluated += tried
+                candidate, decision, result = outcome
+                rnd.best_makespan = result.finish_time
                 if not result.finish_time < best.finish_time:
-                    rnd.reject(best_makespan=result.finish_time)
-                    rejected += 1
-                    span.set(verdict="rejected", makespan=result.finish_time)
+                    rnd.verdict = "rejected"
+                    span.set(verdict=rnd.verdict, makespan=rnd.best_makespan)
                     break  # first non-improving CP op stops the search
                 txn = working.split(op_name, decision.dim, decision.num_splits)
                 txn.apply()
-                rnd.accept(
-                    decision.dim, decision.num_splits,
-                    sub_ops=[o.name for o in txn.sub_ops],
-                    makespan=result.finish_time,
-                )
+                rnd.verdict = "committed"
+                rnd.accepted = (decision.dim, decision.num_splits)
+                rnd.sub_ops = [o.name for o in txn.sub_ops]
+                candidate.verdict = "accepted"
                 committed(txn.commit())
                 split_list.append(decision)
                 best = result
@@ -616,25 +623,28 @@ class OSDPOS:
                     num_splits=decision.num_splits, makespan=best.finish_time,
                 )
                 span.set(verdict="accepted", makespan=best.finish_time)
-        return best, split_list, evaluated, rejected
+        return best, split_list, rounds
 
     def _best_split(
         self,
         working: _WorkingGraph,
         op: Operation,
-        rnd,
         schedule: Callable[[], DPOSResult],
         touched: Callable[[Set[str]], None],
-    ) -> Optional[Tuple[SplitDecision, DPOSResult, int]]:
+    ) -> Tuple[
+        List[SplitCandidate],
+        Optional[Tuple[SplitCandidate, SplitDecision, DPOSResult]],
+    ]:
         """Apply, schedule and undo every (dim, count) candidate of ``op``.
 
         ``schedule()`` prices ``working`` with the candidate applied;
         ``touched`` hears the op names every apply and undo changed.
-        Returns the best candidate with the number scheduled, or ``None``
-        when every candidate was infeasible.
+        Returns a :class:`SplitCandidate` per (dim, count) tried, and
+        the best scheduled one with its decision and schedule (``None``
+        when every candidate was infeasible).
         """
-        best: Optional[Tuple[SplitDecision, DPOSResult]] = None
-        tried = 0
+        candidates: List[SplitCandidate] = []
+        best: Optional[Tuple[SplitCandidate, SplitDecision, DPOSResult]] = None
         for dim, count in itertools.product(
             sorted(op.split_dims), self.split_counts
         ):
@@ -643,18 +653,16 @@ class OSDPOS:
                 txn.apply()
             except SplitError:
                 touched(txn.touched)
-                rnd.candidate(dim, count, "infeasible")
+                candidates.append(SplitCandidate(dim, count, "infeasible"))
                 continue  # extent too small for this count, etc.
             touched(txn.touched)
-            tried += 1
             result = schedule()
-            rnd.candidate(dim, count, "rejected", makespan=result.finish_time)
+            candidate = SplitCandidate(dim, count, "rejected", result.finish_time)
+            candidates.append(candidate)
             touched(txn.undo())
-            if best is None or result.finish_time < best[1].finish_time:
-                best = (txn.decision, result)
-        if best is None:
-            return None
-        return (*best, tried)
+            if best is None or result.finish_time < best[2].finish_time:
+                best = (candidate, txn.decision, result)
+        return candidates, best
 
     # ------------------------------------------------------------------
     def _package(
@@ -662,13 +670,11 @@ class OSDPOS:
         graph: Graph,
         best: DPOSResult,
         split_list: List[SplitDecision],
-        evaluated: int,
-        rejected: int,
+        initial: DPOSResult,
+        candidate_ops: List[str],
+        rounds: List[OpRound],
         cache: Optional[CostCache] = None,
-        search=None,
     ) -> OSDPOSResult:
-        if search is not None:
-            search.finalize(best)
         strategy = Strategy(
             placement=dict(best.strategy.placement),
             order=list(best.strategy.order),
@@ -677,8 +683,10 @@ class OSDPOS:
             label="os-dpos" if split_list else "dpos",
         )
         metrics = MetricsSnapshot({
-            "search.candidates_evaluated": evaluated,
-            "search.splits_rejected": rejected,
+            "search.candidates_evaluated": sum(
+                c.verdict != "infeasible" for r in rounds for c in r.candidates
+            ),
+            "search.splits_rejected": sum(r.verdict == "rejected" for r in rounds),
             "search.splits_committed": len(split_list),
         })
         if cache is not None:
@@ -690,6 +698,9 @@ class OSDPOS:
             finish_time=best.finish_time,
             dpos_result=best,
             metrics=metrics,
+            initial_finish=initial.finish_time,
+            candidate_ops=candidate_ops,
+            rounds=rounds,
         )
 
     # ------------------------------------------------------------------

@@ -70,71 +70,25 @@ from .metrics import (
 )
 
 
-class _NullOpRound:
-    """No-op stand-in for :class:`~repro.obs.provenance.OpRound`."""
-
-    __slots__ = ()
-    enabled = False
-
-    def candidate(self, *args, **kwargs) -> None:
-        return None
-
-    def accept(self, *args, **kwargs) -> None:
-        return None
-
-    def reject(self, *args, **kwargs) -> None:
-        return None
-
-    def no_candidates(self) -> None:
-        return None
-
-
-class _NullSearchRecord:
-    """No-op stand-in for :class:`~repro.obs.provenance.SearchRecord`."""
-
-    __slots__ = ()
-    enabled = False
-
-    def record_initial(self, *args, **kwargs) -> None:
-        return None
-
-    def set_candidate_ops(self, *args, **kwargs) -> None:
-        return None
-
-    def set_super_ops(self, *args, **kwargs) -> None:
-        return None
-
-    def begin_op(self, *args, **kwargs) -> "_NullOpRound":
-        return _NULL_OP_ROUND
-
-    def finalize(self, *args, **kwargs) -> None:
-        return None
-
-
 class NullProvenance:
     """The zero-cost default for ``obs.provenance``: records nothing.
 
-    Mirrors :class:`~repro.obs.provenance.ProvenanceRecorder`'s builder
-    surface so the engines never branch beyond ``enabled`` checks.
-    (Defined here rather than in :mod:`repro.obs.provenance` so that
-    importing ``repro.obs`` — which every run does — does not import the
-    journal machinery, and ``python -m repro.obs.provenance`` never
-    trips runpy's double-import warning.)
+    Each search returns its split rounds on its ``OSDPOSResult`` either
+    way; :class:`~repro.obs.provenance.ProvenanceRecorder` copies them
+    into its journal at one site, and this default drops them.  (Defined
+    here rather than in :mod:`repro.obs.provenance` so that importing
+    ``repro.obs`` — which every run does — does not import the journal
+    machinery, and ``python -m repro.obs.provenance`` never trips
+    runpy's double-import warning.)
     """
 
     __slots__ = ()
     enabled = False
     journal = None
 
-    def begin_search(self, *args, **kwargs) -> "_NullSearchRecord":
-        return _NULL_SEARCH_RECORD
-
-    def record_dpos(self, *args, **kwargs) -> None:
+    def record(self, *args, **kwargs) -> None:
         return None
 
-
-_NULL_OP_ROUND = _NullOpRound()
-_NULL_SEARCH_RECORD = _NullSearchRecord()
 
 #: Shared no-op provenance recorder (the ``obs.provenance`` default).
 NULL_PROVENANCE = NullProvenance()

@@ -2,8 +2,8 @@
 
 FastT's pitch over RL placers is that its search is *white-box* — every
 placement comes out of an inspectable heuristic.  This module makes that
-inspectable in practice: with ``Observability(provenance=True)`` the
-engines journal every decision they take —
+inspectable in practice: with ``Observability(provenance=True)`` every
+decision the engines take lands in a journal —
 
 * **DPOS** records, per op, the chosen device, the reason
   (``colocated`` / ``critical-path`` / ``min-eft`` /
@@ -14,6 +14,11 @@ engines journal every decision they take —
   candidate with its verdict — ``accepted`` / ``rejected`` (simulated
   makespan did not beat the incumbent) / ``infeasible`` (the rewrite
   itself failed) — plus the makespan that justified it.
+
+Both are plain records of :mod:`repro.core.records`.  Each OS-DPOS
+search returns its rounds on its ``OSDPOSResult`` whether or not it is
+observed, and :meth:`ProvenanceRecorder.record` copies them into the
+journal at one site, at the end of the search.
 
 The journal persists alongside StepTraces with versioned save/load and
 answers "why is op X on device Y?" through
@@ -32,8 +37,13 @@ import argparse
 import glob
 import json
 import os
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+from ..core import DPOSResult, OSDPOSResult
+from ..core.records import OpRound, PlacementDecision
+# Re-exported: the journal module stays the public home of its records.
+from ..core.records import PlacementAlternative, SplitCandidate  # noqa: F401
 
 #: Journal file-format version; bump on incompatible changes.
 PROVENANCE_SCHEMA_VERSION = 1
@@ -45,231 +55,6 @@ class ProvenanceError(ValueError):
 
 class ProvenanceSchemaError(ProvenanceError):
     """A persisted journal has an unknown or malformed schema."""
-
-
-# ----------------------------------------------------------------------
-# Journal records
-# ----------------------------------------------------------------------
-@dataclass
-class PlacementAlternative:
-    """One device DPOS weighed for an op, with the score it compared."""
-
-    device: str
-    #: The number the selection compared: EFT for min-EFT placement,
-    #: average CP-op time for critical-path device selection.
-    score: Optional[float] = None
-    #: Earliest start (min-EFT path only).
-    start: Optional[float] = None
-    feasible: bool = True
-    chosen: bool = False
-    note: str = ""
-
-    def to_json(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "PlacementAlternative":
-        return cls(
-            device=str(data["device"]),
-            score=None if data.get("score") is None else float(data["score"]),  # type: ignore[arg-type]
-            start=None if data.get("start") is None else float(data["start"]),  # type: ignore[arg-type]
-            feasible=bool(data.get("feasible", True)),
-            chosen=bool(data.get("chosen", False)),
-            note=str(data.get("note", "")),
-        )
-
-
-@dataclass
-class PlacementDecision:
-    """Why one op landed on one device in one DPOS schedule."""
-
-    op_name: str
-    device: str
-    #: ``colocated`` | ``critical-path`` | ``min-eft`` | ``memory-overflow``
-    reason: str
-    start: float
-    finish: float
-    #: Upward rank that prioritized the op in the placement sequence.
-    rank: Optional[float] = None
-    on_critical_path: bool = False
-    alternatives: List[PlacementAlternative] = field(default_factory=list)
-
-    @property
-    def predicted_time(self) -> float:
-        return self.finish - self.start
-
-    @property
-    def chosen_alternative(self) -> Optional[PlacementAlternative]:
-        for alt in self.alternatives:
-            if alt.chosen:
-                return alt
-        return None
-
-    def to_json(self) -> Dict[str, object]:
-        data = asdict(self)
-        data["alternatives"] = [a.to_json() for a in self.alternatives]
-        return data
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "PlacementDecision":
-        return cls(
-            op_name=str(data["op_name"]),
-            device=str(data["device"]),
-            reason=str(data["reason"]),
-            start=float(data["start"]),  # type: ignore[arg-type]
-            finish=float(data["finish"]),  # type: ignore[arg-type]
-            rank=None if data.get("rank") is None else float(data["rank"]),  # type: ignore[arg-type]
-            on_critical_path=bool(data.get("on_critical_path", False)),
-            alternatives=[
-                PlacementAlternative.from_json(a)
-                for a in data.get("alternatives", [])  # type: ignore[union-attr]
-            ],
-        )
-
-
-@dataclass
-class SplitCandidate:
-    """One (dimension, split count) OS-DPOS tried for one op."""
-
-    dim: str
-    num_splits: int
-    #: ``accepted`` | ``rejected`` | ``infeasible`` (older journals may
-    #: also hold ``pruned``, from a since-removed lower-bound filter)
-    verdict: str
-    #: Simulated DPOS finish time (evaluated candidates only).
-    makespan: Optional[float] = None
-
-    def to_json(self) -> Dict[str, object]:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "SplitCandidate":
-        makespan = data.get("makespan")
-        return cls(
-            dim=str(data["dim"]),
-            num_splits=int(data["num_splits"]),  # type: ignore[arg-type]
-            verdict=str(data["verdict"]),
-            makespan=None if makespan is None else float(makespan),  # type: ignore[arg-type]
-        )
-
-    def describe(self) -> str:
-        label = f"dim={self.dim} x{self.num_splits}"
-        if self.verdict == "infeasible":
-            return f"{label}: infeasible (rewrite failed)"
-        detail = "" if self.makespan is None else f" -> makespan {self.makespan:.6g}s"
-        return f"{label}: {self.verdict}{detail}"
-
-
-@dataclass
-class OpRound:
-    """OS-DPOS examining one critical-path op's split candidates."""
-
-    op_name: str
-    #: ``committed`` | ``rejected`` | ``no-candidates`` | ``examined``
-    verdict: str = "examined"
-    #: Finish time a candidate had to beat when this round started.
-    incumbent: Optional[float] = None
-    #: Best simulated makespan among evaluated candidates.
-    best_makespan: Optional[float] = None
-    #: The committed (dim, num_splits), when ``verdict == "committed"``.
-    accepted: Optional[Tuple[str, int]] = None
-    #: Sub-op names the committed split created.
-    sub_ops: List[str] = field(default_factory=list)
-    candidates: List[SplitCandidate] = field(default_factory=list)
-
-    # -- builder API used by the engines (no-ops on the null recorder) --
-    def candidate(
-        self,
-        dim: str,
-        num_splits: int,
-        verdict: str,
-        makespan: Optional[float] = None,
-    ) -> None:
-        self.candidates.append(
-            SplitCandidate(
-                dim=dim,
-                num_splits=num_splits,
-                verdict=verdict,
-                makespan=makespan,
-            )
-        )
-
-    def accept(
-        self,
-        dim: str,
-        num_splits: int,
-        sub_ops: Sequence[str],
-        makespan: Optional[float] = None,
-    ) -> None:
-        self.verdict = "committed"
-        self.accepted = (dim, num_splits)
-        self.sub_ops = list(sub_ops)
-        self.best_makespan = makespan
-        for cand in self.candidates:
-            if cand.dim == dim and cand.num_splits == num_splits:
-                cand.verdict = "accepted"
-                break
-
-    def reject(self, best_makespan: Optional[float] = None) -> None:
-        self.verdict = "rejected"
-        self.best_makespan = best_makespan
-
-    def no_candidates(self) -> None:
-        self.verdict = "no-candidates"
-
-    # ------------------------------------------------------------------
-    def to_json(self) -> Dict[str, object]:
-        return {
-            "op_name": self.op_name,
-            "verdict": self.verdict,
-            "incumbent": self.incumbent,
-            "best_makespan": self.best_makespan,
-            "accepted": list(self.accepted) if self.accepted else None,
-            "sub_ops": list(self.sub_ops),
-            "candidates": [c.to_json() for c in self.candidates],
-        }
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "OpRound":
-        accepted = data.get("accepted")
-        return cls(
-            op_name=str(data["op_name"]),
-            verdict=str(data.get("verdict", "examined")),
-            incumbent=(
-                None if data.get("incumbent") is None
-                else float(data["incumbent"])  # type: ignore[arg-type]
-            ),
-            best_makespan=(
-                None if data.get("best_makespan") is None
-                else float(data["best_makespan"])  # type: ignore[arg-type]
-            ),
-            accepted=(
-                None if accepted is None
-                else (str(accepted[0]), int(accepted[1]))  # type: ignore[index]
-            ),
-            sub_ops=[str(s) for s in data.get("sub_ops", [])],  # type: ignore[union-attr]
-            candidates=[
-                SplitCandidate.from_json(c)
-                for c in data.get("candidates", [])  # type: ignore[union-attr]
-            ],
-        )
-
-    def describe(self) -> str:
-        head = f"round {self.op_name}: {self.verdict}"
-        if self.verdict == "committed" and self.accepted is not None:
-            head += f" split dim={self.accepted[0]} x{self.accepted[1]}"
-            if self.best_makespan is not None and self.incumbent is not None:
-                head += (
-                    f" (makespan {self.best_makespan:.6g}s"
-                    f" < incumbent {self.incumbent:.6g}s)"
-                )
-        elif self.verdict == "rejected":
-            if self.best_makespan is not None and self.incumbent is not None:
-                head += (
-                    f" (best candidate {self.best_makespan:.6g}s"
-                    f" >= incumbent {self.incumbent:.6g}s)"
-                )
-        return head
 
 
 @dataclass
@@ -293,36 +78,6 @@ class SearchRecord:
     #: coarsened graph.  Empty for flat searches.
     super_ops: Dict[str, List[str]] = field(default_factory=dict)
 
-    enabled = True
-
-    # -- builder API used by the engines --------------------------------
-    def record_initial(self, finish_time: float) -> None:
-        self.initial_finish = finish_time
-
-    def set_candidate_ops(self, ops: Sequence[str]) -> None:
-        self.candidate_ops = list(ops)
-
-    def set_super_ops(self, super_ops: Dict[str, Sequence[str]]) -> None:
-        """Record the contraction map of a coarsened search."""
-        self.super_ops = {
-            name: list(members) for name, members in super_ops.items()
-        }
-
-    def begin_op(
-        self, op_name: str, incumbent: Optional[float] = None
-    ) -> OpRound:
-        rnd = OpRound(op_name=op_name, incumbent=incumbent)
-        self.rounds.append(rnd)
-        return rnd
-
-    def finalize(self, result: object) -> None:
-        """Adopt the winning DPOS result's finish time and decisions."""
-        self.final_finish = getattr(result, "finish_time", None)
-        decisions = getattr(result, "decisions", None)
-        if decisions:
-            self.decisions = dict(decisions)
-
-    # ------------------------------------------------------------------
     @property
     def committed_splits(self) -> List[OpRound]:
         return [r for r in self.rounds if r.verdict == "committed"]
@@ -491,13 +246,6 @@ class ProvenanceJournal:
         self.searches: List[SearchRecord] = list(searches or [])
 
     # ------------------------------------------------------------------
-    def begin_search(self, graph: str, mode: str) -> SearchRecord:
-        record = SearchRecord(
-            search_id=len(self.searches), graph=graph, mode=mode
-        )
-        self.searches.append(record)
-        return record
-
     def ops(self) -> List[str]:
         """Every op name any search decided a placement for."""
         names = set()
@@ -704,14 +452,35 @@ class ProvenanceRecorder:
     def __init__(self) -> None:
         self.journal = ProvenanceJournal()
 
-    def begin_search(self, graph: str, mode: str) -> SearchRecord:
-        return self.journal.begin_search(graph, mode)
+    def record(
+        self, graph: str, mode: str, result: Union[OSDPOSResult, DPOSResult]
+    ) -> None:
+        """Journal one finished search of the graph named ``graph``.
 
-    def record_dpos(self, graph: str, result: object) -> None:
-        """Journal a plain DPOS run (splitting disabled)."""
-        search = self.journal.begin_search(graph, "dpos")
-        search.record_initial(getattr(result, "finish_time", 0.0))
-        search.finalize(result)
+        A plain DPOS run (mode ``dpos``, splitting disabled) has no split
+        rounds and finishes where it started.
+        """
+        if isinstance(result, DPOSResult):
+            final, initial = result, result.finish_time
+            ops, rounds, members = [], [], {}
+        else:
+            final, initial = result.dpos_result, result.initial_finish
+            ops, rounds = result.candidate_ops, result.rounds
+            members = result.coarse_members
+        self.journal.searches.append(SearchRecord(
+            search_id=len(self.journal.searches),
+            graph=graph,
+            mode=mode,
+            candidate_ops=list(ops),
+            initial_finish=initial,
+            final_finish=final.finish_time,
+            rounds=list(rounds),
+            decisions=dict(final.decisions or {}),
+            super_ops={
+                name: list(names)
+                for name, names in members.items() if len(names) > 1
+            },
+        ))
 
 
 # ----------------------------------------------------------------------

@@ -184,6 +184,21 @@ class TestZeroCostDefault:
         ]
         assert plain.finish_time == pytest.approx(recorded.finish_time)
 
+    def test_unobserved_search_returns_the_journaled_rounds(self, topo4):
+        plain = _search(topo4, heavy_matmul_graph(), None)
+        obs = Observability(provenance=True)
+        _search(topo4, heavy_matmul_graph(), obs)
+        search = obs.provenance.journal.searches[0]
+        assert [r.to_json() for r in plain.rounds] == [
+            r.to_json() for r in search.rounds
+        ]
+        assert plain.candidate_ops == search.candidate_ops
+        assert plain.initial_finish == search.initial_finish
+        assert plain.mode == search.mode == "incremental"
+        assert plain.candidates_evaluated == sum(
+            c.verdict != "infeasible" for r in plain.rounds for c in r.candidates
+        )
+
     def test_null_provenance_records_nothing(self, topo4):
         obs = Observability()  # enabled, but provenance off (the default)
         _search(topo4, heavy_matmul_graph(), obs)
