@@ -324,31 +324,29 @@ class StrategyCalculator:
     # ------------------------------------------------------------------
     def run(self) -> CalculationReport:
         """Execute the pre-training stage; returns the surviving strategy."""
-        with self.obs.events.span(
+        events = self.obs.events
+        with events.span(
             "calculator.run",
             graph=self.input_graph.name,
             max_rounds=self.config.max_rounds,
-        ):
+        ) as span:
             report = self._run_rounds()
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("calculator.rounds").inc(len(report.rounds))
-            metrics.counter("calculator.activations").inc(
-                sum(1 for r in report.rounds if r.activated)
-            )
-            metrics.counter("calculator.rollbacks").inc(
-                sum(1 for r in report.rounds if r.rolled_back)
-            )
-            metrics.timer("calculator.algorithm").add(report.algorithm_seconds)
-            metrics.timer("calculator.simulated_profiling").add(
-                report.simulated_profiling_seconds
-            )
-            metrics.gauge("calculator.measured_time").set(report.measured_time)
-            # search.* totals already reach the registry via OSDPOS.run();
-            # costmodel.stability.* via the StabilityMonitor's own hook.
-            if report.calibration is not None:
-                for key, value in report.calibration.metrics().items():
-                    metrics.gauge(key).set(value)
+            if events.enabled:
+                calibration = report.calibration
+                span.set(
+                    rounds=len(report.rounds),
+                    activations=sum(r.activated for r in report.rounds),
+                    rollbacks=sum(r.rolled_back for r in report.rounds),
+                    algorithm_seconds=report.algorithm_seconds,
+                    simulated_profiling_seconds=(
+                        report.simulated_profiling_seconds
+                    ),
+                    measured_time=report.measured_time,
+                    calibration=(
+                        calibration.metrics() if calibration is not None
+                        else None
+                    ),
+                )
         return report
 
     def _run_rounds(self) -> CalculationReport:
@@ -437,6 +435,9 @@ class StrategyCalculator:
 
                 record.stable = state.stability.update(
                     self.computation.snapshot()
+                )
+                round_span.set(
+                    stable=record.stable, drift=state.stability.last_drift
                 )
                 if record.stable and round_index + 1 >= config.min_rounds:
                     report.rounds.append(record)

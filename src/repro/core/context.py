@@ -139,7 +139,5 @@ class SearchContext:
 
     # ------------------------------------------------------------------
     def stability_monitor(self) -> StabilityMonitor:
-        """A fresh per-run stability monitor wired to this context's metrics."""
-        return StabilityMonitor(
-            self.config.stability_tolerance, metrics=self.obs.metrics
-        )
+        """A fresh per-run stability monitor."""
+        return StabilityMonitor(self.config.stability_tolerance)

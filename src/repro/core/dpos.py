@@ -125,22 +125,19 @@ class DPOS:
         without one, the run builds a fresh cache.  The result is identical either
         way.
         """
-        obs = self.obs
-        with obs.events.span(
+        with self.obs.events.span(
             "search.dpos",
             graph=graph.name,
             ops=graph.num_ops,
             cached=cost_cache is not None,
-        ):
+        ) as span:
             if cost_cache is None:
                 cost_cache = CostCache(
                     graph, self.computation, self.communication,
                     self.topology.device_names,
                 )
             result = self._run(graph, cost_cache)
-        if obs.enabled:
-            obs.metrics.counter("dpos.runs").inc()
-            obs.metrics.gauge("dpos.last_finish_time").set(result.finish_time)
+            span.set(makespan=result.finish_time)
         return result
 
     def _run(self, graph: Graph, costs: CostCache) -> DPOSResult:

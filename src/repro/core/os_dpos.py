@@ -283,14 +283,8 @@ class OSDPOS:
             span.set(
                 makespan=result.finish_time,
                 splits=len(result.strategy.split_list),
+                counters=result.metrics,
             )
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("search.runs").inc()
-            for name, value in result.metrics.items():
-                if isinstance(value, int):
-                    metrics.counter(name).inc(value)
-            metrics.gauge("search.finish_time_estimate").set(result.finish_time)
         obs.provenance.record(graph.name, mode, result)
         return result
 

@@ -9,10 +9,7 @@ present in both.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - avoid the costmodel <-> obs cycle
-    from ..obs import MetricsRegistry
+from typing import Dict, Optional, Tuple
 
 Snapshot = Dict[Tuple[str, str], float]
 
@@ -20,23 +17,17 @@ Snapshot = Dict[Tuple[str, str], float]
 class StabilityMonitor:
     """Tracks snapshot-to-snapshot drift of a cost model.
 
-    ``metrics`` (any :class:`~repro.obs.MetricsRegistry`-shaped object,
-    including the null registry) mirrors the monitor's signals into the
-    run's metrics snapshot under ``costmodel.stability.*``: the update
-    count, the last max relative drift, and a 0/1 stable gauge.
+    The calculator's ``round`` span carries each verdict (``stable``)
+    and ``last_drift`` (``drift``); the metrics registry's rule table
+    turns them into ``costmodel.stability.*``.
     """
 
-    def __init__(
-        self,
-        tolerance: float = 0.05,
-        metrics: Optional["MetricsRegistry"] = None,
-    ) -> None:
+    def __init__(self, tolerance: float = 0.05) -> None:
         if tolerance <= 0:
             raise ValueError("tolerance must be positive")
         self.tolerance = tolerance
         self._previous: Optional[Snapshot] = None
         self.last_drift: Optional[float] = None
-        self._metrics = metrics
 
     def update(self, snapshot: Snapshot) -> bool:
         """Feed the latest snapshot; True once the model counts as stable.
@@ -44,19 +35,6 @@ class StabilityMonitor:
         Stability requires a previous snapshot covering the same keys and
         a maximum relative change below ``tolerance``.
         """
-        stable = self._update(snapshot)
-        if self._metrics is not None:
-            self._metrics.counter("costmodel.stability.updates").inc()
-            self._metrics.gauge("costmodel.stability.stable").set(
-                1.0 if stable else 0.0
-            )
-            if self.last_drift is not None:
-                self._metrics.gauge("costmodel.stability.max_drift").set(
-                    self.last_drift
-                )
-        return stable
-
-    def _update(self, snapshot: Snapshot) -> bool:
         previous, self._previous = self._previous, dict(snapshot)
         if previous is None or not snapshot:
             self.last_drift = None

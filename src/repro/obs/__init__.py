@@ -8,9 +8,11 @@ accepts an ``obs=`` hook.  The hook bundles two instruments:
   instruments with one call — a span or an event.  A Chrome-trace
   recorder subscribed to it keeps the wall-clock timeline, so a
   strategy-search run renders in ``chrome://tracing`` / Perfetto;
-* a **metrics registry** of counters/gauges/timers, frozen into a
-  :class:`~repro.obs.metrics.MetricsSnapshot` that result objects
-  (``OSDPOSResult``, ``CalculationReport``, ``OptimizeResult``) carry.
+* a **metrics registry** of counters/gauges/timers, subscribed to the
+  same bus (its rule table turns span finishes and facts into metric
+  keys) and frozen into a :class:`~repro.obs.metrics.MetricsSnapshot`
+  that result objects (``OSDPOSResult``, ``CalculationReport``,
+  ``OptimizeResult``) carry.
 
 The default is :data:`NULL_OBS`, whose every instrument is a shared
 no-op, so un-observed runs pay essentially nothing::
@@ -99,7 +101,8 @@ class Observability:
 
     ``Observability()`` carries a live :class:`~repro.obs.events.EventBus`
     with a :class:`~repro.obs.chrome_trace.ChromeTraceRecorder`
-    (``obs.trace``) subscribed, and a metrics registry; :data:`NULL_OBS`
+    (``obs.trace``) and a metrics registry (``obs.metrics``) subscribed;
+    :data:`NULL_OBS`
     (the library default) is the disabled instance whose every
     instrument is a no-op.  ``provenance=True`` additionally journals
     every DPOS / OS-DPOS decision (see :mod:`repro.obs.provenance`); it
@@ -110,15 +113,15 @@ class Observability:
     def __init__(
         self,
         enabled: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
         provenance: bool = False,
     ) -> None:
         self.enabled = enabled
         self.trace = ChromeTraceRecorder()
         if enabled:
-            self.metrics = metrics if metrics is not None else MetricsRegistry()
+            self.metrics = MetricsRegistry()
             self.events: EventBus = EventBus()
             self.events.subscribe(self.trace)
+            self.events.subscribe(self.metrics)
         else:
             self.metrics = NullMetricsRegistry()
             self.events = NULL_EVENTS

@@ -14,7 +14,8 @@ attributes :meth:`Span.set` recorded and ``error`` if the block raised.
 Both carry the ``span`` id and the ``parent`` span id open on the same
 thread.  Every enabled :class:`~repro.obs.Observability` carries a live
 bus; the Chrome-trace recorder
-(:class:`~repro.obs.chrome_trace.ChromeTraceRecorder`), a recorded run's
+(:class:`~repro.obs.chrome_trace.ChromeTraceRecorder`), the metrics
+registry (:data:`~repro.obs.metrics.METRIC_RULES`), a recorded run's
 ``events.jsonl`` and manifest ``phases`` (:mod:`repro.obs.runs`) and the
 ``--progress`` renderer (:mod:`repro.obs.progress`) are subscribers::
 
@@ -47,8 +48,21 @@ The stable vocabulary (a span is listed by name and emits ``.start`` and
 ``search.dpos``         span: one DPOS placement pass
 ``dpos.progress``       placement progress (placed/total)
 ``graph.coarsen``       span: one graph contraction (cluster counts)
-``sim.step``            span: one simulated step (``makespan``)
+``sim.step``            span: one simulated step (``makespan``, ``ops``)
 ``sim.progress``        simulator event-heap progress
+``serve.submit``        span: one service request (``queue_wait``,
+                        ``outcome``)
+``serve.request``       a request that no identical peer is in flight for
+``serve.coalesce``      a request folded onto an in-flight leader
+``serve.coalesce.wait`` span: a follower's wait on its leader
+``serve.store.lookup``  span: one strategy-store lookup (``result``)
+``serve.hit/miss``      the lookup's answer
+``serve.warm``          a search seeded from a cached near-miss strategy
+``serve.search``        span: one service search (``seed``, ``result``)
+``serve.warm.fallback`` a warm-started search that fell back cold
+``serve.complete``      a searched answer stored (``source``, makespan)
+``serve.timeout``       a follower's deadline expired
+``serve.evict``         a store eviction (``tier``)
 ======================  ===================================================
 """
 
@@ -132,10 +146,13 @@ class Span:
     (normally or by an exception) emits ``<name>.finish`` with
     ``seconds``, the attributes :meth:`set` recorded and, when the block
     raised, ``error``.  ``span``, ``parent``, ``seconds`` and ``error``
-    are reserved attribute names.
+    are reserved attribute names.  After the block, ``seconds`` is also
+    readable on the span itself.
     """
 
-    __slots__ = ("_bus", "name", "id", "parent", "_attrs", "_done", "_start")
+    __slots__ = (
+        "_bus", "name", "id", "parent", "_attrs", "_done", "_start", "seconds",
+    )
 
     def __init__(self, bus: "EventBus", name: str, attrs: Dict[str, object]) -> None:
         self._bus = bus
@@ -159,13 +176,13 @@ class Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        seconds = time.perf_counter() - self._start
+        self.seconds = time.perf_counter() - self._start
         self._bus._open.stack.pop()
         if exc_type is not None:
             self._done["error"] = exc_type.__name__
         self._bus.emit(
             f"{self.name}.finish", span=self.id, parent=self.parent,
-            seconds=seconds, **self._done,
+            seconds=self.seconds, **self._done,
         )
         return False
 

@@ -1,9 +1,10 @@
 """Metrics registry: counters, gauges, timers, and histograms.
 
-The registry replaces the ad hoc integer counters that used to live on
-``OSDPOSResult`` and ``CalculationReport``: components increment named
-counters, set gauges, accumulate timers, and observe latency samples
-into histograms; at the end of a run the registry is frozen into a
+The registry is a subscriber of the event bus (:mod:`repro.obs.events`):
+engines and the strategy service never write it by hand.  Each span
+finish or fact event they emit is turned into counter increments, gauge
+sets, timer additions and histogram samples by one rule table,
+:data:`METRIC_RULES`.  At the end of a run the registry is frozen into a
 :class:`MetricsSnapshot` (a plain ``dict`` subclass) that travels on the
 result objects and serializes to JSON/CSV.
 
@@ -25,8 +26,10 @@ from __future__ import annotations
 
 import math
 import threading
-import time
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+
+if TYPE_CHECKING:  # pragma: no cover - annotation only
+    from .events import Event
 
 Number = Union[int, float]
 
@@ -52,9 +55,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         with _METRICS_LOCK:
             self.value += amount
-
-    # ``add`` reads better when folding in a batch total.
-    add = inc
 
 
 class Gauge:
@@ -83,41 +83,27 @@ class Gauge:
 
 
 class Timer:
-    """Accumulated wall-clock seconds plus an invocation count.
+    """Accumulated seconds plus an invocation count, fed by :meth:`add`."""
 
-    Usable as a context manager (``with registry.timer("x"): ...``) or by
-    adding externally measured durations via :meth:`add`.
-    """
-
-    __slots__ = ("name", "seconds", "count", "_started")
+    __slots__ = ("name", "seconds", "count")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.seconds = 0.0
         self.count = 0
-        self._started: Optional[float] = None
 
     def add(self, seconds: float, count: int = 1) -> None:
         with _METRICS_LOCK:
             self.seconds += seconds
             self.count += count
 
-    def __enter__(self) -> "Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        assert self._started is not None
-        self.add(time.perf_counter() - self._started)
-        self._started = None
-
 
 #: Default histogram bucket upper bounds: fixed exponential (log-spaced,
 #: factor 2) from 100 microseconds to ~1.7 hours.  Latency-shaped: the
 #: relative quantile-estimation error is bounded by one bucket width
 #: (a factor of 2), which is plenty to tell p50 from p99 on a serving
-#: path, and the fixed layout means every histogram in the process (and
-#: across merged runs) shares bucket boundaries.
+#: path, and the fixed layout means every histogram in the process
+#: shares bucket boundaries.
 DEFAULT_BUCKET_BOUNDS: Tuple[float, ...] = tuple(
     1e-4 * (2.0 ** i) for i in range(26)
 )
@@ -220,26 +206,6 @@ class Histogram:
             out.append((bound, cumulative))
         out.append((math.inf, cumulative + counts[-1]))
         return out
-
-    # ------------------------------------------------------------------
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's samples into this one.
-
-        Requires identical bucket bounds (true for every default-bucket
-        histogram in the process — the point of fixed bounds).
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.name!r} vs {other.name!r}"
-            )
-        with _METRICS_LOCK:
-            for index, bucket_count in enumerate(other.bucket_counts):
-                self.bucket_counts[index] += bucket_count
-            self.count += other.count
-            self.sum += other.sum
-            self.min = min(self.min, other.min)
-            self.max = max(self.max, other.max)
 
     def snapshot_into(self, snap: Dict[str, Number]) -> None:
         """Write this histogram's flat snapshot keys into ``snap``."""
@@ -358,16 +324,11 @@ class MetricsRegistry:
         return metric
 
     # ------------------------------------------------------------------
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry's totals into this one (cross-run sums)."""
-        for name, counter in list(other._counters.items()):
-            self.counter(name).inc(counter.value)
-        for name, gauge in list(other._gauges.items()):
-            self.gauge(name).set(gauge.value)
-        for name, timer in list(other._timers.items()):
-            self.timer(name).add(timer.seconds, timer.count)
-        for name, histogram in list(other._histograms.items()):
-            self.histogram(name, bounds=histogram.bounds).merge(histogram)
+    def __call__(self, event: "Event") -> None:
+        """Bus subscriber: apply the :data:`METRIC_RULES` entry, if any."""
+        rule = METRIC_RULES.get(event.kind)
+        if rule is not None:
+            rule(self, event.data)
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze current values into a serializable mapping."""
@@ -387,21 +348,12 @@ class MetricsRegistry:
         """The live histogram instruments (for renderers/dashboards)."""
         return list(self._histograms.values())
 
-    def __iter__(self) -> Iterator[str]:
-        yield from list(self._counters)
-        yield from list(self._gauges)
-        yield from list(self._timers)
-        yield from list(self._histograms)
-
-    def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._timers) + len(self._histograms))
-
 
 class _NullMetric:
     """Shared do-nothing metric for disabled observability."""
 
     __slots__ = ()
+    value = 0
 
     def inc(self, amount: Number = 1) -> None:
         pass
@@ -421,21 +373,12 @@ class _NullMetric:
     def quantile(self, q: float) -> float:
         return 0.0
 
-    def __enter__(self) -> "_NullMetric":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        pass
-
 
 _NULL_METRIC = _NullMetric()
 
 
 class NullMetricsRegistry(MetricsRegistry):
     """Zero-cost registry: every metric is one shared no-op object."""
-
-    def __init__(self) -> None:
-        super().__init__()
 
     def counter(self, name: str, **labels: str) -> Counter:  # type: ignore[override]
         return _NULL_METRIC  # type: ignore[return-value]
@@ -449,8 +392,130 @@ class NullMetricsRegistry(MetricsRegistry):
     def histogram(self, name: str, bounds=None, **labels: str) -> Histogram:  # type: ignore[override]
         return _NULL_METRIC  # type: ignore[return-value]
 
-    def merge(self, other: MetricsRegistry) -> None:
-        pass
-
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot()
+
+
+# ----------------------------------------------------------------------
+# The rule table: bus events -> metric writes
+# ----------------------------------------------------------------------
+
+#: A rule reads one event's data and writes the registry.
+Rule = Callable[[MetricsRegistry, Dict[str, object]], None]
+
+
+def _completed(rule: Rule) -> Rule:
+    """``rule``, applied only to spans that finished without an error."""
+
+    def apply(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+        if "error" not in data:
+            rule(registry, data)
+
+    return apply
+
+
+def _count(name: str) -> Rule:
+    """One more on counter ``name`` per event."""
+    return lambda registry, data: registry.counter(name).inc()
+
+
+def _timed(name: str, **labels: str) -> Rule:
+    """The span's seconds into histogram ``name``; ``labels`` maps each
+    label to the finish attribute holding its value."""
+
+    def rule(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+        values = {label: str(data[attr]) for label, attr in labels.items()}
+        registry.histogram(name, **values).observe(data["seconds"])
+
+    return rule
+
+
+def _sim_step(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    registry.counter("sim.steps").inc()
+    registry.counter("sim.op_executions").inc(data["ops"])
+    registry.counter("sim.transfers").inc(data["transfers"])
+    registry.timer("sim.simulated").add(data["makespan"])
+    registry.timer("sim.queue_wait").add(data["queue_wait"])
+    registry.gauge("sim.last_makespan").set(data["makespan"])
+
+
+def _dpos(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    registry.counter("dpos.runs").inc()
+    registry.gauge("dpos.last_finish_time").set(data["makespan"])
+
+
+def _osdpos(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    registry.counter("search.runs").inc()
+    for name, value in data["counters"].items():
+        if isinstance(value, int):
+            registry.counter(name).inc(value)
+    registry.gauge("search.finish_time_estimate").set(data["makespan"])
+
+
+def _calculator(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    registry.counter("calculator.rounds").inc(data["rounds"])
+    registry.counter("calculator.activations").inc(data["activations"])
+    registry.counter("calculator.rollbacks").inc(data["rollbacks"])
+    registry.timer("calculator.algorithm").add(data["algorithm_seconds"])
+    registry.timer("calculator.simulated_profiling").add(
+        data["simulated_profiling_seconds"]
+    )
+    registry.gauge("calculator.measured_time").set(data["measured_time"])
+    for key, value in (data["calibration"] or {}).items():
+        registry.gauge(key).set(value)
+
+
+def _stability(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    if "stable" not in data:  # a rolled-back round never asks
+        return
+    registry.counter("costmodel.stability.updates").inc()
+    registry.gauge("costmodel.stability.stable").set(float(data["stable"]))
+    if data["drift"] is not None:
+        registry.gauge("costmodel.stability.max_drift").set(data["drift"])
+
+
+def _accepted(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    registry.counter("serve.requests").inc()
+    if data["queue_wait"] is not None:
+        registry.histogram("serve.queue.wait").observe(data["queue_wait"])
+
+
+def _answered(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    # The unlabeled series' _count is the CI cross-check against
+    # serve.requests.
+    outcome = str(data["outcome"])
+    registry.histogram("serve.request.latency").observe(data["seconds"])
+    registry.histogram("serve.request.latency", outcome=outcome).observe(
+        data["seconds"]
+    )
+    if data["outcome"] == "error":
+        registry.counter("serve.errors").inc()
+
+
+#: The one table from bus events to metric keys.  An enabled
+#: :class:`~repro.obs.Observability` and every strategy service
+#: subscribe their registry to their bus, so each engine or service
+#: site makes one call — a span or an event — and its numbers reach the
+#: registry here.
+METRIC_RULES: Dict[str, Rule] = {
+    "sim.step.finish": _completed(_sim_step),
+    "search.dpos.finish": _completed(_dpos),
+    "search.osdpos.finish": _completed(_osdpos),
+    "calculator.run.finish": _completed(_calculator),
+    "round.finish": _stability,
+    "serve.submit.start": _accepted,
+    "serve.submit.finish": _answered,
+    "serve.hit": _count("serve.hits"),
+    "serve.miss": _count("serve.misses"),
+    "serve.coalesce": _count("serve.coalesced"),
+    "serve.warm": _count("serve.warm_starts"),
+    "serve.warm.fallback": _count("serve.warm_fallbacks"),
+    "serve.timeout": _count("serve.timeouts"),
+    "serve.evict": _count("serve.evictions"),
+    "serve.store.lookup.finish": _completed(
+        _timed("serve.store.lookup", result="result")
+    ),
+    "serve.search.start": _count("serve.searches"),
+    "serve.search.finish": _timed("serve.search", seed="seed", result="result"),
+    "serve.coalesce.wait.finish": _timed("serve.coalesce.wait"),
+}

@@ -27,19 +27,19 @@ threads; reentrancy comes from per-request contexts).  The asyncio TCP
 front-end lives in :func:`serve_forever` / ``python -m repro.serve``;
 in-process callers use :meth:`StrategyService.submit` directly.
 
-Every decision is observable three ways:
-
-* ``serve.*`` events (request/hit/miss/coalesce/warm/complete/timeout,
-  each stamped with the client ``request_id``) on the service's bus;
-* a :meth:`stats` counter snapshot (the CI smoke gate's source of
-  truth), mirrored 1:1 into the service's
-  :class:`~repro.obs.MetricsRegistry` as ``serve.<counter>``;
-* latency **histograms** (end-to-end request latency labeled by
-  outcome, search wall-clock, store lookup time, coalesce wait) in the
-  same registry, rendered as Prometheus text exposition by the
-  ``metrics`` protocol verb and the plain-HTTP ``GET /metrics`` /
-  ``/healthz`` / ``/readyz`` listener (``serve_forever(...,
-  metrics_port=)``).
+Every decision is recorded once, on the service's private event bus:
+``serve.*`` facts (request/hit/miss/coalesce/warm/complete/timeout/
+evict, each stamped with the client ``request_id``) and spans
+(``serve.submit`` carrying the request's queue wait and outcome,
+``serve.store.lookup``, ``serve.search`` and ``serve.coalesce.wait``).
+The service's :class:`~repro.obs.MetricsRegistry` subscribes to that
+bus, and its rule table (:data:`repro.obs.metrics.METRIC_RULES`) turns
+the events into the ``serve.<counter>`` counters and the latency
+**histograms**.  :attr:`StrategyService.stats` (the CI smoke gate's
+source of truth) reads its counts from the registry, as does the
+Prometheus text exposition served by the ``metrics`` protocol verb and
+the plain-HTTP ``GET /metrics`` / ``/healthz`` / ``/readyz`` listener
+(``serve_forever(..., metrics_port=)``).
 
 Each request carries a **request id** (client-minted, server-minted as
 a fallback) threaded through events, log records
@@ -205,8 +205,13 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
             "dict under 'topology'"
         )
     document: Dict[str, object] = {"model": model, "topology": topology}
-    if request.get("global_batch") is not None:
-        document["global_batch"] = int(request["global_batch"])  # type: ignore[arg-type]
+    batch = request.get("global_batch")
+    if batch is not None:
+        if isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+            raise RequestError(
+                f"'global_batch' must be a positive integer, got {batch!r}"
+            )
+        document["global_batch"] = batch
     config = request.get("config") or {}
     if not isinstance(config, dict):
         raise RequestError("'config' must be an object of FastTConfig overrides")
@@ -246,7 +251,11 @@ def _build_config(base: FastTConfig, overrides: Dict[str, object]) -> FastTConfi
 
 @dataclass
 class ServiceStats:
-    """Counter snapshot (all monotonic since service start)."""
+    """The service's counters, read from its metrics registry.
+
+    All monotonic since service start; each read of
+    :attr:`StrategyService.stats` builds a fresh one.
+    """
 
     requests: int = 0
     hits: int = 0
@@ -273,15 +282,12 @@ class StrategyService:
             ``config`` overrides are applied on top.
         workers: Size of the search worker pool used by the async
             front-end (``submit`` itself runs in the caller's thread).
-        events: Event bus receiving ``serve.*`` telemetry; a private
-            enabled bus is created when omitted so subscribers (stats
-            endpoints, tests) can always attach.
-        warm_ratio: Structural-edit ceiling for warm-start matching
-            (see :meth:`~repro.graph.delta.GraphDelta.is_warm_startable`).
         metrics: Registry receiving the service's counters and latency
-            histograms.  A private enabled registry is created when
-            omitted; pass :class:`~repro.obs.NullMetricsRegistry` to
-            disable recording entirely (the overhead-pin test does).
+            histograms, subscribed to the service's private event bus
+            (``service.events``).  A private enabled registry is created
+            when omitted; pass :class:`~repro.obs.NullMetricsRegistry`
+            to disable recording entirely (the overhead-pin test does),
+            and :attr:`stats` then reads zeros.
         request_timeout: Default per-request deadline in seconds (None =
             wait forever).  A request may override it with its own
             ``timeout`` key.  Only followers of a coalesced request can
@@ -304,8 +310,6 @@ class StrategyService:
         store: Optional[StrategyStore] = None,
         config: Optional[FastTConfig] = None,
         workers: int = 2,
-        events: Optional[EventBus] = None,
-        warm_ratio: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         request_timeout: Optional[float] = None,
         watchdog_deadline: Optional[float] = None,
@@ -313,16 +317,13 @@ class StrategyService:
         record_runs: bool = False,
         runs_root: Optional[str] = None,
     ) -> None:
-        self.events = events if events is not None else EventBus()
-        self.store = store if store is not None else StrategyStore(
-            events=self.events
-        )
-        if self.store.events is not self.events and not self.store.events.enabled:
-            self.store.events = self.events
+        self.events = EventBus()
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.events.subscribe(self.metrics)
+        self.store = store if store is not None else StrategyStore()
+        self.store.events = self.events
         self.config = config or FastTConfig()
         self.workers = max(1, int(workers))
-        self.warm_ratio = warm_ratio
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.request_timeout = request_timeout
         if watchdog_deadline is None:
             watchdog_deadline = (
@@ -335,8 +336,6 @@ class StrategyService:
             self.access_log = AccessLog(access_log)
         self.record_runs = record_runs
         self.runs_root = runs_root
-        self.stats = ServiceStats()
-        self._stats_lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
         #: request_key -> monotonic start time of the leader's search;
         #: the slow-request watchdog reads it.
@@ -346,8 +345,6 @@ class StrategyService:
         self._graph_fps_lock = threading.Lock()
         self._started = False
         self._shutting_down = False
-        if self.events.enabled:
-            self.events.subscribe(self._on_event)
         # Pre-register every stats counter and the overall latency
         # histogram so a scrape before any traffic still yields the full
         # family set (all zeros) instead of an empty document.
@@ -360,19 +357,13 @@ class StrategyService:
         self.metrics.histogram("serve.request.latency")
 
     # -- telemetry ------------------------------------------------------
-    def _on_event(self, event) -> None:
-        if event.kind == "serve.evict":
-            self._bump("evictions")
-
-    def _bump(self, field: str, amount: int = 1) -> None:
-        with self._stats_lock:
-            setattr(self.stats, field, getattr(self.stats, field) + amount)
-        # Mirror 1:1 into the registry so the Prometheus exposition and
-        # the stats endpoint can never disagree about counts.
-        self.metrics.counter(f"serve.{field}").inc(amount)
-
-    def _observe(self, name: str, seconds: float, **labels: str) -> None:
-        self.metrics.histogram(name, **labels).observe(seconds)
+    @property
+    def stats(self) -> ServiceStats:
+        """The service's counters, as its registry holds them."""
+        return ServiceStats(**{
+            field: self.metrics.counter(f"serve.{field}").value
+            for field in ServiceStats.__dataclass_fields__
+        })
 
     def _access(self, record: Dict[str, object]) -> None:
         if self.access_log is not None:
@@ -423,111 +414,101 @@ class StrategyService:
                 raise RequestError(
                     f"'timeout' must be a number, got {raw_timeout!r}"
                 )
-        queue_seconds = 0.0
-        if queued_at is not None:
-            queue_seconds = max(0.0, start - queued_at)
-            self._observe("serve.queue.wait", queue_seconds)
+        queue_wait = None if queued_at is None else max(0.0, start - queued_at)
 
         document = normalize_request(request)
         request_key = request_fingerprint(document, STORE_SCHEMA_VERSION)
-        self._bump("requests")
+        with self._inflight_lock:
+            future = self._inflight.get(request_key)
+            leader = future is None
+            if leader:
+                future = self._inflight[request_key] = Future()
+                self._inflight_started[request_key] = start
         outcome = "error"
-        answer_key = ""
-        run_id = ""
-        search_seconds = 0.0
+        response: Dict[str, object] = {}
+        span = self.events.span(
+            "serve.submit", request=request_key, request_id=request_id,
+            queue_wait=queue_wait,
+        )
         try:
-            with obs_log.request_id_context(request_id):
-                future: Future
-                leader = False
-                with self._inflight_lock:
-                    existing = self._inflight.get(request_key)
-                    if existing is None:
-                        future = Future()
-                        self._inflight[request_key] = future
-                        self._inflight_started[request_key] = start
-                        leader = True
-                    else:
-                        future = existing
-                if not leader:
-                    self._bump("coalesced")
-                    if self.events.enabled:
-                        self.events.emit(
-                            "serve.coalesce", request=request_key,
-                            request_id=request_id,
-                        )
-                    wait_start = time.monotonic()
-                    try:
-                        response = dict(future.result(timeout=timeout))
-                    finally:
-                        self._observe(
-                            "serve.coalesce.wait",
-                            time.monotonic() - wait_start,
-                        )
-                    response["coalesced"] = True
-                    response["request_id"] = request_id
-                    outcome = "coalesced"
-                    answer_key = str(response.get("key", ""))
-                    run_id = str(response.get("run_id") or "")
-                    return response
-                self.metrics.gauge("serve.inflight").inc()
+            with span, obs_log.request_id_context(request_id):
                 try:
-                    response = self._answer(document, request_key, request_id)
-                    future.set_result(response)
-                    outcome = str(response.get("source", "search"))
-                    answer_key = str(response.get("key", ""))
-                    run_id = str(response.get("run_id") or "")
-                    search_seconds = float(
-                        response.get("search_seconds") or 0.0
-                    )
-                    return response
-                except BaseException as exc:
-                    future.set_exception(exc)
+                    if leader:
+                        response = self._lead(
+                            document, request_key, request_id, future
+                        )
+                        outcome = str(response.get("source", "search"))
+                    else:
+                        response = self._follow(
+                            future, request_key, request_id, timeout
+                        )
+                        outcome = "coalesced"
+                except ServeTimeout:
+                    outcome = "timeout"
                     raise
                 finally:
-                    self.metrics.gauge("serve.inflight").dec()
-                    with self._inflight_lock:
-                        self._inflight.pop(request_key, None)
-                        self._inflight_started.pop(request_key, None)
-        except ServeTimeout:
-            outcome = "timeout"
+                    span.set(outcome=outcome)
+            return response
+        finally:
+            search_seconds = response.get("search_seconds") if leader else 0.0
+            self._access({
+                "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "request_id": request_id,
+                "request": request_key,
+                "key": str(response.get("key", "")),
+                "run_id": str(response.get("run_id") or ""),
+                "model": str(document.get("model", "")),
+                "outcome": outcome,
+                "queue_s": round(queue_wait or 0.0, 6),
+                "search_s": round(float(search_seconds or 0.0), 6),
+                "total_s": round(span.seconds, 6),
+            })
+
+    def _lead(
+        self, document: Dict[str, object], request_key: str, request_id: str,
+        future: Future,
+    ) -> Dict[str, object]:
+        """Answer a request no identical peer is in flight for."""
+        self.metrics.gauge("serve.inflight").inc()
+        try:
+            response = self._answer(document, request_key, request_id)
+            future.set_result(response)
+            return response
+        except BaseException as exc:
+            future.set_exception(exc)
             raise
+        finally:
+            self.metrics.gauge("serve.inflight").dec()
+            with self._inflight_lock:
+                self._inflight.pop(request_key, None)
+                self._inflight_started.pop(request_key, None)
+
+    def _follow(
+        self, future: Future, request_key: str, request_id: str,
+        timeout: Optional[float],
+    ) -> Dict[str, object]:
+        """Wait for an identical in-flight leader's answer."""
+        self.events.emit(
+            "serve.coalesce", request=request_key, request_id=request_id,
+        )
+        try:
+            with self.events.span("serve.coalesce.wait", request_id=request_id):
+                response = dict(future.result(timeout=timeout))
         except FutureTimeoutError:
-            # Follower's wait on the leader expired.  (Ordered after
-            # ServeTimeout: on 3.11+ FutureTimeoutError aliases the
-            # builtin TimeoutError, which ServeTimeout subclasses.)
-            outcome = "timeout"
-            self._bump("timeouts")
-            if self.events.enabled:
-                self.events.emit(
-                    "serve.timeout", request=request_key,
-                    request_id=request_id, deadline=timeout,
-                )
+            # On 3.11+ this is the builtin TimeoutError, so a leader's own
+            # TimeoutError also ends the wait as a timeout.
+            self.events.emit(
+                "serve.timeout", request=request_key,
+                request_id=request_id, deadline=timeout,
+            )
             raise ServeTimeout(
                 f"request {request_id} timed out after {timeout:.3f}s "
                 f"waiting for in-flight leader {request_key[:12]}",
                 request_id=request_id,
             ) from None
-        except BaseException:
-            self._bump("errors")
-            raise
-        finally:
-            total = time.monotonic() - start
-            # Unlabeled overall series first (its _count is the CI
-            # cross-check against stats.requests), then per-outcome.
-            self._observe("serve.request.latency", total)
-            self._observe("serve.request.latency", total, outcome=outcome)
-            self._access({
-                "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "request_id": request_id,
-                "request": request_key,
-                "key": answer_key,
-                "run_id": run_id,
-                "model": str(document.get("model", "")),
-                "outcome": outcome,
-                "queue_s": round(queue_seconds, 6),
-                "search_s": round(search_seconds, 6),
-                "total_s": round(total, 6),
-            })
+        response["coalesced"] = True
+        response["request_id"] = request_id
+        return response
 
     def _answer(
         self,
@@ -538,11 +519,10 @@ class StrategyService:
         from ..core.session import FastTSession
         from ..models import get_model
 
-        if self.events.enabled:
-            self.events.emit(
-                "serve.request", request=request_key,
-                request_id=request_id, model=document["model"],
-            )
+        self.events.emit(
+            "serve.request", request=request_key,
+            request_id=request_id, model=document["model"],
+        )
         config = _build_config(self.config, document.get("config") or {})
         topology = topology_from(document["topology"])
         spec = get_model(str(document["model"]))
@@ -585,57 +565,49 @@ class StrategyService:
         )
         key = fingerprints["combined"]
 
-        lookup_start = time.monotonic()
-        cached = self.store.get(key)
-        self._observe(
-            "serve.store.lookup", time.monotonic() - lookup_start,
-            result="hit" if cached is not None else "miss",
-        )
+        with self.events.span(
+            "serve.store.lookup", request_id=request_id
+        ) as lookup:
+            cached = self.store.get(key)
+            lookup.set(result="miss" if cached is None else "hit")
         if cached is not None:
-            self._bump("hits")
-            if self.events.enabled:
-                self.events.emit(
-                    "serve.hit", request=request_key, key=key,
-                    request_id=request_id,
-                )
+            self.events.emit(
+                "serve.hit", request=request_key, key=key,
+                request_id=request_id,
+            )
             return self._respond(
                 cached, source="cache", request_key=request_key,
                 request_id=request_id,
             )
 
-        self._bump("misses")
-        if self.events.enabled:
-            self.events.emit(
-                "serve.miss", request=request_key, key=key,
-                request_id=request_id,
-            )
+        self.events.emit(
+            "serve.miss", request=request_key, key=key,
+            request_id=request_id,
+        )
 
         if session is None:
             session = build_session()
         signature = graph_signature(session.input_graph)
         warm_start, warm_source = self._warm_seed(signature, fingerprints, batch)
         context = session.new_context(warm_start=warm_start)
-        self._bump("searches")
         if warm_start is not None:
-            self._bump("warm_starts")
-            if self.events.enabled:
-                self.events.emit(
-                    "serve.warm", request=request_key, key=key,
-                    request_id=request_id,
-                    seed=warm_source, splits=len(warm_start.split_list),
-                )
+            self.events.emit(
+                "serve.warm", request=request_key, key=key,
+                request_id=request_id,
+                seed=warm_source, splits=len(warm_start.split_list),
+            )
         recorder = None
         if self.record_runs:
             recorder = self._begin_run(request_id)
-        search_start = time.monotonic()
         try:
-            report = session.optimize(context=context)
+            with self.events.span("serve.search", request_id=request_id) as search:
+                search.set(
+                    seed="cold" if warm_start is None else "warm",
+                    result="error",
+                )
+                report = session.optimize(context=context)
+                search.set(result="ok")
         except BaseException as exc:
-            self._observe(
-                "serve.search", time.monotonic() - search_start,
-                seed="warm" if warm_start is not None else "cold",
-                result="error",
-            )
             if recorder is not None:
                 recorder.finish(
                     status="failed",
@@ -645,15 +617,13 @@ class StrategyService:
                     fingerprints=fingerprints,
                 )
             raise
-        search_seconds = time.monotonic() - search_start
-        self._observe(
-            "serve.search", search_seconds,
-            seed="warm" if warm_start is not None else "cold",
-            result="ok",
-        )
-        fallbacks = int(report.metrics.get("search.warm_fallbacks", 0))
-        if fallbacks:
-            self._bump("warm_fallbacks")
+        search_seconds = search.seconds
+        fallback = bool(report.metrics.get("search.warm_fallbacks", 0))
+        if fallback:
+            self.events.emit(
+                "serve.warm.fallback", request=request_key, key=key,
+                request_id=request_id,
+            )
         run_id = ""
         if recorder is not None:
             run_id = recorder.run_id
@@ -688,13 +658,12 @@ class StrategyService:
         )
         if not self.store.put(entry):
             self.metrics.counter("serve.store.write_errors").inc()
-        source = "warm" if warm_start is not None and not fallbacks else "search"
-        if self.events.enabled:
-            self.events.emit(
-                "serve.complete", request=request_key, key=key,
-                request_id=request_id,
-                source=source, makespan=entry.makespan, run_id=run_id,
-            )
+        source = "warm" if warm_start is not None and not fallback else "search"
+        self.events.emit(
+            "serve.complete", request=request_key, key=key,
+            request_id=request_id,
+            source=source, makespan=entry.makespan, run_id=run_id,
+        )
         return self._respond(
             entry, source=source, request_key=request_key,
             request_id=request_id, search_seconds=search_seconds,
@@ -721,12 +690,10 @@ class StrategyService:
         fingerprints: Dict[str, str],
         batch: int,
     ) -> Tuple[Optional[WarmStartSeed], Optional[str]]:
-        kwargs = {} if self.warm_ratio is None else {"max_ratio": self.warm_ratio}
         match = self.store.find_similar(
             signature,
             cluster=fingerprints["cluster"],
             options=fingerprints["options"],
-            **kwargs,
         )
         if match is None:
             return None, None
@@ -802,8 +769,7 @@ class StrategyService:
         }
 
     def stats_json(self) -> Dict[str, object]:
-        with self._stats_lock:
-            return {"status": "ok", "stats": self.stats.to_json()}
+        return {"status": "ok", "stats": self.stats.to_json()}
 
     def health(self) -> Dict[str, object]:
         """Liveness document: degraded when the watchdog sees stuck work.

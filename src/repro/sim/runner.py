@@ -239,21 +239,19 @@ class ExecutionSimulator:
         """
         if policy not in (FIFO, PRIORITY):
             raise SimulationError(f"unknown scheduling policy {policy!r}")
-        obs = self.obs
-        with obs.events.span(
+        events = self.obs.events
+        with events.span(
             "sim.step", policy=policy, graph=self.graph.name
         ) as span:
             state = _StepState(self, placement, order, policy)
             trace = state.run()
-            span.set(makespan=trace.makespan)
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.counter("sim.steps").inc()
-            metrics.counter("sim.op_executions").inc(trace.num_ops)
-            metrics.counter("sim.transfers").inc(trace.num_transfers)
-            metrics.timer("sim.simulated").add(trace.makespan)
-            metrics.timer("sim.queue_wait").add(trace.total_queue_wait)
-            metrics.gauge("sim.last_makespan").set(trace.makespan)
+            if events.enabled:
+                span.set(
+                    makespan=trace.makespan,
+                    ops=trace.num_ops,
+                    transfers=trace.num_transfers,
+                    queue_wait=trace.total_queue_wait,
+                )
         return trace
 
 

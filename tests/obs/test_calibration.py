@@ -13,7 +13,7 @@ from repro.costmodel import (
 )
 from repro.graph import Graph
 from repro.hardware import PerfModel
-from repro.obs import MetricsRegistry, Observability
+from repro.obs import Observability
 from repro.obs.calibration import (
     CALIBRATION_SCHEMA_VERSION,
     CalibrationReport,
@@ -189,11 +189,13 @@ def test_stability_monitor_publishes_metrics():
     """Satellite: StabilityMonitor signals land in metrics snapshots."""
     from repro.costmodel import StabilityMonitor
 
-    registry = MetricsRegistry()
-    monitor = StabilityMonitor(tolerance=0.1, metrics=registry)
-    monitor.update({("a", "d0"): 1.0})
-    monitor.update({("a", "d0"): 1.01})
-    snapshot = registry.snapshot()
+    obs = Observability()
+    monitor = StabilityMonitor(tolerance=0.1)
+    for snapshot in ({("a", "d0"): 1.0}, {("a", "d0"): 1.01}):
+        # The calculator's round span carries each verdict.
+        with obs.events.span("round") as span:
+            span.set(stable=monitor.update(snapshot), drift=monitor.last_drift)
+    snapshot = obs.snapshot()
     assert snapshot.get("costmodel.stability.updates") == 2
     assert snapshot.get("costmodel.stability.stable") == 1.0
     assert snapshot.get("costmodel.stability.max_drift") == pytest.approx(

@@ -40,14 +40,6 @@ class TestTimer:
         assert t.seconds == 2.0
         assert t.count == 3
 
-    def test_context_manager_measures_wall_time(self):
-        reg = MetricsRegistry()
-        t = reg.timer("wall")
-        with t:
-            pass
-        assert t.count == 1
-        assert t.seconds >= 0.0
-
 
 class TestSnapshot:
     def test_flattens_all_instrument_kinds(self):
@@ -76,30 +68,12 @@ class TestSnapshot:
         assert snap.counters("search.") == {"search.a": 1, "search.b": 2}
 
 
-class TestMerge:
-    def test_merge_sums_counters_and_timers(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(2)
-        a.timer("t").add(1.0)
-        b.timer("t").add(2.0, count=4)
-        b.gauge("g").set(9.0)
-        a.merge(b)
-        snap = a.snapshot()
-        assert snap["c"] == 3
-        assert snap["t.seconds"] == 3.0
-        assert snap["t.count"] == 5
-        assert snap["g"] == 9.0
-
-
 class TestNullRegistry:
     def test_all_instruments_are_inert(self):
         reg = NullMetricsRegistry()
         reg.counter("c").inc(5)
         reg.gauge("g").set(3)
-        with reg.timer("t"):
-            pass
+        reg.timer("t").add(1.0)
         assert reg.snapshot() == {}
 
     def test_shared_instance(self):
@@ -215,20 +189,6 @@ class TestHistogram:
         reg = MetricsRegistry()
         with pytest.raises(ValueError):
             reg.histogram("bad", bounds=(2.0, 1.0))
-
-    def test_merge_requires_identical_bounds(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        b.histogram("h", bounds=(1.0, 2.0)).observe(1.5)
-        a.merge(b)
-        h = a.histogram("h", bounds=(1.0, 2.0))
-        assert h.count == 2
-        assert h.bucket_counts == [1, 1, 0]
-        c = MetricsRegistry()
-        c.histogram("h", bounds=(9.0,)).observe(1.0)
-        with pytest.raises(ValueError):
-            a.merge(c)
 
     def test_snapshot_carries_count_sum_and_quantiles(self):
         reg = MetricsRegistry()

@@ -208,6 +208,14 @@ class TestErrors:
         with pytest.raises(RequestError):
             service.submit({"model": "lenet"})
 
+    @pytest.mark.parametrize("batch", ["abc", [1], -4, 0, True, 2.5])
+    def test_bad_global_batch_is_a_request_error(self, tmp_path, batch):
+        service = _service(tmp_path)
+        with pytest.raises(RequestError, match="'global_batch'"):
+            service.submit(_request(global_batch=batch))
+        assert service.stats.requests == 0
+        assert service.stats.searches == 0
+
     @pytest.mark.parametrize("option", BAD_SEARCH_OPTIONS)
     def test_non_tenant_search_option_rejected_next_request_answered(
         self, tmp_path, option

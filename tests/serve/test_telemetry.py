@@ -32,6 +32,7 @@ from repro.obs.prometheus import parse_prometheus, sample_value
 from repro.serve import (
     Client,
     ServeTimeout,
+    ServiceError,
     ServiceTimeout,
     StrategyService,
     StrategyStore,
@@ -91,6 +92,20 @@ class TestHistogramsAndExposition:
             stats["searches"]
         )
 
+    def test_fresh_service_exposes_zero_families(self, tmp_path):
+        from repro.serve.service import ServiceStats
+
+        samples = parse_prometheus(_service(tmp_path).metrics_document())
+        for field in ServiceStats.__dataclass_fields__:
+            assert sample_value(samples, f"repro_serve_{field}_total") == 0
+        for name in ("store_write_errors", "store_memo_errors",
+                     "access_log_errors"):
+            assert sample_value(samples, f"repro_serve_{name}_total") == 0
+        assert sample_value(samples, "repro_serve_inflight") == 0
+        assert sample_value(
+            samples, "repro_serve_request_latency_seconds_count"
+        ) == 0
+
     def test_stats_counters_mirror_into_registry(self, tmp_path):
         service = _service(tmp_path)
         service.submit(_request())
@@ -104,8 +119,8 @@ class TestHistogramsAndExposition:
         service = _service(tmp_path, metrics=NullMetricsRegistry())
         service.submit(_request())
         assert service.metrics.snapshot() == {}
-        # The stats endpoint still counts.
-        assert service.stats.requests == 1
+        # The stats endpoint reads the registry, so it reads zeros too.
+        assert service.stats.requests == 0
 
 
 class TestRequestCorrelation:
@@ -383,6 +398,15 @@ class TestProtocolInput:
         assert errors[1]["error"].endswith("got list")
         assert errors[2]["error"].endswith("got str")
         assert pong == {"status": "ok", "pong": True}
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+    def test_bad_global_batch_gets_a_typed_error(self, server, caplog):
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            with Client(*server.addr["tcp"]) as client:
+                with pytest.raises(ServiceError, match="'global_batch'"):
+                    client.optimize("lenet", "pcie:2", global_batch="abc")
+                assert client.ping()
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
 
 
