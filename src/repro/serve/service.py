@@ -9,7 +9,9 @@ process, concurrently, with three progressively cheaper paths:
    A hit does not even build the session: the input graph's fingerprint
    is memoized per (model, batch, cluster fingerprint), in memory and
    persisted by the store under the source fingerprint, so a restarted
-   server answers stored problems without one.
+   server answers stored problems without one.  A hit whose memo entry
+   and stored strategy are both in memory is answered on the asyncio
+   front-end's event loop, without a thread hop.
 2. **Warm start** — a stored entry for the same cluster/options is a
    small graph edit away (:mod:`repro.graph.delta`), found by the
    store's indexed :meth:`~repro.serve.store.StrategyStore.find_similar`;
@@ -23,9 +25,18 @@ Identical requests *in flight* are **coalesced**: the second caller
 blocks on the first's future instead of spawning a duplicate search.
 
 The service core is synchronous and thread-safe (workers are plain
-threads; reentrancy comes from per-request contexts).  The asyncio TCP
-front-end lives in :func:`serve_forever` / ``python -m repro.serve``;
-in-process callers use :meth:`StrategyService.submit` directly.
+threads; reentrancy comes from per-request contexts); in-process
+callers use :meth:`StrategyService.submit` directly.  The asyncio TCP
+front-end (:func:`serve_forever` / ``python -m repro.serve``) derives
+each request's keys once, on its event loop
+(:meth:`StrategyService.derive`: normalized request, request
+fingerprint, config, topology, model, batch, memoized graph
+fingerprint, combined key).  When the answer is already in memory and
+no identical request is in flight (:meth:`StrategyService.in_memory`),
+the loop calls ``submit`` itself; the call reads only memory and closes
+its spans before the loop awaits again.  Everything that can block — a
+memo or store read from disk, a search, a follower's wait on its leader
+— runs ``submit`` on the worker pool, with the keys already derived.
 
 Every decision is recorded once, on the service's private event bus:
 ``serve.*`` facts (request/hit/miss/coalesce/warm/complete/timeout/
@@ -62,14 +73,16 @@ import uuid
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, IO, Optional, Tuple, Union
 
 from ..cluster import Topology, topology_from
 from ..core.calculator import FastTConfig
 from ..core.context import SearchContext, WarmStartSeed
 from ..core.os_dpos import SearchOptions
+from ..core.session import FastTSession
 from ..graph.delta import graph_signature
+from ..models import ModelSpec, get_model
 from ..obs.events import EventBus
 from ..obs.metrics import MetricsRegistry
 from ..obs import log as obs_log
@@ -105,13 +118,20 @@ METRIC_HELP = {
     "serve.search": "Strategy-search wall-clock per request",
     "serve.store.lookup": "Strategy-store lookup time per request",
     "serve.coalesce.wait": "Time followers spent waiting on their leader",
-    "serve.queue.wait": "Time requests waited for a worker thread",
+    "serve.queue.wait": (
+        "Time requests waited for a worker thread "
+        "(hits answered on the event loop never queue)"
+    ),
 }
 
 
 #: Entries in each service's (model, batch, cluster) -> graph
 #: fingerprint memo (~300 bytes each), least recently used evicted.
 GRAPH_MEMO_CAPACITY = 1024
+
+#: Topology strings whose resolved topology and cluster fingerprint are
+#: kept, least recently used evicted.
+TOPOLOGY_MEMO_CAPACITY = 64
 
 
 def new_request_id() -> str:
@@ -249,6 +269,79 @@ def _build_config(base: FastTConfig, overrides: Dict[str, object]) -> FastTConfi
     return config
 
 
+def _resolve_topology(topology: object) -> Tuple[Topology, str]:
+    """A request's topology and its cluster fingerprint."""
+    resolve = (
+        _topology_from_string if isinstance(topology, str)
+        else _topology_and_fingerprint
+    )
+    try:
+        return resolve(topology)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise RequestError(f"invalid topology: {exc}") from None
+
+
+def _topology_and_fingerprint(topology: object) -> Tuple[Topology, str]:
+    resolved = topology_from(topology)  # type: ignore[arg-type]
+    return resolved, obs_runs.cluster_fingerprint(resolved)
+
+
+# Both depend on the string alone, and a Topology only caches routes, so
+# one is shared by every request naming the same string.
+_topology_from_string = functools.lru_cache(maxsize=TOPOLOGY_MEMO_CAPACITY)(
+    _topology_and_fingerprint
+)
+
+
+def _resolve_model(name: str) -> ModelSpec:
+    try:
+        return get_model(name)
+    except KeyError as exc:
+        raise RequestError(str(exc.args[0])) from None
+
+
+@dataclass
+class RequestKeys:
+    """What one request is looked up by: :meth:`StrategyService.derive`.
+
+    Derived once per request and carried with it, from the event loop to
+    the worker pool.  ``fingerprints`` is empty until the graph
+    fingerprint is known (from the in-memory memo, or filled in on a
+    worker); ``entry`` is the answer when the event loop found it in the
+    store's memory tier.  ``failure`` is the :class:`RequestError` the
+    request gets instead of an answer; ``request`` is None when the
+    request is not even well formed.
+    """
+
+    failure: Optional[RequestError] = None
+    document: Dict[str, object] = field(default_factory=dict)
+    #: The request fingerprint: the coalescing identity.
+    request: Optional[str] = None
+    config: Optional[FastTConfig] = None
+    topology: Optional[Topology] = None
+    spec: Optional[ModelSpec] = None
+    batch: int = 0
+    cluster: str = ""
+    options: str = ""
+    fingerprints: Dict[str, str] = field(default_factory=dict)
+    entry: Optional[StoredStrategy] = None
+
+    @property
+    def memo_key(self) -> Tuple[str, int, str]:
+        """The graph-fingerprint memo's key: (model, batch, cluster)."""
+        return (self.spec.name, self.batch, self.cluster)
+
+    @property
+    def key(self) -> Optional[str]:
+        """The combined fingerprint, the store's key, once known."""
+        return self.fingerprints.get("combined")
+
+    def know_graph(self, graph_fp: str) -> None:
+        self.fingerprints = obs_runs.combine_fingerprints(
+            graph_fp, self.cluster, self.options
+        )
+
+
 @dataclass
 class ServiceStats:
     """The service's counters, read from its metrics registry.
@@ -321,7 +414,6 @@ class StrategyService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events.subscribe(self.metrics)
         self.store = store if store is not None else StrategyStore()
-        self.store.events = self.events
         self.config = config or FastTConfig()
         self.workers = max(1, int(workers))
         self.request_timeout = request_timeout
@@ -343,7 +435,6 @@ class StrategyService:
         self._inflight_lock = threading.Lock()
         self._graph_fps: "OrderedDict[Tuple[str, int, str], str]" = OrderedDict()
         self._graph_fps_lock = threading.Lock()
-        self._started = False
         self._shutting_down = False
         # Pre-register every stats counter and the overall latency
         # histogram so a scrape before any traffic still yields the full
@@ -374,12 +465,69 @@ class StrategyService:
                 _logger.exception("access-log write failed")
 
     # -- the three answer paths ----------------------------------------
+    def derive(self, request: object) -> RequestKeys:
+        """Everything ``request`` is looked up by, read from memory only.
+
+        The one derivation of a request, shared by the event loop's
+        in-memory check and :meth:`submit`: normalize the request, take
+        its fingerprint, resolve config, topology, model and batch, read
+        the graph fingerprint from the in-memory memo and, when it is
+        there, compute the combined key.  A request that cannot be
+        served gets its :class:`RequestError` on ``failure``: unknown
+        models and topologies are request errors.
+        """
+        try:
+            document = normalize_request(request)  # type: ignore[arg-type]
+        except RequestError as exc:
+            return RequestKeys(failure=exc)
+        keys = RequestKeys(
+            document=document,
+            request=request_fingerprint(document, STORE_SCHEMA_VERSION),
+        )
+        try:
+            keys.config = _build_config(self.config, document.get("config") or {})
+            keys.topology, keys.cluster = _resolve_topology(document["topology"])
+            keys.spec = _resolve_model(str(document["model"]))
+        except RequestError as exc:
+            keys.failure = exc
+            return keys
+        keys.batch = int(document.get("global_batch") or keys.spec.global_batch)
+        keys.options = obs_runs.options_fingerprint(keys.config)
+        graph_fp = self._memoized_graph(keys.memo_key)
+        if graph_fp is not None:
+            keys.know_graph(graph_fp)
+        return keys
+
+    def _memoized_graph(self, memo_key: Tuple[str, int, str]) -> Optional[str]:
+        with self._graph_fps_lock:
+            graph_fp = self._graph_fps.get(memo_key)
+            if graph_fp is not None:
+                self._graph_fps.move_to_end(memo_key)
+            return graph_fp
+
+    def in_memory(self, keys: RequestKeys) -> bool:
+        """Whether ``keys`` can be answered without blocking.
+
+        True when the combined key is known, no identical request is in
+        flight (a follower must wait on its leader), and the store's
+        memory tier holds the answer, which is then set on
+        ``keys.entry``.  Reads no file.
+        """
+        if keys.key is None:
+            return False
+        with self._inflight_lock:
+            if keys.request in self._inflight:
+                return False
+        keys.entry = self.store.cached(keys.key)
+        return keys.entry is not None
+
     def submit(
         self,
         request: Dict[str, object],
         *,
         request_id: Optional[str] = None,
         queued_at: Optional[float] = None,
+        keys: Optional[RequestKeys] = None,
     ) -> Dict[str, object]:
         """Answer one request (blocking; coalesces with identical peers).
 
@@ -396,7 +544,11 @@ class StrategyService:
         stamp taken when the request was accepted (the async front-end
         passes it so worker-pool queueing shows up in
         ``serve.queue.wait``).  Neither ``request_id`` nor ``timeout``
-        participates in the coalescing identity.
+        participates in the coalescing identity.  ``keys`` is the
+        request's :meth:`derive`, when the caller already made it; with
+        ``keys.entry`` set (by :meth:`in_memory`) the request is answered
+        from that entry and coalesces with nothing, as nothing is
+        searched.
         """
         start = time.monotonic()
         raw_timeout: object = None
@@ -416,14 +568,20 @@ class StrategyService:
                 )
         queue_wait = None if queued_at is None else max(0.0, start - queued_at)
 
-        document = normalize_request(request)
-        request_key = request_fingerprint(document, STORE_SCHEMA_VERSION)
-        with self._inflight_lock:
-            future = self._inflight.get(request_key)
-            leader = future is None
-            if leader:
-                future = self._inflight[request_key] = Future()
-                self._inflight_started[request_key] = start
+        if keys is None:
+            keys = self.derive(request)
+        request_key = keys.request
+        if request_key is None:  # malformed: not counted as a request
+            raise keys.failure  # type: ignore[misc]
+        future: Optional[Future] = None
+        leader = True
+        if keys.entry is None:
+            with self._inflight_lock:
+                future = self._inflight.get(request_key)
+                leader = future is None
+                if leader:
+                    future = self._inflight[request_key] = Future()
+                    self._inflight_started[request_key] = start
         outcome = "error"
         response: Dict[str, object] = {}
         span = self.events.span(
@@ -434,8 +592,9 @@ class StrategyService:
             with span, obs_log.request_id_context(request_id):
                 try:
                     if leader:
-                        response = self._lead(
-                            document, request_key, request_id, future
+                        response = (
+                            self._answer(keys, request_id) if future is None
+                            else self._lead(keys, request_id, future)
                         )
                         outcome = str(response.get("source", "search"))
                     else:
@@ -457,7 +616,7 @@ class StrategyService:
                 "request": request_key,
                 "key": str(response.get("key", "")),
                 "run_id": str(response.get("run_id") or ""),
-                "model": str(document.get("model", "")),
+                "model": str(keys.document.get("model", "")),
                 "outcome": outcome,
                 "queue_s": round(queue_wait or 0.0, 6),
                 "search_s": round(float(search_seconds or 0.0), 6),
@@ -465,13 +624,13 @@ class StrategyService:
             })
 
     def _lead(
-        self, document: Dict[str, object], request_key: str, request_id: str,
-        future: Future,
+        self, keys: RequestKeys, request_id: str, future: Future,
     ) -> Dict[str, object]:
         """Answer a request no identical peer is in flight for."""
+        request_key = keys.request
         self.metrics.gauge("serve.inflight").inc()
         try:
-            response = self._answer(document, request_key, request_id)
+            response = self._answer(keys, request_id)
             future.set_result(response)
             return response
         except BaseException as exc:
@@ -511,64 +670,29 @@ class StrategyService:
         return response
 
     def _answer(
-        self,
-        document: Dict[str, object],
-        request_key: str,
-        request_id: str,
+        self, keys: RequestKeys, request_id: str,
     ) -> Dict[str, object]:
-        from ..core.session import FastTSession
-        from ..models import get_model
-
+        request_key = keys.request
         self.events.emit(
             "serve.request", request=request_key,
-            request_id=request_id, model=document["model"],
+            request_id=request_id, model=keys.document["model"],
         )
-        config = _build_config(self.config, document.get("config") or {})
-        topology = topology_from(document["topology"])
-        spec = get_model(str(document["model"]))
-        batch = int(document.get("global_batch") or spec.global_batch)
-        build_session = functools.partial(
-            FastTSession, spec.builder, topology, global_batch=batch,
-            config=config, model_name=spec.name,
-        )
+        if keys.failure is not None:
+            raise keys.failure
         # The problem identity needs the input graph's fingerprint,
         # which depends on (model, batch, cluster) only — never on the
-        # config.  It is memoized here and persisted by the store, so a
-        # session (two graph builds and a fit check) is built only for
-        # a triple no server of this source tree has seen, or on a
+        # config.  It is memoized in memory and persisted by the store,
+        # so a session (two graph builds and a fit check) is built only
+        # for a triple no server of this source tree has seen, or on a
         # store miss.
-        session: Optional[FastTSession] = None
-        cluster_fp = obs_runs.cluster_fingerprint(topology)
-        memo_key = (spec.name, batch, cluster_fp)
-        with self._graph_fps_lock:
-            graph_fp = self._graph_fps.get(memo_key)
-            if graph_fp is not None:
-                self._graph_fps.move_to_end(memo_key)
-        if graph_fp is None:
-            try:
-                graph_fp = self.store.graph_fingerprint(*memo_key)
-            except StoreSchemaError:
-                self.metrics.counter("serve.store.memo_errors").inc()
-            if graph_fp is None:
-                session = build_session()
-                graph_fp = obs_runs.graph_fingerprint(session.input_graph)
-                if not self.store.remember_graph_fingerprint(
-                    *memo_key, graph_fp
-                ):
-                    self.metrics.counter("serve.store.memo_errors").inc()
-            with self._graph_fps_lock:
-                self._graph_fps[memo_key] = graph_fp
-                while len(self._graph_fps) > GRAPH_MEMO_CAPACITY:
-                    self._graph_fps.popitem(last=False)
-        fingerprints = obs_runs.combine_fingerprints(
-            graph_fp, cluster_fp, obs_runs.options_fingerprint(config)
-        )
+        session = None if keys.key is not None else self._fill_graph(keys)
+        fingerprints = keys.fingerprints
         key = fingerprints["combined"]
 
         with self.events.span(
             "serve.store.lookup", request_id=request_id
         ) as lookup:
-            cached = self.store.get(key)
+            cached = keys.entry or self.store.get(key, self.events)
             lookup.set(result="miss" if cached is None else "hit")
         if cached is not None:
             self.events.emit(
@@ -586,8 +710,9 @@ class StrategyService:
         )
 
         if session is None:
-            session = build_session()
+            session = self._session(keys)
         signature = graph_signature(session.input_graph)
+        spec, topology, batch = keys.spec, keys.topology, keys.batch
         warm_start, warm_source = self._warm_seed(signature, fingerprints, batch)
         context = session.new_context(warm_start=warm_start)
         if warm_start is not None:
@@ -656,7 +781,7 @@ class StrategyService:
             signature=signature,
             run_id=run_id or None,
         )
-        if not self.store.put(entry):
+        if not self.store.put(entry, self.events):
             self.metrics.counter("serve.store.write_errors").inc()
         source = "warm" if warm_start is not None and not fallback else "search"
         self.events.emit(
@@ -668,6 +793,39 @@ class StrategyService:
             entry, source=source, request_key=request_key,
             request_id=request_id, search_seconds=search_seconds,
         )
+
+    def _session(self, keys: RequestKeys) -> FastTSession:
+        return FastTSession(
+            keys.spec.builder, keys.topology, global_batch=keys.batch,
+            config=keys.config, model_name=keys.spec.name,
+        )
+
+    def _fill_graph(self, keys: RequestKeys) -> Optional[FastTSession]:
+        """Complete ``keys`` after a memo miss: the in-memory memo again
+        (another request may have filled it since), the persisted memo,
+        else a session build.  Returns the session, if one was built."""
+        session = None
+        graph_fp = self._memoized_graph(keys.memo_key)
+        if graph_fp is not None:
+            keys.know_graph(graph_fp)
+            return None
+        try:
+            graph_fp = self.store.graph_fingerprint(*keys.memo_key)
+        except StoreSchemaError:
+            self.metrics.counter("serve.store.memo_errors").inc()
+        if graph_fp is None:
+            session = self._session(keys)
+            graph_fp = obs_runs.graph_fingerprint(session.input_graph)
+            if not self.store.remember_graph_fingerprint(
+                *keys.memo_key, graph_fp
+            ):
+                self.metrics.counter("serve.store.memo_errors").inc()
+        with self._graph_fps_lock:
+            self._graph_fps[keys.memo_key] = graph_fp
+            while len(self._graph_fps) > GRAPH_MEMO_CAPACITY:
+                self._graph_fps.popitem(last=False)
+        keys.know_graph(graph_fp)
+        return session
 
     def _begin_run(self, request_id: str):
         """Mint a run-registry manifest for one executed search.
@@ -694,6 +852,7 @@ class StrategyService:
             signature,
             cluster=fingerprints["cluster"],
             options=fingerprints["options"],
+            events=self.events,
         )
         if match is None:
             return None, None
@@ -800,10 +959,9 @@ class StrategyService:
     def readiness(self) -> Dict[str, object]:
         """Readiness document: can this process answer a request now?
 
-        Not ready while shutting down, when the worker pool never
-        started (async front-end not up — in-process callers set
-        nothing, so a bare service is ready), or when the strategy
-        store's backing directory has become unusable.
+        Not ready while shutting down, or when the strategy store's
+        backing directory exists but is not writable or cannot be
+        listed.
         """
         reasons = []
         if self._shutting_down:
@@ -855,6 +1013,37 @@ class StrategyService:
 _BACKSTOP_GRACE = 30.0
 
 
+async def _submit_in_pool(
+    service: StrategyService,
+    pool: ThreadPoolExecutor,
+    request: object,
+    queued_at: float,
+    keys: RequestKeys,
+) -> Dict[str, object]:
+    """Run :meth:`StrategyService.submit` on a worker thread."""
+    call = functools.partial(
+        service.submit, request, queued_at=queued_at, keys=keys,
+    )
+    deadline = None
+    raw = request.get("timeout") if isinstance(request, dict) else None
+    if raw is not None:
+        try:
+            deadline = float(raw)
+        except (TypeError, ValueError):
+            deadline = None
+    elif service.request_timeout is not None:
+        deadline = service.request_timeout
+    task = asyncio.get_running_loop().run_in_executor(pool, call)
+    if deadline is None:
+        return await task
+    # Backstop for a wedged leader: the worker thread keeps running (it
+    # cannot be cancelled), but the connection gets its error instead of
+    # hanging.
+    return await asyncio.wait_for(
+        asyncio.shield(task), timeout=deadline + _BACKSTOP_GRACE,
+    )
+
+
 async def handle_connection(
     service: StrategyService,
     pool: ThreadPoolExecutor,
@@ -862,7 +1051,6 @@ async def handle_connection(
     writer: asyncio.StreamWriter,
     shutdown: asyncio.Event,
 ) -> None:
-    loop = asyncio.get_running_loop()
     try:
         while True:
             line = await reader.readline()
@@ -900,31 +1088,17 @@ async def handle_connection(
                     shutdown.set()
                 elif op == "optimize":
                     request = message.get("request") or {}
-                    call = functools.partial(
-                        service.submit, request,
-                        queued_at=time.monotonic(),
-                    )
-                    deadline = None
-                    raw = request.get("timeout") if isinstance(
-                        request, dict
-                    ) else None
-                    if raw is not None:
-                        try:
-                            deadline = float(raw)
-                        except (TypeError, ValueError):
-                            deadline = None
-                    elif service.request_timeout is not None:
-                        deadline = service.request_timeout
-                    task = loop.run_in_executor(pool, call)
-                    if deadline is None:
-                        response = await task
+                    queued_at = time.monotonic()
+                    keys = service.derive(request)
+                    if service.in_memory(keys):
+                        # Answered here: nothing on this path blocks,
+                        # and its spans close before the next await.
+                        response = service.submit(
+                            request, queued_at=queued_at, keys=keys
+                        )
                     else:
-                        # Backstop for a wedged leader: the worker thread
-                        # keeps running (it cannot be cancelled), but the
-                        # connection gets its error instead of hanging.
-                        response = await asyncio.wait_for(
-                            asyncio.shield(task),
-                            timeout=deadline + _BACKSTOP_GRACE,
+                        response = await _submit_in_pool(
+                            service, pool, request, queued_at, keys
                         )
                 else:
                     response = {"status": "error",
@@ -1062,7 +1236,6 @@ async def serve_forever(
     pool = ThreadPoolExecutor(
         max_workers=service.workers, thread_name_prefix="repro-serve"
     )
-    service._started = True
     server = await asyncio.start_server(
         lambda r, w: handle_connection(service, pool, r, w, shutdown),
         host, port,

@@ -192,8 +192,11 @@ class StrategyStore:
     """Two-tier (memory LRU + disk) store of :class:`StoredStrategy`.
 
     Thread-safe: the service's worker threads put/get concurrently.
-    ``events`` (an enabled :class:`~repro.obs.events.EventBus`) receives
-    ``serve.evict`` when the LRU spills an entry; disk copies survive
+    An enabled :class:`~repro.obs.events.EventBus` receives
+    ``serve.evict`` when the LRU spills an entry or a corrupt disk entry
+    is deleted: the ``events`` a call passes (each service passes its
+    own, so a shared store's evictions count on the service that caused
+    them), else the store's own ``events``.  Disk copies survive
     eviction and repopulate the LRU on the next ``get``.
     """
 
@@ -216,19 +219,28 @@ class StrategyStore:
         self._lock = threading.Lock()
 
     # -- core mapping ---------------------------------------------------
-    def get(self, key: str) -> Optional[StoredStrategy]:
+    def get(
+        self, key: str, events: Optional[EventBus] = None
+    ) -> Optional[StoredStrategy]:
         """Entry for a combined fingerprint, or None (LRU then disk)."""
+        entry = self.cached(key)
+        if entry is None:
+            entry = self._load(key, events)
+            if entry is not None:
+                self._admit(entry, events)
+        return entry
+
+    def cached(self, key: str) -> Optional[StoredStrategy]:
+        """The LRU tier's entry for a key, or None; never reads disk."""
         with self._lock:
             entry = self._lru.get(key)
             if entry is not None:
                 self._lru.move_to_end(key)
-                return entry
-        entry = self._load(key)
-        if entry is not None:
-            self._admit(entry)
-        return entry
+            return entry
 
-    def put(self, entry: StoredStrategy) -> bool:
+    def put(
+        self, entry: StoredStrategy, events: Optional[EventBus] = None
+    ) -> bool:
         """Insert (write-through to disk when persistence is on).
 
         A failed disk write is logged and leaves no temporary file; the
@@ -239,7 +251,7 @@ class StrategyStore:
         written = not self.persist or self._write(
             self._path(entry.key), entry.to_json()
         )
-        self._admit(entry)
+        self._admit(entry, events)
         return written
 
     def _write(self, path: str, document: Dict[str, object]) -> bool:
@@ -265,7 +277,9 @@ class StrategyStore:
             return False
         return True
 
-    def _admit(self, entry: StoredStrategy) -> None:
+    def _admit(
+        self, entry: StoredStrategy, events: Optional[EventBus]
+    ) -> None:
         evicted: List[str] = []
         with self._lock:
             self._lru[entry.key] = entry
@@ -276,14 +290,17 @@ class StrategyStore:
                 evicted.append(victim)
                 if not self.persist:  # gone for good: no disk copy
                     del self._index[victim]
+        events = events or self.events
         for victim in evicted:
-            if self.events.enabled:
-                self.events.emit("serve.evict", key=victim, tier="memory")
+            if events.enabled:
+                events.emit("serve.evict", key=victim, tier="memory")
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
 
-    def _load(self, key: str) -> Optional[StoredStrategy]:
+    def _load(
+        self, key: str, events: Optional[EventBus] = None
+    ) -> Optional[StoredStrategy]:
         if not self.persist:
             return None
         path = self._path(key)
@@ -293,23 +310,24 @@ class StrategyStore:
         except FileNotFoundError:
             return None
         except (OSError, ValueError):  # unreadable, truncated, not JSON
-            self._invalidate(path)
+            self._invalidate(path, events)
             return None
         try:
             return StoredStrategy.from_json(document)
         except StoreSchemaError:
             # Unknown schema or layout: regenerate, don't migrate.
-            self._invalidate(path)
+            self._invalidate(path, events)
             return None
 
-    def _invalidate(self, path: str) -> None:
+    def _invalidate(self, path: str, events: Optional[EventBus]) -> None:
         try:
             os.remove(path)
         except OSError:
             pass
-        if self.events.enabled:
-            self.events.emit("serve.evict", key=os.path.basename(path),
-                             tier="disk", reason="schema-mismatch")
+        events = events or self.events
+        if events.enabled:
+            events.emit("serve.evict", key=os.path.basename(path),
+                        tier="disk", reason="schema-mismatch")
 
     # -- queries --------------------------------------------------------
     def keys(self) -> List[str]:
@@ -332,6 +350,7 @@ class StrategyStore:
         cluster: Optional[str] = None,
         options: Optional[str] = None,
         max_ratio: Optional[float] = None,
+        events: Optional[EventBus] = None,
     ) -> Optional[Tuple[StoredStrategy, GraphDelta]]:
         """Best warm-start candidate for a request's graph signature.
 
@@ -360,7 +379,7 @@ class StrategyStore:
             entry = in_memory.get(key)
             row = index.get(key)
             if row is None:
-                entry = entry or self._load(key)
+                entry = entry or self._load(key, events)
                 if entry is None:
                     continue
                 row = _index_row(entry)
@@ -378,7 +397,7 @@ class StrategyStore:
                 continue
             if best is not None and gap >= best_edits:
                 continue
-            entry = entry or self._load(key)
+            entry = entry or self._load(key, events)
             if entry is None:  # deleted, or corrupt and now invalidated
                 with self._lock:
                     self._index.pop(key, None)

@@ -120,10 +120,10 @@ class TestCoalescing:
         leader_started = threading.Event()
         release = threading.Event()
 
-        def gated_answer(document, request_key, request_id):
+        def gated_answer(*args):
             leader_started.set()
             assert release.wait(30)
-            return original_answer(document, request_key, request_id)
+            return original_answer(*args)
 
         service._answer = gated_answer
         results = []
@@ -199,9 +199,24 @@ class TestWarmStart:
 class TestErrors:
     def test_unknown_model_counts_an_error(self, tmp_path):
         service = _service(tmp_path)
-        with pytest.raises(KeyError):
+        with pytest.raises(RequestError, match="unknown model 'not_a_model'"):
             service.submit(_request(model="not_a_model"))
         assert service.stats.errors == 1
+
+    @pytest.mark.parametrize("request_fields, message", [
+        ({"model": "nope"}, "unknown model 'nope'"),
+        ({"topology": "nosuch:4"}, "unknown topology preset 'nosuch:4'"),
+        ({"topology": {"devices": []}}, "non-empty 'devices' list"),
+    ])
+    def test_unservable_request_is_a_counted_request_error(
+        self, tmp_path, request_fields, message
+    ):
+        service = _service(tmp_path)
+        with pytest.raises(RequestError, match=message):
+            service.submit(_request(**request_fields))
+        assert (service.stats.requests, service.stats.errors) == (1, 1)
+        assert service.stats.searches == 0
+        assert service.submit(_request())["source"] == "search"
 
     def test_malformed_request(self, tmp_path):
         service = _service(tmp_path)
@@ -311,6 +326,16 @@ class TestSessionMemo:
         a.config = b.config
         moved = a.submit(_request())
         assert moved["source"] == "cache" and moved["key"] != key_a
+
+    def test_shared_store_counts_evictions_on_the_causing_service(self):
+        store = StrategyStore(capacity=1, persist=False)
+        first = StrategyService(store=store)
+        second = StrategyService(store=store)
+        for batch in (16, 32, 64):
+            assert first.submit(_request(global_batch=batch))["source"] != (
+                "cache"
+            )
+        assert (first.stats.evictions, second.stats.evictions) == (2, 0)
 
     def test_memo_hit_then_store_miss_searches_and_stores(
         self, session_builds

@@ -21,6 +21,7 @@ import asyncio
 import json
 import logging
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -408,6 +409,258 @@ class TestProtocolInput:
                     client.optimize("lenet", "pcie:2", global_batch="abc")
                 assert client.ping()
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+    @pytest.mark.parametrize("request_fields, message", [
+        ({"model": "nope"}, "unknown model 'nope'"),
+        ({"topology": "nosuch:4"}, "unknown topology preset 'nosuch:4'"),
+        ({"topology": {"devices": []}}, "non-empty 'devices' list"),
+    ])
+    def test_unservable_request_gets_a_typed_error(
+        self, server, caplog, request_fields, message
+    ):
+        request = dict(_request(), **request_fields)
+        with caplog.at_level(logging.ERROR, logger="repro"):
+            with Client(*server.addr["tcp"]) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.optimize(**request)
+                assert message in str(excinfo.value)
+                assert "Error:" not in str(excinfo.value)  # not a crash
+                answer = client.optimize(**_request())
+        assert answer["source"] == "search"
+        assert server.service.stats.errors == 1
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+@pytest.fixture
+def store_reads(monkeypatch):
+    """(method, thread name) of every store and memo file read."""
+    reads = []
+    for name in ("_load", "graph_fingerprint"):
+        original = getattr(StrategyStore, name)
+
+        def recording(self, *args, _name=name, _original=original, **kwargs):
+            reads.append((_name, threading.current_thread().name))
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(StrategyStore, name, recording)
+    return reads
+
+
+def _on_workers(reads):
+    return bool(reads) and all(
+        thread.startswith("repro-serve") for _, thread in reads
+    )
+
+
+class TestEventLoopAnswers:
+    """In-memory hits are answered on the event loop; the rest is pooled."""
+
+    def test_hit_is_answered_while_every_worker_is_held(self, tmp_path):
+        service = _service(tmp_path)
+        service.submit(_request())  # the answer is now in memory
+        gate = threading.Event()
+        held = threading.Semaphore(0)
+        answer = service._answer
+
+        def gated(keys, request_id):
+            if "global_batch" in keys.document:  # the searches, not the hit
+                held.release()
+                assert gate.wait(60)
+            return answer(keys, request_id)
+
+        service._answer = gated
+        with _Server(service) as srv:
+            clients = [Client(*srv.addr["tcp"]) for _ in range(service.workers)]
+            pending = [
+                threading.Thread(
+                    target=client.optimize, args=("lenet", "pcie:2"),
+                    kwargs={"global_batch": 8 + index, "config": FAST_CONFIG},
+                )
+                for index, client in enumerate(clients)
+            ]
+            try:
+                for thread in pending:
+                    thread.start()
+                for _ in pending:
+                    assert held.acquire(timeout=60)
+                with Client(*srv.addr["tcp"], timeout=30) as client:
+                    hit = client.optimize(**_request())
+                assert not gate.is_set()
+                assert hit["source"] == "cache"
+            finally:
+                gate.set()
+                for thread in pending:
+                    thread.join(60)
+                for client in clients:
+                    client.close()
+        assert not any(thread.is_alive() for thread in pending)
+        assert service.stats.searches == 1 + service.workers
+
+    def test_loop_hit_is_the_same_hit_counted_once(self, tmp_path, store_reads):
+        access = tmp_path / "access.jsonl"
+        service = _service(tmp_path, access_log=str(access))
+        service.submit(_request())
+        in_process = service.submit(_request())
+        assert in_process["source"] == "cache"
+        with _Server(service) as srv:
+            del store_reads[:]
+            with Client(*srv.addr["tcp"]) as client:
+                hit = client.optimize(**_request(request_id="loop-hit"))
+                exposition = client.metrics()
+        assert store_reads == []  # no store or memo file was read
+        assert hit["request_id"] == "loop-hit"
+        assert {k: v for k, v in hit.items() if k != "request_id"} == {
+            k: v for k, v in in_process.items() if k != "request_id"
+        }
+        stats = service.stats
+        assert (stats.requests, stats.hits, stats.searches) == (3, 2, 1)
+        samples = parse_prometheus(exposition)
+        assert sample_value(samples, "repro_serve_requests_total") == 3
+        assert sample_value(
+            samples, "repro_serve_request_latency_seconds_count"
+        ) == 3
+        assert sample_value(
+            samples, "repro_serve_request_latency_seconds_count",
+            outcome="cache",
+        ) == 2
+        records = [json.loads(line) for line in access.read_text().splitlines()]
+        assert [r["outcome"] for r in records] == ["search", "cache", "cache"]
+        assert records[-1]["request_id"] == "loop-hit"
+        assert records[-1]["key"] == hit["key"]
+
+    def test_concurrent_mix_counts_every_request_once(self, tmp_path):
+        access = tmp_path / "access.jsonl"
+        service = _service(tmp_path, workers=3, access_log=str(access))
+        service.submit(_request())  # one answer in memory from the start
+        batches = [None, 24, None, 40, None, 24, None, 40]
+        replies, failures = [], []
+
+        def client_loop(index):
+            try:
+                with Client(*srv.addr["tcp"]) as client:
+                    for batch in batches[index % 2:] + batches[: index % 2]:
+                        replies.append(client.optimize(
+                            "lenet", "pcie:2", global_batch=batch,
+                            config=FAST_CONFIG,
+                        ))
+            except BaseException as exc:  # pragma: no cover - failure path
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _Server(service) as srv:
+                threads = [
+                    threading.Thread(target=client_loop, args=(index,))
+                    for index in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(120)
+                assert not any(thread.is_alive() for thread in threads)
+                with Client(*srv.addr["tcp"]) as client:
+                    exposition = client.metrics()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not failures
+        sent = 1 + 6 * len(batches)
+        assert len(replies) == sent - 1
+        stats = service.stats
+        assert stats.requests == sent and stats.errors == 0
+        assert stats.hits + stats.misses + stats.coalesced == sent
+        samples = parse_prometheus(exposition)
+        assert sample_value(samples, "repro_serve_requests_total") == sent
+        assert sample_value(
+            samples, "repro_serve_request_latency_seconds_count"
+        ) == sent
+        assert len(access.read_text().splitlines()) == sent
+        # One key per batch, each answered with one strategy.
+        strategies = {}
+        for reply in replies:
+            strategies.setdefault(reply["key"], set()).add(
+                str(sorted(reply["strategy"]["placement"].items()))
+            )
+        assert len(strategies) == 3
+        assert all(len(seen) == 1 for seen in strategies.values())
+
+    def test_fresh_service_reads_the_disk_on_a_worker(
+        self, tmp_path, store_reads
+    ):
+        first = _service(tmp_path).submit(_request())
+        with _Server(_service(tmp_path)) as srv:
+            del store_reads[:]
+            with Client(*srv.addr["tcp"]) as client:
+                hit = client.optimize(**_request())
+        assert hit["source"] == "cache" and hit["key"] == first["key"]
+        assert {name for name, _ in store_reads} == {
+            "graph_fingerprint", "_load",
+        }
+        assert _on_workers(store_reads)
+
+    def test_lru_miss_reads_the_disk_on_a_worker(self, tmp_path, store_reads):
+        service = _service(tmp_path)
+        service.submit(_request())
+        service.store.clear_memory()  # the memo stays in memory
+        with _Server(service) as srv:
+            del store_reads[:]
+            with Client(*srv.addr["tcp"]) as client:
+                hit = client.optimize(**_request())
+        assert hit["source"] == "cache"
+        assert [name for name, _ in store_reads] == ["_load"]
+        assert _on_workers(store_reads)
+
+    def test_inflight_duplicate_coalesces_on_a_worker(
+        self, tmp_path, store_reads
+    ):
+        service = _service(tmp_path)
+        service.submit(_request())  # the answer is now in memory
+        started = threading.Event()
+        gate = threading.Event()
+        answer, follow = service._answer, service._follow
+        followed_on = []
+
+        def gated_answer(*args):
+            started.set()
+            assert gate.wait(60)
+            return answer(*args)
+
+        def recording_follow(*args):
+            followed_on.append(threading.current_thread().name)
+            return follow(*args)
+
+        service._answer = gated_answer
+        service._follow = recording_follow
+        leader = threading.Thread(target=service.submit, args=(_request(),))
+        with _Server(service) as srv:
+            leader.start()
+            try:
+                assert started.wait(60)
+                del store_reads[:]
+                with Client(*srv.addr["tcp"]) as client:
+                    replies = []
+                    follower = threading.Thread(
+                        target=lambda: replies.append(
+                            client.optimize(**_request())
+                        )
+                    )
+                    follower.start()
+                    for _ in range(3000):
+                        if service.stats.coalesced:
+                            break
+                        time.sleep(0.01)
+                    gate.set()
+                    follower.join(60)
+            finally:
+                gate.set()
+                leader.join(60)
+        assert not leader.is_alive() and not follower.is_alive()
+        assert replies[0]["coalesced"] is True
+        assert replies[0]["source"] == "cache"
+        assert store_reads == []
+        assert len(followed_on) == 1
+        assert followed_on[0].startswith("repro-serve")
 
 
 class TestTopDashboard:
