@@ -480,6 +480,19 @@ def _accepted(registry: MetricsRegistry, data: Dict[str, object]) -> None:
         registry.histogram("serve.queue.wait").observe(data["queue_wait"])
 
 
+def _search_started(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    registry.counter("serve.searches").inc()
+    registry.gauge("serve.inflight").inc()
+
+
+_search_seconds = _timed("serve.search", seed="seed", result="result")
+
+
+def _search_finished(registry: MetricsRegistry, data: Dict[str, object]) -> None:
+    registry.gauge("serve.inflight").dec()
+    _search_seconds(registry, data)
+
+
 def _answered(registry: MetricsRegistry, data: Dict[str, object]) -> None:
     # The unlabeled series' _count is the CI cross-check against
     # serve.requests.
@@ -515,7 +528,7 @@ METRIC_RULES: Dict[str, Rule] = {
     "serve.store.lookup.finish": _completed(
         _timed("serve.store.lookup", result="result")
     ),
-    "serve.search.start": _count("serve.searches"),
-    "serve.search.finish": _timed("serve.search", seed="seed", result="result"),
+    "serve.search.start": _search_started,
+    "serve.search.finish": _search_finished,
     "serve.coalesce.wait.finish": _timed("serve.coalesce.wait"),
 }

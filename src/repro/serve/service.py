@@ -24,14 +24,20 @@ process, concurrently, with three progressively cheaper paths:
 Identical requests *in flight* are **coalesced**: the second caller
 blocks on the first's future instead of spawning a duplicate search.
 
-The service core is synchronous and thread-safe (workers are plain
-threads; reentrancy comes from per-request contexts); in-process
-callers use :meth:`StrategyService.submit` directly.  The asyncio TCP
-front-end (:func:`serve_forever` / ``python -m repro.serve``) derives
-each request's keys once, on its event loop
+The service core is synchronous and thread-safe (reentrancy comes from
+per-request contexts); in-process callers use
+:meth:`StrategyService.submit` directly.  The CPU work of a miss — the
+session build and the search — is two stages (:mod:`repro.serve.worker`)
+that run in the calling thread for those callers.  The asyncio TCP
+front-end (:func:`serve_forever` / ``python -m repro.serve``) forks
+``workers`` children before it binds its sockets and runs the stages
+there instead: each worker thread borrows an idle child for one request,
+so searches no longer share the server's interpreter lock.  The parent
+keeps the queue, coalescing, the store and the fingerprint memo.  It
+derives each request's keys once, on its event loop
 (:meth:`StrategyService.derive`: normalized request, request
-fingerprint, config, topology, model, batch, memoized graph
-fingerprint, combined key).  When the answer is already in memory and
+fingerprint, topology, model, batch, memoized options and graph
+fingerprints, combined key).  When the answer is already in memory and
 no identical request is in flight (:meth:`StrategyService.in_memory`),
 the loop calls ``submit`` itself; the call reads only memory and closes
 its spans before the loop awaits again.  Everything that can block — a
@@ -55,10 +61,11 @@ the plain-HTTP ``GET /metrics`` / ``/healthz`` / ``/readyz`` listener
 Each request carries a **request id** (client-minted, server-minted as
 a fallback) threaded through events, log records
 (:func:`repro.obs.log.request_id_context`), the JSONL **access log**
-(one line per request: id, fingerprints, outcome, queue/search/total
-durations), and — when ``record_runs`` is on — the run manifest, so
-``runs show`` answers "which request produced this run" and the access
-log answers the reverse.
+(one line per request: id, fingerprints, outcome, queue and total
+durations, the wall and CPU seconds of the build and search stages),
+and — when ``record_runs`` is on — the run manifest, so ``runs show``
+answers "which request produced this run" and the access log answers
+the reverse.
 """
 
 from __future__ import annotations
@@ -73,16 +80,14 @@ import uuid
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, IO, Optional, Tuple, Union
 
-from ..cluster import Topology, topology_from
+from ..cluster import Topology
 from ..core.calculator import FastTConfig
-from ..core.context import SearchContext, WarmStartSeed
+from ..core.context import WarmStartSeed
 from ..core.os_dpos import SearchOptions
-from ..core.session import FastTSession
-from ..graph.delta import graph_signature
-from ..models import ModelSpec, get_model
+from ..models import ModelSpec
 from ..obs.events import EventBus
 from ..obs.metrics import MetricsRegistry
 from ..obs import log as obs_log
@@ -93,6 +98,18 @@ from .store import (
     StoreSchemaError,
     StrategyStore,
     request_fingerprint,
+)
+from .worker import (
+    Children,
+    Lease,
+    LocalStages,
+    Prepared,
+    RequestError,
+    Searched,
+    WorkerCrashed,
+    build_config,
+    resolve_model,
+    resolve_topology,
 )
 
 _logger = obs_log.get_logger(__name__)
@@ -129,9 +146,19 @@ METRIC_HELP = {
 #: fingerprint memo (~300 bytes each), least recently used evicted.
 GRAPH_MEMO_CAPACITY = 1024
 
-#: Topology strings whose resolved topology and cluster fingerprint are
-#: kept, least recently used evicted.
-TOPOLOGY_MEMO_CAPACITY = 64
+#: Request ``config`` override documents whose options fingerprint each
+#: service keeps, least recently used evicted.
+OPTIONS_MEMO_CAPACITY = 64
+
+
+#: Access-log fields read from a leader's response: the wall and CPU
+#: seconds of its session build and search.
+_ACCESS_TIMINGS = (
+    ("build_s", "build_seconds"),
+    ("build_cpu_s", "build_cpu_seconds"),
+    ("search_s", "search_seconds"),
+    ("search_cpu_s", "search_cpu_seconds"),
+)
 
 
 def new_request_id() -> str:
@@ -144,10 +171,6 @@ _CONFIG_FIELDS = frozenset(
     f for f in FastTConfig.__dataclass_fields__ if f != "search"
 )
 _SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__)
-
-
-class RequestError(ValueError):
-    """A malformed or unserviceable optimization request."""
 
 
 class ServeTimeout(TimeoutError):
@@ -259,47 +282,6 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
     return document
 
 
-def _build_config(base: FastTConfig, overrides: Dict[str, object]) -> FastTConfig:
-    search_overrides = overrides.get("search")
-    config = replace(
-        base, **{k: v for k, v in overrides.items() if k != "search"}
-    )
-    if search_overrides:
-        config = replace(config, search=replace(config.search, **search_overrides))
-    return config
-
-
-def _resolve_topology(topology: object) -> Tuple[Topology, str]:
-    """A request's topology and its cluster fingerprint."""
-    resolve = (
-        _topology_from_string if isinstance(topology, str)
-        else _topology_and_fingerprint
-    )
-    try:
-        return resolve(topology)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise RequestError(f"invalid topology: {exc}") from None
-
-
-def _topology_and_fingerprint(topology: object) -> Tuple[Topology, str]:
-    resolved = topology_from(topology)  # type: ignore[arg-type]
-    return resolved, obs_runs.cluster_fingerprint(resolved)
-
-
-# Both depend on the string alone, and a Topology only caches routes, so
-# one is shared by every request naming the same string.
-_topology_from_string = functools.lru_cache(maxsize=TOPOLOGY_MEMO_CAPACITY)(
-    _topology_and_fingerprint
-)
-
-
-def _resolve_model(name: str) -> ModelSpec:
-    try:
-        return get_model(name)
-    except KeyError as exc:
-        raise RequestError(str(exc.args[0])) from None
-
-
 @dataclass
 class RequestKeys:
     """What one request is looked up by: :meth:`StrategyService.derive`.
@@ -317,7 +299,6 @@ class RequestKeys:
     document: Dict[str, object] = field(default_factory=dict)
     #: The request fingerprint: the coalescing identity.
     request: Optional[str] = None
-    config: Optional[FastTConfig] = None
     topology: Optional[Topology] = None
     spec: Optional[ModelSpec] = None
     batch: int = 0
@@ -414,6 +395,9 @@ class StrategyService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.events.subscribe(self.metrics)
         self.store = store if store is not None else StrategyStore()
+        self._options = functools.lru_cache(maxsize=OPTIONS_MEMO_CAPACITY)(
+            self._options_fingerprint
+        )
         self.config = config or FastTConfig()
         self.workers = max(1, int(workers))
         self.request_timeout = request_timeout
@@ -435,6 +419,9 @@ class StrategyService:
         self._inflight_lock = threading.Lock()
         self._graph_fps: "OrderedDict[Tuple[str, int, str], str]" = OrderedDict()
         self._graph_fps_lock = threading.Lock()
+        #: The worker children while :func:`serve_forever` runs; without
+        #: them, stages run in the calling thread.
+        self.children: Optional[Children] = None
         self._shutting_down = False
         # Pre-register every stats counter and the overall latency
         # histogram so a scrape before any traffic still yields the full
@@ -446,6 +433,24 @@ class StrategyService:
         self.metrics.counter("serve.access_log.errors")
         self.metrics.gauge("serve.inflight")
         self.metrics.histogram("serve.request.latency")
+
+    @property
+    def config(self) -> FastTConfig:
+        """The service-wide baseline config.  Replace it, do not mutate
+        it: replacing it forgets the memoized options fingerprints."""
+        return self._config
+
+    @config.setter
+    def config(self, config: FastTConfig) -> None:
+        self._config = config
+        self._options.cache_clear()
+
+    def _options_fingerprint(self, overrides: str) -> str:
+        """Options fingerprint of the baseline config with ``overrides``
+        (canonical JSON of a normalized request's ``config``) applied."""
+        return obs_runs.options_fingerprint(
+            build_config(self._config, json.loads(overrides))
+        )
 
     # -- telemetry ------------------------------------------------------
     @property
@@ -470,8 +475,9 @@ class StrategyService:
 
         The one derivation of a request, shared by the event loop's
         in-memory check and :meth:`submit`: normalize the request, take
-        its fingerprint, resolve config, topology, model and batch, read
-        the graph fingerprint from the in-memory memo and, when it is
+        its fingerprint, resolve topology, model and batch, take the
+        options fingerprint (memoized per override document), read the
+        graph fingerprint from the in-memory memo and, when it is
         there, compute the combined key.  A request that cannot be
         served gets its :class:`RequestError` on ``failure``: unknown
         models and topologies are request errors.
@@ -485,14 +491,15 @@ class StrategyService:
             request=request_fingerprint(document, STORE_SCHEMA_VERSION),
         )
         try:
-            keys.config = _build_config(self.config, document.get("config") or {})
-            keys.topology, keys.cluster = _resolve_topology(document["topology"])
-            keys.spec = _resolve_model(str(document["model"]))
+            keys.topology, keys.cluster = resolve_topology(document["topology"])
+            keys.spec = resolve_model(str(document["model"]))
         except RequestError as exc:
             keys.failure = exc
             return keys
         keys.batch = int(document.get("global_batch") or keys.spec.global_batch)
-        keys.options = obs_runs.options_fingerprint(keys.config)
+        keys.options = self._options(
+            json.dumps(document.get("config") or {}, sort_keys=True)
+        )
         graph_fp = self._memoized_graph(keys.memo_key)
         if graph_fp is not None:
             keys.know_graph(graph_fp)
@@ -609,7 +616,8 @@ class StrategyService:
                     span.set(outcome=outcome)
             return response
         finally:
-            search_seconds = response.get("search_seconds") if leader else 0.0
+            # A follower's response carries its leader's stage times.
+            timings = response if leader else {}
             self._access({
                 "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
                 "request_id": request_id,
@@ -619,7 +627,10 @@ class StrategyService:
                 "model": str(keys.document.get("model", "")),
                 "outcome": outcome,
                 "queue_s": round(queue_wait or 0.0, 6),
-                "search_s": round(float(search_seconds or 0.0), 6),
+                **{
+                    field: round(float(timings.get(source) or 0.0), 6)
+                    for field, source in _ACCESS_TIMINGS
+                },
                 "total_s": round(span.seconds, 6),
             })
 
@@ -628,7 +639,6 @@ class StrategyService:
     ) -> Dict[str, object]:
         """Answer a request no identical peer is in flight for."""
         request_key = keys.request
-        self.metrics.gauge("serve.inflight").inc()
         try:
             response = self._answer(keys, request_id)
             future.set_result(response)
@@ -637,7 +647,6 @@ class StrategyService:
             future.set_exception(exc)
             raise
         finally:
-            self.metrics.gauge("serve.inflight").dec()
             with self._inflight_lock:
                 self._inflight.pop(request_key, None)
                 self._inflight_started.pop(request_key, None)
@@ -679,13 +688,24 @@ class StrategyService:
         )
         if keys.failure is not None:
             raise keys.failure
+        # While serve_forever runs, the session build and the search run
+        # in a worker child lent to this request; otherwise here.
+        stages = LocalStages() if self.children is None else self.children.lease()
+        with stages:
+            return self._answer_with(stages, keys, request_id)
+
+    def _answer_with(
+        self, stages: Union[LocalStages, Lease], keys: RequestKeys,
+        request_id: str,
+    ) -> Dict[str, object]:
+        request_key = keys.request
         # The problem identity needs the input graph's fingerprint,
         # which depends on (model, batch, cluster) only — never on the
         # config.  It is memoized in memory and persisted by the store,
         # so a session (two graph builds and a fit check) is built only
         # for a triple no server of this source tree has seen, or on a
         # store miss.
-        session = None if keys.key is not None else self._fill_graph(keys)
+        prepared = None if keys.key is not None else self._fill_graph(stages, keys)
         fingerprints = keys.fingerprints
         key = fingerprints["combined"]
 
@@ -701,7 +721,7 @@ class StrategyService:
             )
             return self._respond(
                 cached, source="cache", request_key=request_key,
-                request_id=request_id,
+                request_id=request_id, prepared=prepared,
             )
 
         self.events.emit(
@@ -709,12 +729,12 @@ class StrategyService:
             request_id=request_id,
         )
 
-        if session is None:
-            session = self._session(keys)
-        signature = graph_signature(session.input_graph)
+        if prepared is None:
+            prepared = self._prepare(stages, keys)
         spec, topology, batch = keys.spec, keys.topology, keys.batch
-        warm_start, warm_source = self._warm_seed(signature, fingerprints, batch)
-        context = session.new_context(warm_start=warm_start)
+        warm_start, warm_source = self._warm_seed(
+            prepared.signature, fingerprints, batch
+        )
         if warm_start is not None:
             self.events.emit(
                 "serve.warm", request=request_key, key=key,
@@ -725,13 +745,15 @@ class StrategyService:
         if self.record_runs:
             recorder = self._begin_run(request_id)
         try:
-            with self.events.span("serve.search", request_id=request_id) as search:
-                search.set(
+            with self.events.span("serve.search", request_id=request_id) as span:
+                span.set(
                     seed="cold" if warm_start is None else "warm",
                     result="error",
+                    build_s=round(prepared.wall_s, 6),
+                    build_cpu_s=round(prepared.cpu_s, 6),
                 )
-                report = session.optimize(context=context)
-                search.set(result="ok")
+                searched = stages.search(warm_start)
+                span.set(result="ok", cpu_s=round(searched.cpu_s, 6))
         except BaseException as exc:
             if recorder is not None:
                 recorder.finish(
@@ -742,13 +764,15 @@ class StrategyService:
                     fingerprints=fingerprints,
                 )
             raise
-        search_seconds = search.seconds
-        fallback = bool(report.metrics.get("search.warm_fallbacks", 0))
+        search_seconds = span.seconds
+        fallback = bool(searched.warm_fallbacks)
         if fallback:
             self.events.emit(
                 "serve.warm.fallback", request=request_key, key=key,
                 request_id=request_id,
             )
+        makespan = searched.measured_time
+        training_speed = batch / makespan if makespan else 0.0
         run_id = ""
         if recorder is not None:
             run_id = recorder.run_id
@@ -758,13 +782,10 @@ class StrategyService:
                 global_batch=batch,
                 devices=len(topology.devices),
                 fingerprints=fingerprints,
-                makespan=report.measured_time,
-                training_speed=(
-                    batch / report.measured_time
-                    if report.measured_time else 0.0
-                ),
-                strategy_label=report.strategy.label,
-                splits=len(report.strategy.split_list),
+                makespan=makespan,
+                training_speed=training_speed,
+                strategy_label=searched.strategy.label,
+                splits=len(searched.strategy.split_list),
                 phases={"search": search_seconds},
             )
         entry = StoredStrategy(
@@ -773,12 +794,10 @@ class StrategyService:
             model=spec.name,
             global_batch=batch,
             devices=len(topology.devices),
-            strategy=report.strategy,
-            makespan=report.measured_time,
-            training_speed=(
-                batch / report.measured_time if report.measured_time else 0.0
-            ),
-            signature=signature,
+            strategy=searched.strategy,
+            makespan=makespan,
+            training_speed=training_speed,
+            signature=prepared.signature,
             run_id=run_id or None,
         )
         if not self.store.put(entry, self.events):
@@ -792,19 +811,22 @@ class StrategyService:
         return self._respond(
             entry, source=source, request_key=request_key,
             request_id=request_id, search_seconds=search_seconds,
+            prepared=prepared, searched=searched,
         )
 
-    def _session(self, keys: RequestKeys) -> FastTSession:
-        return FastTSession(
-            keys.spec.builder, keys.topology, global_batch=keys.batch,
-            config=keys.config, model_name=keys.spec.name,
-        )
+    def _prepare(
+        self, stages: Union[LocalStages, Lease], keys: RequestKeys,
+    ) -> Prepared:
+        """Build the request's session (in ``stages``, which keep it)."""
+        return stages.prepare(keys.document, self.config)
 
-    def _fill_graph(self, keys: RequestKeys) -> Optional[FastTSession]:
+    def _fill_graph(
+        self, stages: Union[LocalStages, Lease], keys: RequestKeys,
+    ) -> Optional[Prepared]:
         """Complete ``keys`` after a memo miss: the in-memory memo again
         (another request may have filled it since), the persisted memo,
-        else a session build.  Returns the session, if one was built."""
-        session = None
+        else a session build.  Returns the build's report, if one ran."""
+        prepared = None
         graph_fp = self._memoized_graph(keys.memo_key)
         if graph_fp is not None:
             keys.know_graph(graph_fp)
@@ -814,8 +836,8 @@ class StrategyService:
         except StoreSchemaError:
             self.metrics.counter("serve.store.memo_errors").inc()
         if graph_fp is None:
-            session = self._session(keys)
-            graph_fp = obs_runs.graph_fingerprint(session.input_graph)
+            prepared = self._prepare(stages, keys)
+            graph_fp = prepared.graph_fp
             if not self.store.remember_graph_fingerprint(
                 *keys.memo_key, graph_fp
             ):
@@ -825,7 +847,7 @@ class StrategyService:
             while len(self._graph_fps) > GRAPH_MEMO_CAPACITY:
                 self._graph_fps.popitem(last=False)
         keys.know_graph(graph_fp)
-        return session
+        return prepared
 
     def _begin_run(self, request_id: str):
         """Mint a run-registry manifest for one executed search.
@@ -880,6 +902,8 @@ class StrategyService:
         request_key: str,
         request_id: str = "",
         search_seconds: float = 0.0,
+        prepared: Optional[Prepared] = None,
+        searched: Optional[Searched] = None,
     ) -> Dict[str, object]:
         # Inside the caller's request_id_context, so the record is
         # stamped with the request id it answers.
@@ -894,6 +918,11 @@ class StrategyService:
             "request_id": request_id,
             "run_id": entry.run_id or "",
             "search_seconds": round(search_seconds, 6),
+            # Wall and CPU seconds of the session build and the search,
+            # in whichever process ran them (0 when none ran).
+            "build_seconds": round(prepared.wall_s if prepared else 0.0, 6),
+            "build_cpu_seconds": round(prepared.cpu_s if prepared else 0.0, 6),
+            "search_cpu_seconds": round(searched.cpu_s if searched else 0.0, 6),
             "key": entry.key,
             "model": entry.model,
             "global_batch": entry.global_batch,
@@ -920,6 +949,9 @@ class StrategyService:
             "status": "ok",
             "workers": self.workers,
             "inflight": inflight,
+            # Each worker child's pid, liveness and peak RSS (VmHWM, MB);
+            # empty while no front-end runs.
+            "children": [] if self.children is None else self.children.status(),
             "store": {
                 "root": self.store.root if self.store.persist else None,
                 "capacity": self.store.capacity,
@@ -959,13 +991,18 @@ class StrategyService:
     def readiness(self) -> Dict[str, object]:
         """Readiness document: can this process answer a request now?
 
-        Not ready while shutting down, or when the strategy store's
-        backing directory exists but is not writable or cannot be
-        listed.
+        Not ready while shutting down, while a worker child is dead and
+        not yet replaced, or when the strategy store's backing directory
+        exists but is not writable or cannot be listed.
         """
         reasons = []
         if self._shutting_down:
             reasons.append("shutting down")
+        if self.children is not None:
+            reasons.extend(
+                f"worker child {child['pid']} is not running"
+                for child in self.children.status() if not child["alive"]
+            )
         store_ok = True
         try:
             entries = len(self.store)
@@ -1009,7 +1046,8 @@ class StrategyService:
 
 #: Grace added to a request's deadline for the event-loop backstop: the
 #: follower-side ServeTimeout should fire first; wait_for only catches a
-#: wedged *leader* (whose search thread cannot be cancelled).
+#: wedged *leader*, whose worker thread waits on a search in its child
+#: that nothing interrupts.
 _BACKSTOP_GRACE = 30.0
 
 
@@ -1111,6 +1149,9 @@ async def handle_connection(
                     "timeout": True,
                     "request_id": exc.request_id,
                 }
+            except WorkerCrashed as exc:
+                _logger.error("request failed: %s", exc)
+                response = {"status": "error", "error": str(exc), "crashed": True}
             except asyncio.TimeoutError:
                 response = {
                     "status": "error", "timeout": True,
@@ -1231,30 +1272,41 @@ async def serve_forever(
     ``metrics_port`` additionally binds the plain-HTTP observability
     listener (``GET /metrics`` Prometheus exposition, ``/healthz``,
     ``/readyz``) on the same host; ``metrics_ready`` learns its port.
+
+    First it forks ``service.workers`` worker children (see
+    :mod:`repro.serve.worker`), before it binds a socket or starts a
+    pool thread, so they inherit neither; each pool thread borrows one
+    for the session build and search of a request.  Every child is
+    reaped before this returns.
     """
     shutdown = asyncio.Event()
-    pool = ThreadPoolExecutor(
-        max_workers=service.workers, thread_name_prefix="repro-serve"
-    )
-    server = await asyncio.start_server(
-        lambda r, w: handle_connection(service, pool, r, w, shutdown),
-        host, port,
-    )
-    metrics_server = None
-    if metrics_port is not None:
-        metrics_server = await serve_metrics_http(
-            service, host, metrics_port, ready=metrics_ready
-        )
-    bound = server.sockets[0].getsockname()
-    _logger.info("serving on %s:%s", bound[0], bound[1])
-    if ready is not None:
-        ready(bound[0], bound[1])
+    service.children = Children(service.workers)
     try:
-        async with server:
-            await shutdown.wait()
+        pool = ThreadPoolExecutor(
+            max_workers=service.workers, thread_name_prefix="repro-serve"
+        )
+        server = await asyncio.start_server(
+            lambda r, w: handle_connection(service, pool, r, w, shutdown),
+            host, port,
+        )
+        metrics_server = None
+        if metrics_port is not None:
+            metrics_server = await serve_metrics_http(
+                service, host, metrics_port, ready=metrics_ready
+            )
+        bound = server.sockets[0].getsockname()
+        _logger.info("serving on %s:%s", bound[0], bound[1])
+        if ready is not None:
+            ready(bound[0], bound[1])
+        try:
+            async with server:
+                await shutdown.wait()
+        finally:
+            if metrics_server is not None:
+                metrics_server.close()
+                await metrics_server.wait_closed()
+            pool.shutdown(wait=False)
+            service.close()
     finally:
-        if metrics_server is not None:
-            metrics_server.close()
-            await metrics_server.wait_closed()
-        pool.shutdown(wait=False)
-        service.close()
+        service.children.close()
+        service.children = None

@@ -10,7 +10,7 @@ from repro.cluster import topology_from
 from repro.core import FastTConfig, FastTSession
 from repro.models import get_model
 from repro.obs.prometheus import parse_prometheus, sample_value
-from repro.obs.runs import config_fingerprints
+from repro.obs.runs import config_fingerprints, options_fingerprint
 from repro.serve import (
     RequestError,
     StrategyService,
@@ -19,6 +19,7 @@ from repro.serve import (
 )
 from repro.serve import service as service_module
 from repro.serve import store as store_module
+from repro.serve import worker as worker_module
 
 FAST_CONFIG = {
     "profiling_steps": 1, "max_rounds": 2, "min_rounds": 1,
@@ -249,15 +250,16 @@ class TestErrors:
 
 @pytest.fixture
 def session_builds(monkeypatch):
-    """Counts FastTSession constructions (a list of model names)."""
+    """Counts session builds (a list of model names) at the prepare
+    stage, which runs in the calling thread or in a worker child."""
     built = []
-    original = FastTSession.__init__
+    original = StrategyService._prepare
 
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("model_name"))
-        original(self, *args, **kwargs)
+    def counting_prepare(self, stages, keys):
+        built.append(keys.spec.name)
+        return original(self, stages, keys)
 
-    monkeypatch.setattr(FastTSession, "__init__", counting_init)
+    monkeypatch.setattr(StrategyService, "_prepare", counting_prepare)
     return built
 
 
@@ -305,7 +307,7 @@ class TestSessionMemo:
         )
         if batch == 3 and topology == "pcie:4":
             assert session.initial_strategy.label == "model-parallel"
-        config = service_module._build_config(service.config, FAST_CONFIG)
+        config = worker_module.build_config(service.config, FAST_CONFIG)
         fresh = config_fingerprints(session.input_graph, cluster, config)
         assert memoized["key"] == first["key"] == fresh["combined"]
 
@@ -361,6 +363,73 @@ class TestSessionMemo:
             service.submit(_request(global_batch=batch))
             assert len(service._graph_fps) <= 2
         assert [key[1] for key in service._graph_fps] == [16, 64]
+
+
+class TestOptionsMemo:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        FAST_CONFIG,
+        {"max_rounds": 3},
+        {"search": {"max_candidate_ops": 1}},
+        {"profiling_steps": 2, "search": {"split_counts": [2, 4]}},
+    ])
+    def test_memoized_fingerprint_equals_uncached(self, tmp_path, overrides):
+        service = _service(tmp_path)
+        request = _request(config=overrides)
+        for _ in range(2):  # the second read comes from the memo
+            assert service.derive(request).options == options_fingerprint(
+                worker_module.build_config(service.config, overrides)
+            )
+        assert service._options.cache_info().hits == 1
+
+    def test_replaced_base_config_is_not_served_from_the_memo(self, tmp_path):
+        service = _service(tmp_path)
+        before = service.derive(_request()).options
+        service.config = FastTConfig(restart_overhead_seconds=1.0)
+        after = service.derive(_request()).options
+        assert after != before
+        assert after == options_fingerprint(
+            worker_module.build_config(service.config, FAST_CONFIG)
+        )
+
+
+class TestInflightGauge:
+    """``serve.inflight`` counts searches, not leaders."""
+
+    def _gauge_at_answer(self, service):
+        seen = []
+        answer = service._answer
+
+        def recording(keys, request_id):
+            seen.append(service.metrics.gauge("serve.inflight").value)
+            return answer(keys, request_id)
+
+        service._answer = recording
+        return seen
+
+    def test_search_raises_it_disk_hit_and_bad_request_do_not(
+        self, tmp_path, monkeypatch
+    ):
+        service = _service(tmp_path)
+        during = []
+        search = worker_module.search
+
+        def recording_search(*args):
+            during.append(service.metrics.gauge("serve.inflight").value)
+            return search(*args)
+
+        monkeypatch.setattr(worker_module, "search", recording_search)
+        assert service.submit(_request())["source"] == "search"
+        assert during == [1]
+
+        fresh = _service(tmp_path)  # its answer is on disk only
+        seen = self._gauge_at_answer(fresh)
+        assert fresh.submit(_request())["source"] == "cache"
+        with pytest.raises(RequestError):
+            fresh.submit(_request(model="not_a_model"))
+        assert seen == [0, 0]
+        assert fresh.metrics.gauge("serve.inflight").value == 0
+        assert service.metrics.gauge("serve.inflight").value == 0
 
 
 class TestPersistedMemo:
