@@ -24,7 +24,7 @@ def gradients(graph: Graph, loss: Tensor) -> Dict[str, Tensor]:
     gradient contributions to one tensor are summed with ``AddN``.
     """
     loss_op = loss.producer
-    if loss_op is None or loss_op.name not in {o.name for o in graph.ops}:
+    if loss_op is None or loss_op.name not in graph:
         raise GraphError(f"loss tensor {loss.name!r} is not produced in this graph")
     if loss.num_elements != 1:
         raise GraphError(f"loss must be scalar-like, got shape {loss.shape}")
@@ -117,23 +117,29 @@ def trainable_variables(graph: Graph) -> List[Operation]:
 
 
 def prune_dangling(graph: Graph, keep: set) -> int:
-    """Iteratively remove ops with unconsumed outputs not named in ``keep``.
+    """Remove ops with unconsumed outputs not named in ``keep``, until
+    none is left.
 
     This mirrors TensorFlow's graph pruning of nodes that do not feed the
-    fetched targets (e.g. gradients computed toward placeholders).
-    Returns the number of ops removed.
+    fetched targets (e.g. gradients computed toward placeholders).  A
+    worklist starts from the ops nothing consumes, and each removal
+    rechecks the producers that lost a consumer.  Returns the number of
+    ops removed.
     """
+    consumers = graph.consumers
+
+    def dangling(op: Operation) -> bool:
+        return op.name not in keep and not any(
+            consumers(t) for t in op.outputs
+        )
+
+    work = [op for op in graph.ops if dangling(op)]
     removed = 0
-    changed = True
-    while changed:
-        changed = False
-        for op in list(graph.ops):
-            if op.name in keep:
-                continue
-            if not graph.successors(op):
-                graph.remove_op(op)
-                removed += 1
-                changed = True
+    while work:
+        op = work.pop()
+        graph.remove_op(op)
+        removed += 1
+        work.extend(p for p in graph.predecessors(op) if dangling(p))
     return removed
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 #: Default ceiling on the structural-edit ratio (added + removed ops
 #: over the larger graph) below which a cached strategy is considered a
@@ -36,27 +36,49 @@ from typing import Dict, List
 DEFAULT_WARM_RATIO = 0.25
 
 
-def op_signature(op) -> str:
-    """Content digest of one op: type, attrs, and input/output shapes.
+def op_content(op) -> str:
+    """``repr`` of one op's content: type, attrs, and input/output shapes.
 
     Deliberately *excludes* graph-wide context (predecessor digests), so
     an inserted layer perturbs only its own and its consumers' rewired
     input tuples — keeping a one-layer edit a local delta rather than an
-    avalanche.
+    avalanche.  :func:`op_signature` digests it, and
+    :func:`repro.obs.runs.graph_fingerprint` hashes it behind the op's
+    name.
     """
-    h = hashlib.sha1()
-    h.update(repr((
+    return repr((
         op.op_type,
         sorted((k, repr(v)) for k, v in op.attrs.items()),
         [(t.name, t.shape, t.dtype) for t in op.inputs],
         [(t.shape, t.dtype) for t in op.outputs],
-    )).encode())
-    return h.hexdigest()[:16]
+    ))
 
 
-def graph_signature(graph) -> Dict[str, str]:
-    """Per-op digests keyed by op name, in no particular order."""
-    return {op.name: op_signature(op) for op in graph.ops}
+def _digest(content: str) -> str:
+    return hashlib.sha1(content.encode()).hexdigest()[:16]
+
+
+def op_signature(op) -> str:
+    """Content digest of one op (see :func:`op_content`)."""
+    return _digest(op_content(op))
+
+
+def graph_contents(graph) -> Dict[str, str]:
+    """:func:`op_content` of every op, keyed by op name in graph order."""
+    return {op.name: op_content(op) for op in graph.ops}
+
+
+def graph_signature(
+    graph, contents: Optional[Dict[str, str]] = None
+) -> Dict[str, str]:
+    """Per-op digests keyed by op name, in no particular order.
+
+    ``contents`` is the graph's :func:`graph_contents`, for a caller that
+    already has it.
+    """
+    if contents is None:
+        contents = graph_contents(graph)
+    return {name: _digest(content) for name, content in contents.items()}
 
 
 @dataclass

@@ -84,7 +84,7 @@ class Graph:
                 )
         spec = get_spec(op_type)
         out_shapes = spec.infer_shapes(inputs, attrs)
-        out_dtypes = spec.output_dtypes(inputs, attrs)
+        out_dtypes = spec.output_dtypes(inputs, attrs, len(out_shapes))
         op = Operation(
             name=name,
             op_type=op_type,

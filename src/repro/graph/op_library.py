@@ -72,7 +72,7 @@ class _SourceSpec(OpSpec):
             raise ShapeError(f"{self.type_name} requires attrs['shape']")
         return [tuple(int(d) for d in shape)]  # type: ignore[arg-type]
 
-    def output_dtypes(self, inputs, attrs):
+    def output_dtypes(self, inputs, attrs, num_outputs):
         return [str(attrs.get("dtype", "float32"))]
 
 
@@ -970,7 +970,7 @@ class CrossEntropyLossSpec(OpSpec):
             )
         return [(1,)]
 
-    def output_dtypes(self, inputs, attrs):
+    def output_dtypes(self, inputs, attrs, num_outputs):
         return ["float32"]
 
     def flops(self, op):
@@ -1014,7 +1014,7 @@ class EmbeddingSpec(OpSpec):
         _require_rank(params, 2, "embedding table")
         return [ids.shape + (params.shape[1],)]
 
-    def output_dtypes(self, inputs, attrs):
+    def output_dtypes(self, inputs, attrs, num_outputs):
         return [inputs[0].dtype]
 
     def flops(self, op):
@@ -1042,7 +1042,7 @@ class EmbeddingGradSpec(OpSpec):
         vocab = int(attrs["vocab_size"])  # type: ignore[index]
         return [(vocab, inputs[1].shape[-1])]
 
-    def output_dtypes(self, inputs, attrs):
+    def output_dtypes(self, inputs, attrs, num_outputs):
         return [inputs[1].dtype]
 
     def flops(self, op):

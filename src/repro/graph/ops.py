@@ -65,12 +65,14 @@ class OpSpec:
         raise NotImplementedError
 
     def output_dtypes(
-        self, inputs: Sequence[Tensor], attrs: Dict[str, object]
+        self, inputs: Sequence[Tensor], attrs: Dict[str, object],
+        num_outputs: int,
     ) -> List[str]:
-        """Dtypes of the outputs; defaults to the first input's (or float32)."""
-        n_out = len(self.infer_shapes(inputs, attrs))
+        """Dtypes of the ``num_outputs`` outputs (the length of
+        :meth:`infer_shapes`' result); defaults to the first input's
+        dtype (or float32)."""
         dtype = inputs[0].dtype if inputs else str(attrs.get("dtype", "float32"))
-        return [dtype] * n_out
+        return [dtype] * num_outputs
 
     def flops(self, op: "Operation") -> float:
         """Floating point operations performed by ``op`` (default 0)."""

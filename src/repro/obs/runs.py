@@ -40,6 +40,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..graph.delta import graph_contents
 from .events import PHASE_SPANS, JsonlEventWriter, read_event_log
 from . import log as obs_log
 
@@ -72,21 +73,22 @@ class RunNotFoundError(KeyError):
 # Config fingerprints
 # ----------------------------------------------------------------------
 
-def graph_fingerprint(graph) -> str:
+def graph_fingerprint(graph, contents: Optional[Dict[str, str]] = None) -> str:
     """Content hash of a training graph (structure + shapes + attrs).
 
-    A sha1 over canonical per-op tuples in topological order, so two
-    runs over the same model/batch collide and anything else does not.
+    A sha1 over canonical per-op tuples ``(name, type, attrs, inputs,
+    outputs)`` in topological order, so two runs over the same
+    model/batch collide and anything else does not.  Each tuple's
+    ``repr`` is the op's :func:`~repro.graph.delta.op_content` with the
+    name put in front; ``contents`` is the graph's
+    :func:`~repro.graph.delta.graph_contents`, for a caller that already
+    has it.
     """
+    if contents is None:
+        contents = graph_contents(graph)
     h = hashlib.sha1()
     for op in graph.topological_order():
-        h.update(repr((
-            op.name,
-            op.op_type,
-            sorted((k, repr(v)) for k, v in op.attrs.items()),
-            [(t.name, t.shape, t.dtype) for t in op.inputs],
-            [(t.shape, t.dtype) for t in op.outputs],
-        )).encode())
+        h.update(f"({op.name!r}, {contents[op.name][1:]}".encode())
     return h.hexdigest()
 
 

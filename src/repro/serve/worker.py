@@ -47,7 +47,7 @@ from ..core.calculator import FastTConfig
 from ..core.context import WarmStartSeed
 from ..core.session import FastTSession
 from ..core.strategy import Strategy
-from ..graph.delta import graph_signature
+from ..graph.delta import graph_contents, graph_signature
 from ..models import ModelSpec, get_model
 from ..obs import log as obs_log
 from ..obs import runs as obs_runs
@@ -151,8 +151,10 @@ def prepare(
         config=build_config(base, document.get("config") or {}),
         model_name=spec.name,
     )
-    graph_fp = obs_runs.graph_fingerprint(session.input_graph)
-    signature = graph_signature(session.input_graph)
+    # Both keys read each op's content; compute it once.
+    contents = graph_contents(session.input_graph)
+    graph_fp = obs_runs.graph_fingerprint(session.input_graph, contents)
+    signature = graph_signature(session.input_graph, contents)
     return session, Prepared(
         graph_fp=graph_fp,
         signature=signature,

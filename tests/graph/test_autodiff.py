@@ -5,12 +5,14 @@ import pytest
 from repro.graph import (
     Graph,
     GraphError,
+    build_single_device_training_graph,
     build_training_graph,
     gradients,
     prune_dangling,
     trainable_variables,
 )
 
+from repro.models import get_model, model_names
 from tests.util import build_mlp, build_small_cnn
 
 
@@ -137,3 +139,47 @@ class TestPruneDangling:
         b = g.create_op("Relu", "b", [a.outputs[0]])
         assert prune_dangling(g, keep={"b"}) == 0
         assert len(g) == 2
+
+
+def _reference_prune(graph, keep):
+    """The fixpoint scan prune_dangling replaced: rescan every op until
+    a pass removes none."""
+    removed = 0
+    changed = True
+    while changed:
+        changed = False
+        for op in list(graph.ops):
+            if op.name in keep:
+                continue
+            if not graph.successors(op):
+                graph.remove_op(op)
+                removed += 1
+                changed = True
+    return removed
+
+
+@pytest.mark.parametrize("model_name", model_names())
+def test_prune_matches_the_fixpoint_scan(model_name, monkeypatch):
+    import repro.graph.autodiff as autodiff
+
+    spec = get_model(model_name, preset="bench")
+    results = []
+
+    def build(prune):
+        def recording(graph, keep):
+            results.append((prune(graph, keep), graph))
+            return results[-1][0]
+
+        monkeypatch.setattr(autodiff, "prune_dangling", recording)
+        build_single_device_training_graph(spec.builder, spec.global_batch)
+
+    build(_reference_prune)
+    build(prune_dangling)
+    (expected, reference), (removed, graph) = results
+    assert removed == expected > 0
+    assert [op.name for op in graph.ops] == [op.name for op in reference.ops]
+    for op in graph.ops:
+        for t in op.outputs:
+            assert [(c.name, i) for c, i in graph.consumers(t)] == [
+                (c.name, i) for c, i in reference.consumers(t)
+            ]
