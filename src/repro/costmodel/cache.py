@@ -16,18 +16,22 @@ apply, undo and :meth:`rebind`.  An undo restores the graph's name
 counters, so the next candidate's sub-ops get their old names, and with
 them their old ids.
 
-The first fill (and any full refill) reads every op's adjacency and edge
-bytes from the graph's :class:`~repro.graph.index.GraphIndex` in one
-pass; an invalidated op is refilled from the op and the graph directly.
-Both compute the same values, so a DPOS run over a fresh cache and one
-over a cache shared by a whole search return bit-identical strategies.
+The first fill (and any full refill) reads every op's adjacency, edge
+bytes and costs from the graph's :class:`~repro.graph.index.GraphIndex`
+in one pass; an invalidated op is refilled from the op and the graph
+directly.  Both compute the same values, so a DPOS run over a fresh cache
+and one over a cache shared by a whole search return bit-identical
+strategies.  A :class:`~repro.graph.coarsen.CoarsePlan` stands in for a
+graph here: it serves its coarse graph's index from the flat lists the
+contraction recorded, so the coarse search fills a cache without building
+that graph.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from ..graph import Graph, GraphError, Operation
+from ..graph import Graph, GraphError
 from ..graph.index import canonical_order
 
 
@@ -35,8 +39,11 @@ class CostCache:
     """Cost-model and adjacency slots, one per op id, over one working graph.
 
     Args:
-        graph: The working graph the strategy search mutates in place.
-        computation: Computation cost model (``time`` duck type).
+        graph: The working graph the strategy search mutates in place,
+            or a :class:`~repro.graph.coarsen.CoarsePlan` (never mutated).
+        computation: Computation cost model (``time`` duck type); over a
+            plan, the plan's
+            :class:`~repro.graph.coarsen.SuperComputationModel`.
         communication: Communication cost model (``time``/``max_time``).
         devices: Candidate device names, in topology order; a device's
             index in this list is its device index.
@@ -117,15 +124,14 @@ class CostCache:
         return index
 
     def _fill(
-        self, index: int, op: Operation, persistent: int,
-        preds: List[int], pred_bytes: List[int],
+        self, index: int, times: List[float], persistent: int,
+        group: Optional[str], preds: List[int], pred_bytes: List[int],
         succs: List[int], succ_bytes: Iterable[int],
     ) -> None:
-        times = [self.computation.time(op, d) for d in self.devices]
         self.times[index] = times
         self.weights[index] = max(times, default=0.0)
         self.persistent[index] = persistent
-        self.groups[index] = op.colocation_group
+        self.groups[index] = group
         self.preds[index], self.pred_bytes[index] = preds, pred_bytes
         self.succs[index] = succs
         self.succ_comm[index] = [self.max_transfer_time(b) for b in succ_bytes]
@@ -135,9 +141,10 @@ class CostCache:
     def _sync(self) -> None:
         """Refill the slots of every stale op still in the graph.
 
-        A full refill reads the graph's index in one pass; an op-by-op
-        refill walks each op's inputs and its outputs' uses.  Both list
-        producers in input order and sum each edge's input slots.
+        A full refill reads the graph's index in one pass (its
+        ``op_costs`` prices every op); an op-by-op refill walks each op's
+        inputs and its outputs' uses.  Both list producers in input order
+        and sum each edge's input slots.
         """
         graph, id_of = self.graph, self.id_of
         if self._stale is None:
@@ -151,12 +158,13 @@ class CostCache:
                 index.pred_ptr, index.preds, index.pred_bytes
             )
             succ_ptr, succs, succ_bytes = index.successors()
-            for i, op in enumerate(index.ops):
+            costs = index.op_costs(self.computation, self.devices)
+            for i, (times, persistent, group) in enumerate(costs):
                 start, stop, first, last = (
                     pred_ptr[i], pred_ptr[i + 1], succ_ptr[i], succ_ptr[i + 1]
                 )
                 self._fill(
-                    ids[i], op, op.persistent_bytes,
+                    ids[i], times, persistent, group,
                     [ids[p] for p in preds[start:stop]], pred_bytes[start:stop],
                     [ids[j] for j in succs[first:last]], succ_bytes[first:last],
                 )
@@ -179,7 +187,8 @@ class CostCache:
                     c = consumer.name
                     sent[c] = sent.get(c, 0) + tensor.size_bytes
             self._fill(
-                id_of(name), op, op.persistent_bytes,
+                id_of(name), [self.computation.time(op, d) for d in self.devices],
+                op.persistent_bytes, op.colocation_group,
                 [id_of(p) for p in received], list(received.values()),
                 [id_of(c) for c in sent], sent.values(),
             )

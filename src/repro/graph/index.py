@@ -38,6 +38,17 @@ def _transpose(
     return _offsets(ints, counts), [owner[k] for k in order], order
 
 
+def successors_of(
+    ints: List[int], pred_ptr: List[int], preds: List[int],
+    pred_bytes: List[int], size: int,
+) -> Tuple[List[int], List[int], List[int]]:
+    """``(succ_ptr, succs, succ_bytes)`` of a producer relation in CSR:
+    each node's distinct consumers by ascending id, with the bytes each
+    receives.  ``ints`` covers ``range(max(size, len(preds)) + 1)``."""
+    succ_ptr, succs, order = _transpose(ints, pred_ptr, preds, size)
+    return succ_ptr, succs, [pred_bytes[k] for k in order]
+
+
 def canonical_order(
     nodes: Iterable[int],
     names: List[str],
@@ -46,9 +57,10 @@ def canonical_order(
 ) -> List[int]:
     """Kahn's order of ``nodes`` with the ready set drained by name.
 
-    ``indegree`` (by id, consumed) counts distinct producers and
-    ``successors(i)`` lists distinct consumers.  Names are unique, so a
-    heap of name ranks pops like a heap of names, with int comparisons.
+    ``indegree`` (by id, consumed) counts each node's in-edges and
+    ``successors(i)`` lists ``i``'s out-edges by target, one entry per
+    edge.  Names are unique, so a heap of name ranks pops like a heap of
+    names, with int comparisons.
     """
     by_rank = sorted(nodes, key=names.__getitem__)
     rank = [0] * len(names)
@@ -140,24 +152,39 @@ class GraphIndex:
         """``(succ_ptr, succs, succ_bytes)``: each op's distinct consumers
         by ascending id, with the bytes each receives (computed once)."""
         if self._successors is None:
-            succ_ptr, succs, order = _transpose(
-                self._ints, self.pred_ptr, self.preds, len(self.ops)
+            self._successors = successors_of(
+                self._ints, self.pred_ptr, self.preds, self.pred_bytes,
+                len(self.ops),
             )
-            pred_bytes = self.pred_bytes
-            self._successors = succ_ptr, succs, [pred_bytes[k] for k in order]
         return self._successors
+
+    def op_costs(self, computation, devices: List[str]):
+        """Per op, in id order: ``(times, persistent bytes, colocation
+        group)``, ``times`` being ``computation.time`` on each device."""
+        time = computation.time
+        for op in self.ops:
+            yield (
+                [time(op, d) for d in devices],
+                op.persistent_bytes, op.colocation_group,
+            )
 
     def canonical_order(self) -> List[int]:
         """The op ids in :meth:`Graph.topological_order` order with
         ``canonical=True`` (computed once).  Callers must not mutate it."""
         if self._canonical is None:
+            # Edges by tensor: an op waits for each distinct input tensor,
+            # and an op's readers are the consumers of its outputs, which
+            # are consecutive in cons_ids.  Readiness, and so the order,
+            # equal the distinct-producer edges', without successors().
             n = len(self.ops)
-            ptr = self.pred_ptr
-            succ_ptr, succs, _ = self.successors()
+            in_ptr, out_ptr = self.in_ptr, self.out_ptr
+            cons_ptr, cons_ids = self.cons_ptr, self.cons_ids
             order = canonical_order(
                 self._ints[:n], self.names,
-                [ptr[i + 1] - ptr[i] for i in range(n)],
-                lambda i: succs[succ_ptr[i]:succ_ptr[i + 1]],
+                [in_ptr[i + 1] - in_ptr[i] for i in range(n)],
+                lambda i: cons_ids[
+                    cons_ptr[out_ptr[i]]:cons_ptr[out_ptr[i + 1]]
+                ],
             )
             if len(order) != n:
                 from .graph import GraphError

@@ -1,0 +1,70 @@
+"""A cost cache filled from a CoarsePlan's lists equals one filled over
+the contracted graph.
+
+The coarse search never builds :attr:`CoarsePlan.coarse`: its cost cache
+reads the flat lists the contraction recorded (names, producer rows,
+persistent bytes, lifted groups) and prices each super-op as the sum of
+its members' times.  Here both fills run side by side, for every zoo
+model at target 64 and the 5,008-op MLP of ``tests/graph/test_coarsen.py``,
+and every slot must match exactly: the same ids, adjacency and bytes,
+and bit-identical floats.
+"""
+
+import pytest
+
+from repro.cluster import topology_from
+from repro.costmodel import CostCache, OracleCommunicationModel, OracleComputationModel
+from repro.graph import SuperComputationModel, contract_graph
+from repro.hardware import PerfModel
+from repro.models import model_names
+
+from tests.graph.test_coarsen import ZOO_TARGET, _mlp_graph, _training_graph
+
+CASES = [(model, ZOO_TARGET) for model in model_names()] + [("mlp5k", 256)]
+
+
+def _graph(model):
+    return _mlp_graph() if model == "mlp5k" else _training_graph(model)
+
+
+def _slots(cache):
+    order = cache.topological_order()
+    return {
+        "names": list(cache.names),
+        "order": list(order),
+        # repr: bit-identical floats, not merely equal ones.
+        "times": [repr(row) for row in cache.times],
+        "weights": [repr(w) for w in cache.weights],
+        "persistent": list(cache.persistent),
+        "groups": list(cache.groups),
+        "preds": list(cache.preds),
+        "pred_bytes": list(cache.pred_bytes),
+        "succs": list(cache.succs),
+        "succ_comm": [repr(row) for row in cache.succ_comm],
+    }
+
+
+@pytest.mark.parametrize("model,target", CASES)
+def test_plan_fill_matches_coarse_graph_fill(model, target):
+    topo = topology_from("pcie:4")
+    perf = PerfModel(topo)
+    base = OracleComputationModel(perf)
+    communication = OracleCommunicationModel(perf)
+    devices = topo.device_names
+    plan = contract_graph(_graph(model), target=target)
+
+    from_plan = SuperComputationModel(base, plan)
+    lists = _slots(CostCache(plan, from_plan, communication, devices))
+    graph = _slots(CostCache(
+        plan.coarse, SuperComputationModel(base, plan), communication, devices,
+    ))
+    assert lists == graph
+    assert lists["names"] == [op.name for op in plan.coarse.ops]
+
+    # The member times a super-op's sum added are the base model's.
+    for node, name in enumerate(plan.names):
+        members = plan.member_ops.get(name) or [plan.fine.get_op(name)]
+        for device in devices:
+            assert from_plan.member_times(node, device) == [
+                base.time(op, device) for op in members
+            ]
