@@ -123,7 +123,8 @@ class DPOS:
         ``cost_cache`` (shared across the candidate evaluations of one
         OS-DPOS search) serves the id-indexed cost and adjacency slots;
         without one, the run builds a fresh cache.  The result is identical either
-        way.
+        way.  ``graph`` may be a :class:`~repro.graph.coarsen.CoarsePlan`
+        (the coarse search's), which a cache reads like a graph.
         """
         with self.obs.events.span(
             "search.dpos",

@@ -27,7 +27,9 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..costmodel import CostCache
 from ..graph import Graph, Operation
-from ..graph.coarsen import CoarsePlan, SuperComputationModel, contract_graph
+from ..graph.coarsen import (
+    CoarsePlan, SuperComputationModel, SuperMemo, contract_graph,
+)
 from ..graph.rewrite import SplitDecision, SplitError, SplitTransaction
 from ..obs import MetricsSnapshot, Observability, get_obs
 from .context import WarmStartSeed
@@ -292,14 +294,16 @@ class OSDPOS:
     # Coarse path: hierarchical search over a contracted graph
     # ------------------------------------------------------------------
     def _coarse_engine(
-        self, plan: CoarsePlan, memo: Dict[Tuple[tuple, str], float]
+        self, plan: CoarsePlan, memo: SuperMemo
     ) -> DPOS:
         """A DPOS over the coarse graph, sharing this engine's models.
 
         Super-ops are priced by :class:`SuperComputationModel` (exact
         member sums, memoized across re-contractions); communication uses
         the fine model unchanged because coarse edges carry the fine
-        boundary tensors.
+        boundary tensors.  The engine runs over ``plan`` itself, which
+        serves its cost cache from flat lists: the coarse graph is never
+        built.
         """
         engine = DPOS(
             self.dpos.topology,
@@ -322,16 +326,16 @@ class OSDPOS:
         strategy expands losslessly to a complete fine placement/order.
         """
         working = _WorkingGraph(graph)
-        memo: Dict[Tuple[tuple, str], float] = {}
+        memo: SuperMemo = {}
         plan = contract_graph(
             graph, target=self.coarsen_target, events=self.obs.events
         )
         engine = self._coarse_engine(plan, memo)
         cache = CostCache(
-            plan.coarse, engine.computation, engine.communication,
+            plan, engine.computation, engine.communication,
             engine.topology.device_names,
         )
-        initial = engine.run(plan.coarse, cost_cache=cache)
+        initial = engine.run(plan, cost_cache=cache)
         cp_ops = (
             self._coarse_candidate_ops(plan, initial, cache)
             if self.split_counts else []
@@ -342,7 +346,7 @@ class OSDPOS:
                 working.graph, target=self.coarsen_target,
                 events=self.obs.events,
             )
-            return self._coarse_engine(candidate, memo).run(candidate.coarse)
+            return self._coarse_engine(candidate, memo).run(candidate)
 
         def recontract(_touched: Set[str]) -> None:
             # The transaction name counters were restored by each undo,
@@ -378,20 +382,20 @@ class OSDPOS:
         (same recipe as the flat search, priced through the coarse
         engine's ``cache``); its nodes then expand to their fine members,
         ranked by computation time on the device the member inherits.
+        Those are the member times the cache fill summed.
         """
         coarse_cp = self._placement_critical_path(result, cache)
         placement = result.strategy.placement
-        computation = self.dpos.computation
+        member_times = cache.computation.member_times
+        node_of = {name: node for node, name in enumerate(plan.names)}
+        names = plan.fine_index.names
         pairs: List[Tuple[str, float]] = []
         for coarse_name in coarse_cp:
-            dev = placement[coarse_name]
-            members = plan.member_ops.get(coarse_name)
-            if members is None:
-                members = [plan.fine.get_op(coarse_name)]
-            for member in members:
-                weight = computation.time(member, dev)
+            node = node_of[coarse_name]
+            times = member_times(node, placement[coarse_name])
+            for i, weight in zip(plan.member_ids[node], times):
                 if weight > 0.0:
-                    pairs.append((member.name, weight))
+                    pairs.append((names[i], weight))
         return [name for name, _ in sorted(pairs, key=lambda p: -p[1])]
 
     def _expand_result(

@@ -98,9 +98,6 @@ class ComputationCostModel:
         self._types: Dict[str, str] = {}
         self._bandwidth: Dict[str, _BandwidthProxy] = {}
 
-    def _scale_of(self, device: str) -> float:
-        return self.device_scale.get(device, 1.0)
-
     # ------------------------------------------------------------------
     def observe(
         self,
@@ -180,14 +177,18 @@ class ComputationCostModel:
         return 0.0
 
     def _lookup(self, op_name: str, device: str) -> Optional[float]:
-        """Direct key, then (optionally) the homogeneous per-name mean."""
-        direct = self.profiled_time(op_name, device)
+        """Direct key, then (optionally) the homogeneous per-name mean.
+
+        Runs once per op and device in every cost-cache fill, so it reads
+        the dicts directly rather than through :meth:`profiled_time`.
+        """
+        direct = self._means.get((op_name, device))
         if direct is not None:
             return direct
         if self.homogeneous_fallback:
             mean = self._name_means.get(op_name)
             if mean is not None:
-                return mean / self._scale_of(device)
+                return mean / self.device_scale.get(device, 1.0)
         return None
 
     def _derived_from_parent(self, op: Operation, device: str) -> Optional[float]:
