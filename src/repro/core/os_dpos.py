@@ -63,10 +63,10 @@ class SearchOptions:
             seed), and ``"auto"`` (default) turns it on only for graphs
             with at least ``coarsen_threshold`` ops — small graphs never
             change behaviour.
-        coarsen_threshold: Op count at which ``"auto"`` switches to the
-            coarse path.
-        coarsen_target: Approximate number of coarse nodes the
-            contraction aims for.
+        coarsen_threshold: Op count (an int >= 1) at which ``"auto"``
+            switches to the coarse path.
+        coarsen_target: Approximate number of coarse nodes (an int >= 1)
+            the contraction aims for.
     """
 
     enable_splitting: bool = True
@@ -96,10 +96,12 @@ class SearchOptions:
                 raise ValueError("max_candidate_ops must be >= 0")
         if self.coarsen not in (True, False, "auto"):
             raise ValueError('coarsen must be True, False, or "auto"')
-        if self.coarsen_threshold < 1:
-            raise ValueError("coarsen_threshold must be >= 1")
-        if self.coarsen_target < 1:
-            raise ValueError("coarsen_target must be >= 1")
+        for name in ("coarsen_threshold", "coarsen_target"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _is_int(value: object) -> bool:
@@ -146,13 +148,25 @@ class OSDPOSResult:
     #: Critical-path ops the walk considered, in walk order.
     candidate_ops: List[str] = field(default_factory=list)
     rounds: List[OpRound] = field(default_factory=list)
-    #: The coarse search's contraction (coarse op -> fine member names;
-    #: the plan's own dict, not a copy); empty for flat searches.
-    coarse_members: Dict[str, List[str]] = field(default_factory=dict)
+    #: The coarse search's final contraction; ``None`` for flat searches.
+    coarse_plan: Optional[CoarsePlan] = None
 
     @property
     def split_list(self) -> List[SplitDecision]:
         return self.strategy.split_list
+
+    @property
+    def coarse_members(self) -> Dict[str, List[str]]:
+        """Coarse node name -> fine member names, derived from
+        ``coarse_plan`` on each read; empty for flat searches."""
+        plan = self.coarse_plan
+        if plan is None:
+            return {}
+        names = plan.fine_index.names
+        return {
+            name: [names[i] for i in ids]
+            for name, ids in zip(plan.names, plan.member_ids)
+        }
 
     @property
     def candidates_evaluated(self) -> int:
@@ -296,14 +310,13 @@ class OSDPOS:
     def _coarse_engine(
         self, plan: CoarsePlan, memo: SuperMemo
     ) -> DPOS:
-        """A DPOS over the coarse graph, sharing this engine's models.
+        """A DPOS over ``plan``, sharing this engine's models.
 
-        Super-ops are priced by :class:`SuperComputationModel` (exact
+        Coarse nodes are priced by :class:`SuperComputationModel` (exact
         member sums, memoized across re-contractions); communication uses
-        the fine model unchanged because coarse edges carry the fine
-        boundary tensors.  The engine runs over ``plan`` itself, which
-        serves its cost cache from flat lists: the coarse graph is never
-        built.
+        the fine model unchanged because the plan's producer rows carry
+        the fine boundary tensors' bytes.  The engine runs over ``plan``
+        itself, which serves its cost cache from its lists.
         """
         engine = DPOS(
             self.dpos.topology,
@@ -370,7 +383,7 @@ class OSDPOS:
             self._expand_result(plan, best, split_list),
             split_list, initial, cp_ops, rounds,
         )
-        result.coarse_members = plan.members
+        result.coarse_plan = plan
         return result
 
     def _coarse_candidate_ops(
@@ -417,16 +430,13 @@ class OSDPOS:
             fields: Dict[str, object] = {
                 "start_times": {}, "finish_times": {}, "ranks": {},
             }
-            for coarse_name, member_names in plan.members.items():
+            names = plan.fine_index.names
+            for coarse_name, ids in zip(plan.names, plan.member_ids):
                 for key, value in fields.items():
                     coarse_value = getattr(coarse, key)[coarse_name]
-                    for member in member_names:
-                        value[member] = coarse_value  # type: ignore[index]
-            fields["critical_path"] = [
-                member
-                for coarse_name in coarse.critical_path
-                for member in plan.members[coarse_name]
-            ]
+                    for i in ids:
+                        value[names[i]] = coarse_value  # type: ignore[index]
+            fields["critical_path"] = plan.expand_order(coarse.critical_path)
             fields["strategy"] = Strategy(
                 placement=plan.expand_placement(coarse.strategy.placement),
                 order=plan.expand_order(coarse.strategy.order),

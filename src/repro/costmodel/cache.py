@@ -22,9 +22,9 @@ in one pass; an invalidated op is refilled from the op and the graph
 directly.  Both compute the same values, so a DPOS run over a fresh cache
 and one over a cache shared by a whole search return bit-identical
 strategies.  A :class:`~repro.graph.coarsen.CoarsePlan` stands in for a
-graph here: it serves its coarse graph's index from the flat lists the
-contraction recorded, so the coarse search fills a cache without building
-that graph.
+graph here: it is its own index, one record per coarse node (names,
+producer rows, persistent bytes, lifted groups), so the coarse search
+fills a cache from the lists the contraction recorded.
 """
 
 from __future__ import annotations

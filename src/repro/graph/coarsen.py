@@ -1,32 +1,30 @@
-"""Graph coarsening: contract clusters of ops into super-ops for search.
+"""Graph coarsening: contract clusters of ops into coarse nodes for search.
 
 Transformer-scale graphs (100k+ ops) make the per-op DPOS sweep and the
 per-candidate OS-DPOS evaluations the wall.  Following the
 contraction-based placement literature (Tarnawski et al.; PaSE's
 repeated-block exploitation), this module shrinks the *search* graph —
 never the executed one — by contracting clusters of operations into
-single ``SuperOp`` nodes whose aggregate costs are exact:
+coarse nodes whose aggregate costs are exact:
 
-* compute: a super-op's time on a device is the **sum** of its members'
-  times there (members are colocated and run serially on the device),
-  served by :class:`SuperComputationModel` with a memo keyed by the
-  members' structure tokens;
-* memory: ``persistent_bytes`` of the super-op equals the sum of member
-  ``persistent_bytes`` exactly (the spec's ``param_bytes`` compensates
-  for the boundary outputs the coarse node exposes);
-* transfer: coarse edges carry the fine boundary tensors with their
-  original shapes/dtypes, so coarse ``edge_bytes`` prices exactly the
-  distinct tensor volume crossing the cut.
+* compute: a multi-member node's time on a device is the **sum** of its
+  members' times there (members are colocated and run serially on the
+  device), served by :class:`SuperComputationModel` with a memo keyed by
+  the members' structure tokens;
+* memory: a node's persistent bytes are the sum of its members'
+  ``persistent_bytes`` exactly;
+* transfer: a node's producer rows carry the bytes of the fine boundary
+  tensors crossing into it, so coarse edges price exactly the distinct
+  tensor volume crossing the cut.
 
-Contraction is lossless: :class:`CoarsePlan` maps every fine op to its
-coarse node, so a coarse placement expands to a complete fine placement
-(members inherit the super-op's device) and coarse provenance decisions
-expand to per-op explanations.
-
-The coarse graph is built only when :attr:`CoarsePlan.coarse` is read.
-The search reads the flat lists the contraction records instead (names,
-members, producer rows with boundary bytes, persistent bytes, lifted
-groups), so a large graph's contraction makes no boundary ``Tensor``.
+A :class:`CoarsePlan` is one record per coarse node, by node id: its
+name, its fine member ids, their structure tokens, its lifted
+colocation group, its persistent bytes and its producer rows.  The
+search reads these lists directly (no coarse ``Graph`` and no boundary
+``Tensor`` is built), and the plan maps every fine op to its node, so a
+coarse placement expands to a complete fine placement (members inherit
+their node's device) and coarse provenance decisions expand to per-op
+explanations.
 
 Cycle safety
 ------------
@@ -58,15 +56,14 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graph import Graph, GraphError
+from .graph import Graph
 from .index import GraphIndex, successors_of
-from .ops import Operation, OpSpec, UnknownOpTypeError, get_spec, register_op
+from .ops import Operation
 
-SUPER_OP_TYPE = "SuperOp"
-
-#: Coarse nodes are named ``super:<root member>`` — deterministic and
-#: collision-free because fine op names never contain ``super:``-prefixed
-#: duplicates of themselves and the root member is unique per cluster.
+#: Multi-member nodes are named ``super:<root member>`` — deterministic
+#: and collision-free because fine op names never contain
+#: ``super:``-prefixed duplicates of themselves and the root member is
+#: unique per cluster.
 _SUPER_PREFIX = "super:"
 
 #: :class:`SuperComputationModel`'s memo: (structure tokens, device) ->
@@ -74,76 +71,25 @@ _SUPER_PREFIX = "super:"
 SuperMemo = Dict[Tuple[tuple, str], Tuple[float, List[float]]]
 
 
-class SuperOpSpec(OpSpec):
-    """Spec of a contracted cluster; all behaviour is attrs-driven.
-
-    Attrs (written by :func:`contract_graph`):
-        ``_super_output_shapes`` / ``_super_output_dtypes``: the boundary
-            tensors, preserving fine shapes so coarse edges price exactly.
-        ``_super_flops`` / ``_super_bytes_accessed``: exact member sums.
-        ``_super_param_bytes``: member ``persistent_bytes`` sum minus the
-            boundary output bytes, so the coarse node's
-            ``persistent_bytes`` (param + outputs) equals the member sum.
-        ``_super_members``: member fine-op names in topological order.
-        ``_super_fingerprint``: the members' ``structure_token`` tuple,
-            keying aggregate-cost memos.
-    """
-
-    type_name = SUPER_OP_TYPE
-
-    def infer_shapes(self, inputs, attrs):
-        return [tuple(int(d) for d in s) for s in attrs["_super_output_shapes"]]
-
-    def output_dtypes(self, inputs, attrs, num_outputs):
-        return list(attrs["_super_output_dtypes"])
-
-    def flops(self, op):
-        return float(op.attrs.get("_super_flops", 0.0))
-
-    def bytes_accessed(self, op):
-        return int(op.attrs.get("_super_bytes_accessed", 0))
-
-    def param_bytes(self, op):
-        return int(op.attrs.get("_super_param_bytes", 0))
-
-
-# The registry refuses duplicates; reloading this module (or a second
-# import path) must not blow up.
-try:
-    get_spec(SUPER_OP_TYPE)
-except UnknownOpTypeError:
-    register_op(SuperOpSpec)
-
-
 @dataclass
 class CoarsePlan:
-    """A contraction of ``fine`` with its expand mapping.
+    """A contraction of a graph: one record per coarse node, by node id.
 
-    The coarse search reads only the flat lists below, indexed by coarse
-    node id (the order of the coarse graph's ops); :attr:`coarse`, the
-    contracted :class:`Graph` itself, is built on first read.  A plan
-    stands in for that graph where the search's cost cache and DPOS read
-    one: it has its ``name``, ``num_ops`` and a fixed ``version``, and is
-    its own :meth:`index` (``names``, the producer rows ``pred_ptr`` /
-    ``preds`` / ``pred_bytes``, :meth:`successors` and :meth:`op_costs`,
-    as in :class:`~repro.graph.index.GraphIndex`).
+    A plan stands in for a graph where the search's cost cache and DPOS
+    read one: it has its ``name``, ``num_ops`` and a fixed ``version``,
+    and is its own :meth:`index` (``names``, the producer rows
+    ``pred_ptr`` / ``preds`` / ``pred_bytes``, :meth:`successors` and
+    :meth:`op_costs`, as in :class:`~repro.graph.index.GraphIndex`).
     """
 
-    fine: Graph
-    #: Coarse op name -> fine member names in fine topological order.
-    #: Singleton clusters appear too (their coarse op keeps the fine name).
-    members: Dict[str, List[str]]
-    #: Fine op name -> coarse op name (total over the fine graph).
-    op_to_coarse: Dict[str, str]
-    #: Coarse SuperOp name -> member Operation objects (cost aggregation).
-    member_ops: Dict[str, List[Operation]]
     #: The coarse graph's name.
     name: str
     #: The fine graph's index at contraction; member ids number its ops.
     fine_index: GraphIndex
-    #: By coarse node id: name, fine member ids in topological order, the
-    #: members' structure tokens (``None`` for a singleton), lifted
-    #: colocation group and persistent bytes (the member sum).
+    #: By coarse node id: name (a singleton keeps its op's name), fine
+    #: member ids in topological order, the members' structure tokens
+    #: (``None`` for a singleton), lifted colocation group and persistent
+    #: bytes (the member sum).
     names: List[str]
     member_ids: List[List[int]]
     fingerprints: List[Optional[tuple]]
@@ -154,22 +100,12 @@ class CoarsePlan:
     pred_ptr: List[int]
     preds: List[int]
     pred_bytes: List[int]
-    _coarse: Optional[Graph] = field(default=None, init=False, repr=False)
     _successors: Optional[Tuple[List[int], List[int], List[int]]] = field(
         default=None, init=False, repr=False
     )
 
     #: A plan never changes, so it has one version.
     version = 0
-
-    @property
-    def coarse(self) -> Graph:
-        """The contracted graph, built on first read (see the module
-        docstring).  The fine graph must not have changed since the
-        contraction."""
-        if self._coarse is None:
-            self._coarse = _materialize(self)
-        return self._coarse
 
     @property
     def num_ops(self) -> int:
@@ -194,21 +130,17 @@ class CoarsePlan:
         group)``, the times from ``computation`` over this plan."""
         return zip(computation.rows(devices), self.persistent, self.groups)
 
-    @property
-    def super_ops(self) -> Dict[str, List[str]]:
-        """Only the genuinely contracted (multi-member) clusters."""
-        return {
-            name: list(m) for name, m in self.members.items() if len(m) > 1
-        }
-
     def expand_placement(
         self, coarse_placement: Dict[str, str]
     ) -> Dict[str, str]:
-        """Fine placement: every member inherits its super-op's device."""
-        return {
-            op_name: coarse_placement[coarse_name]
-            for op_name, coarse_name in self.op_to_coarse.items()
-        }
+        """Fine placement: every member inherits its node's device."""
+        names = self.fine_index.names
+        placement: Dict[str, str] = {}
+        for name, ids in zip(self.names, self.member_ids):
+            device = coarse_placement[name]
+            for i in ids:
+                placement[names[i]] = device
+        return placement
 
     def expand_order(self, coarse_order: Sequence[str]) -> List[str]:
         """Fine execution order: coarse order with members expanded.
@@ -217,10 +149,9 @@ class CoarsePlan:
         dependency-consistent because intra-cluster edges follow it and
         cross-cluster edges respect the coarse order.
         """
-        out: List[str] = []
-        for coarse_name in coarse_order:
-            out.extend(self.members[coarse_name])
-        return out
+        members = dict(zip(self.names, self.member_ids))
+        names = self.fine_index.names
+        return [names[i] for name in coarse_order for i in members[name]]
 
 
 def _safe_merge(
@@ -313,11 +244,10 @@ def contract_graph(
 ) -> CoarsePlan:
     """Contract ``graph`` into at most roughly ``target`` coarse nodes.
 
-    The fine graph is never mutated.  In the coarse graph (built when
-    :attr:`CoarsePlan.coarse` is first read), singleton clusters are
-    rebuilt verbatim (same name, type, attrs); multi-member clusters
-    become ``SuperOp`` nodes named ``super:<root member>`` whose
-    aggregate attrs are exact (see module docstring).  Colocation
+    The fine graph is never mutated.  A singleton cluster's node keeps
+    its op's name and input slots; a multi-member cluster's node is
+    named ``super:<root member>`` and reads the distinct tensors its
+    members read from other clusters (see module docstring).  Colocation
     constraints are lifted conservatively: clusters touching the same
     fine colocation group share a coarse group, which can over-constrain
     but never violates a fine constraint.
@@ -358,10 +288,7 @@ def _contract(graph: Graph, target: int, span) -> CoarsePlan:
     groups = _lift_groups(ops, cluster_of, len(clusters))
 
     # One walk records what the coarse search reads: per node its name,
-    # members, structure tokens and producer rows.
-    members: Dict[str, List[str]] = {}
-    op_to_coarse: Dict[str, str] = {}
-    member_ops: Dict[str, List[Operation]] = {}
+    # structure tokens and producer rows.
     node_names: List[str] = []
     fingerprints: List[Optional[tuple]] = []
     pred_ptr, preds, pred_bytes = [0], [], []
@@ -377,13 +304,11 @@ def _contract(graph: Graph, target: int, span) -> CoarsePlan:
         if len(cluster) == 1:
             i = cluster[0]
             name = names[i]
-            # Input slots verbatim, duplicates included, as in the clone.
+            # Input slots verbatim, duplicates included, as the op reads.
             for k in range(fine_ptr[i], fine_ptr[i + 1]):
                 p = cluster_of[fine_preds[k]]
                 received[p] = received.get(p, 0) + fine_bytes[k]
             fingerprints.append(None)
-            members[name] = [name]
-            op_to_coarse[name] = name
         else:
             name = _SUPER_PREFIX + names[cluster[0]]
             # Boundary inputs: distinct external tensors, first-use order.
@@ -393,13 +318,9 @@ def _contract(graph: Graph, target: int, span) -> CoarsePlan:
                     if p != cid and counted[t] != cid:
                         counted[t] = cid
                         received[p] = received.get(p, 0) + tensor_bytes[t]
-            member_names = [names[i] for i in cluster]
             fingerprints.append(
                 tuple([ops[i].structure_token for i in cluster])
             )
-            members[name] = member_names
-            member_ops[name] = [ops[i] for i in cluster]
-            op_to_coarse.update(dict.fromkeys(member_names, name))
         node_names.append(name)
         preds += received
         pred_bytes += received.values()
@@ -412,10 +333,6 @@ def _contract(graph: Graph, target: int, span) -> CoarsePlan:
         persistent[cid] += op.param_bytes
 
     return CoarsePlan(
-        fine=graph,
-        members=members,
-        op_to_coarse=op_to_coarse,
-        member_ops=member_ops,
         name=f"{graph.name}:coarse",
         fine_index=index,
         names=node_names,
@@ -466,105 +383,21 @@ def _lift_groups(
     return [coarse_group.get(find(cid)) for cid in range(num_clusters)]
 
 
-def _materialize(plan: CoarsePlan) -> Graph:
-    """The contracted :class:`Graph` of ``plan``.
-
-    Singleton clusters are rebuilt verbatim; a multi-member cluster
-    becomes a ``SuperOp`` whose inputs are the distinct external tensors
-    its members read, in first-use order, and whose outputs are the
-    member tensors read outside it (producer order, then output index).
-    """
-    index = plan.fine_index
-    if plan.fine.version != index.version:
-        raise GraphError(
-            f"graph {plan.fine.name!r} changed after it was contracted; "
-            "contract it again"
-        )
-    ops = index.ops
-    cluster_of = [0] * len(ops)  # by op id
-    for cid, cluster in enumerate(plan.member_ids):
-        for i in cluster:
-            cluster_of[i] = cid
-    coarse = Graph(plan.name)
-    # fine tensor name -> coarse tensor (for boundary rewiring)
-    tensor_map: Dict[str, object] = {}
-    in_ptr, in_ids, producers = index.in_ptr, index.in_ids, index.producers
-    out_ptr, cons_ptr, cons_ids = index.out_ptr, index.cons_ptr, index.cons_ids
-    tensor_names, tensor_bytes = index.tensor_names, index.tensor_bytes
-
-    for cid, cluster in enumerate(plan.member_ids):
-        group = plan.groups[cid]
-        if len(cluster) == 1:
-            op = ops[cluster[0]]
-            # Input slots verbatim (duplicates included) so shape
-            # inference and edge pricing match the fine op exactly.
-            inputs = [tensor_map[t.name] for t in op.inputs]
-            clone = coarse.create_op(
-                op.op_type, op.name, inputs,
-                attrs=dict(op.attrs), colocation_group=group,
-            )
-            for fine_t, coarse_t in zip(op.outputs, clone.outputs):
-                tensor_map[fine_t.name] = coarse_t
-            continue
-
-        inputs = []
-        seen = set()
-        boundary = []
-        flops = 0.0
-        bytes_accessed = 0
-        # Member param bytes plus the outputs no other cluster reads: the
-        # coarse node's persistent bytes then equal the member sum.
-        param_bytes = 0
-        for i in cluster:
-            op = ops[i]
-            for t in in_ids[in_ptr[i]:in_ptr[i + 1]]:
-                if cluster_of[producers[t]] != cid and t not in seen:
-                    seen.add(t)
-                    inputs.append(tensor_map[tensor_names[t]])
-            first = out_ptr[i]
-            for t in range(first, out_ptr[i + 1]):
-                for c in cons_ids[cons_ptr[t]:cons_ptr[t + 1]]:
-                    if cluster_of[c] != cid:
-                        boundary.append(op.outputs[t - first])
-                        break
-                else:
-                    param_bytes += tensor_bytes[t]
-            flops += op.flops
-            bytes_accessed += op.bytes_accessed
-            param_bytes += op.param_bytes
-        name = plan.names[cid]
-        attrs = {
-            "_super_output_shapes": [t.shape for t in boundary],
-            "_super_output_dtypes": [t.dtype for t in boundary],
-            "_super_flops": flops,
-            "_super_bytes_accessed": bytes_accessed,
-            "_super_param_bytes": param_bytes,
-            "_super_members": list(plan.members[name]),
-            "_super_fingerprint": plan.fingerprints[cid],
-        }
-        clone = coarse.create_op(
-            SUPER_OP_TYPE, name, inputs, attrs=attrs, colocation_group=group
-        )
-        for fine_t, coarse_t in zip(boundary, clone.outputs):
-            tensor_map[fine_t.name] = coarse_t
-    return coarse
-
-
 class SuperComputationModel:
     """Computation cost model of a plan's coarse nodes.
 
-    Super-ops cost the sum of their members' times on the device (they
-    are colocated and execute serially), added left to right in member
-    order; every other op passes through to the base model.  Each sum is
-    memoized with the member times it adds, by ``(key, device)``, the key
-    being the super-op's ``_super_fingerprint`` (its members' structure
-    tokens), in a dict the caller may share across re-contractions of
-    one search — valid because cost models are frozen while a search
-    runs and a member's token changes with its identity or inputs.
+    A multi-member node costs the sum of its members' times on the
+    device (they are colocated and execute serially), added left to
+    right in member order; a singleton costs its op's time in the base
+    model.  Each sum is memoized with the member times it adds, by
+    ``(fingerprint, device)``, the fingerprint being the node's members'
+    structure tokens, in a dict the caller may share across
+    re-contractions of one search — valid because cost models are frozen
+    while a search runs and a member's token changes with its identity
+    or inputs.
 
-    :meth:`time` prices an op of the built :attr:`CoarsePlan.coarse`;
-    :meth:`rows` prices every node of the plan from its flat lists, and
-    :meth:`member_times` returns the member times a node's sum added.
+    :meth:`rows` prices every node of the plan, and :meth:`member_times`
+    returns the member times a node's sum added.
     """
 
     def __init__(
@@ -577,32 +410,21 @@ class SuperComputationModel:
         self.plan = plan
         self._memo: SuperMemo = memo if memo is not None else {}
 
-    def _sum(
-        self, fingerprint: tuple, members: List[Operation], device: str
-    ) -> Tuple[float, List[float]]:
+    def _node(self, node: int, device: str) -> Tuple[float, List[float]]:
+        """Plan node ``node``'s time on ``device`` and its members' times."""
+        plan = self.plan
+        ops, ids = plan.fine_index.ops, plan.member_ids[node]
+        fingerprint = plan.fingerprints[node]
+        if fingerprint is None:
+            value = self.base.time(ops[ids[0]], device)
+            return value, [value]
         key = (fingerprint, device)
         entry = self._memo.get(key)
         if entry is None:
             time = self.base.time
-            times = [time(member, device) for member in members]
+            times = [time(ops[i], device) for i in ids]
             entry = self._memo[key] = (sum(times), times)
         return entry
-
-    def time(self, op: Operation, device: str) -> float:
-        fingerprint = op.attrs.get("_super_fingerprint")
-        if fingerprint is None:
-            return self.base.time(op, device)
-        return self._sum(fingerprint, self.plan.member_ops[op.name], device)[0]
-
-    def _node(self, node: int, device: str) -> Tuple[float, List[float]]:
-        """Plan node ``node``'s time on ``device`` and its members' times."""
-        plan = self.plan
-        fingerprint = plan.fingerprints[node]
-        if fingerprint is None:
-            op = plan.fine_index.ops[plan.member_ids[node][0]]
-            value = self.base.time(op, device)
-            return value, [value]
-        return self._sum(fingerprint, plan.member_ops[plan.names[node]], device)
 
     def rows(self, devices: Sequence[str]) -> List[List[float]]:
         """Per plan node, in id order: its time on each of ``devices``."""
@@ -613,8 +435,5 @@ class SuperComputationModel:
 
     def member_times(self, node: int, device: str) -> List[float]:
         """Times on ``device`` of plan node ``node``'s members, in member
-        order (memoized for a super-op)."""
+        order (memoized for a multi-member node)."""
         return self._node(node, device)[1]
-
-    def max_time(self, op: Operation, devices: Sequence[str]) -> float:
-        return max(self.time(op, d) for d in devices)

@@ -165,12 +165,35 @@ def new_request_id() -> str:
     """Mint a request id (16 hex chars; client-side minting preferred)."""
     return uuid.uuid4().hex[:16]
 
-#: Fields a request's ``config``/``config.search`` override may set.
-#: Everything else in FastTConfig is service policy, not tenant input.
-_CONFIG_FIELDS = frozenset(
-    f for f in FastTConfig.__dataclass_fields__ if f != "search"
-)
+
+#: Fields a request's ``config`` override may set, each with the type of
+#: its default, and those ``config.search`` may set.
+_CONFIG_TYPES = {
+    name: type(f.default)
+    for name, f in FastTConfig.__dataclass_fields__.items() if name != "search"
+}
 _SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__)
+
+
+def _config_value(key: str, value: object) -> object:
+    """``value`` if it fits the ``config`` field ``key``: a bool field
+    takes a bool, an int field a non-bool int, a float field a non-bool
+    int or float; ``stability_tolerance`` must be positive."""
+    kind = _CONFIG_TYPES[key]
+    if kind is bool:
+        fits = isinstance(value, bool)
+    else:
+        number = int if kind is int else (int, float)
+        fits = isinstance(value, number) and not isinstance(value, bool)
+    if not fits:
+        raise RequestError(
+            f"config option {key!r} must be a {kind.__name__}, got {value!r}"
+        )
+    if key == "stability_tolerance" and not value > 0:  # type: ignore[operator]
+        raise RequestError(
+            f"config option {key!r} must be positive, got {value!r}"
+        )
+    return value
 
 
 class ServeTimeout(TimeoutError):
@@ -273,8 +296,8 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
             except (TypeError, ValueError) as exc:
                 raise RequestError(f"invalid search option: {exc}") from None
             overrides["search"] = {k: value[k] for k in sorted(value)}
-        elif key in _CONFIG_FIELDS:
-            overrides[key] = value
+        elif key in _CONFIG_TYPES:
+            overrides[key] = _config_value(key, value)
         else:
             raise RequestError(f"unknown config option: {key!r}")
     if overrides:

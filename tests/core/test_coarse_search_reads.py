@@ -1,10 +1,10 @@
-"""The coarse search never builds the coarse graph.
+"""The coarse search contracts once per plan and once per candidate.
 
 OS-DPOS's coarse path places and orders over a :class:`CoarsePlan`'s
-flat lists; :attr:`CoarsePlan.coarse` builds a :class:`~repro.graph.Graph`
-(one ``Tensor`` per boundary tensor) on first read, for tests, golden
-fixtures and other readers.  A coarse-path ``repro.optimize``, and a
-coarse search that evaluates split candidates, must not read it.
+lists, one record per coarse node.  A coarse-path ``repro.optimize``
+contracts its graph, and a coarse search that evaluates split
+candidates contracts once for the plan and once per scheduled
+candidate.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.cluster import cluster_for
 from repro.core import DPOS, OSDPOS
 from repro.core.os_dpos import SearchOptions
 from repro.costmodel import OracleCommunicationModel, OracleComputationModel
-from repro.graph import CoarsePlan
 from repro.hardware import PerfModel
 from repro.models.layers import LayerHelper
 
@@ -23,23 +22,17 @@ from tests.graph.test_coarsen import MLP_LAYERS, _mlp_graph
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Counts of contractions and of ``CoarsePlan.coarse`` reads."""
+    """Counts of contractions."""
     import repro.core.os_dpos as os_dpos
 
-    counts = {"contractions": 0, "coarse": 0}
+    counts = {"contractions": 0}
     contract = os_dpos.contract_graph
-    coarse = CoarsePlan.coarse
 
     def counting_contract(*args, **kwargs):
         counts["contractions"] += 1
         return contract(*args, **kwargs)
 
-    def counting_coarse(plan):
-        counts["coarse"] += 1
-        return coarse.fget(plan)
-
     monkeypatch.setattr(os_dpos, "contract_graph", counting_contract)
-    monkeypatch.setattr(CoarsePlan, "coarse", property(counting_coarse))
     return counts
 
 
@@ -51,7 +44,7 @@ def _mlp5k(graph, prefix, batch):
     return net.softmax_loss(x)
 
 
-def test_optimize_on_the_coarse_path_never_builds_the_coarse_graph(reads):
+def test_optimize_on_the_coarse_path_contracts(reads):
     config = repro.FastTConfig(
         profiling_steps=1, max_rounds=1, min_rounds=1, measure_steps=1,
     )
@@ -61,10 +54,9 @@ def test_optimize_on_the_coarse_path_never_builds_the_coarse_graph(reads):
     )
     assert result.graph.num_ops >= 5000  # past the "auto" threshold
     assert reads["contractions"] >= 1
-    assert reads["coarse"] == 0
 
 
-def test_candidate_evaluation_never_builds_the_coarse_graph(reads):
+def test_candidate_evaluation_contracts_once_per_candidate(reads):
     topo = cluster_for(2)
     perf = PerfModel(topo)
     engine = OSDPOS(
@@ -75,4 +67,3 @@ def test_candidate_evaluation_never_builds_the_coarse_graph(reads):
     assert result.candidates_evaluated > 0
     # One contraction for the plan, one per scheduled candidate.
     assert reads["contractions"] == 1 + result.candidates_evaluated
-    assert reads["coarse"] == 0

@@ -1,13 +1,14 @@
-"""A cost cache filled from a CoarsePlan's lists equals one filled over
-the contracted graph.
+"""A cost cache filled from a CoarsePlan's lists equals the frozen fill
+over the contracted graph.
 
-The coarse search never builds :attr:`CoarsePlan.coarse`: its cost cache
-reads the flat lists the contraction recorded (names, producer rows,
-persistent bytes, lifted groups) and prices each super-op as the sum of
-its members' times.  Here both fills run side by side, for every zoo
-model at target 64 and the 5,008-op MLP of ``tests/graph/test_coarsen.py``,
-and every slot must match exactly: the same ids, adjacency and bytes,
-and bit-identical floats.
+The coarse search fills its cost cache from the lists the contraction
+recorded (names, producer rows, persistent bytes, lifted groups) and
+prices each multi-member node as the sum of its members' times.  The
+contracted ``Graph`` this was once checked against is gone; its fill,
+slot by slot with ``repr``-exact floats, is frozen as ``slots_sha256``
+in ``tests/graph/golden/coarse_plans.json`` (recorded while both fills
+ran side by side and matched), for every zoo model at target 64 and the
+5,008-op MLP of ``tests/graph/test_coarsen.py``.
 """
 
 import pytest
@@ -18,7 +19,13 @@ from repro.graph import SuperComputationModel, contract_graph
 from repro.hardware import PerfModel
 from repro.models import model_names
 
-from tests.graph.test_coarsen import ZOO_TARGET, _mlp_graph, _training_graph
+from tests.graph.test_coarsen import (
+    ZOO_TARGET,
+    _load_plans,
+    _mlp_graph,
+    _sha256,
+    _training_graph,
+)
 
 CASES = [(model, ZOO_TARGET) for model in model_names()] + [("mlp5k", 256)]
 
@@ -55,16 +62,13 @@ def test_plan_fill_matches_coarse_graph_fill(model, target):
 
     from_plan = SuperComputationModel(base, plan)
     lists = _slots(CostCache(plan, from_plan, communication, devices))
-    graph = _slots(CostCache(
-        plan.coarse, SuperComputationModel(base, plan), communication, devices,
-    ))
-    assert lists == graph
-    assert lists["names"] == [op.name for op in plan.coarse.ops]
+    assert _sha256(lists) == _load_plans()[f"{model}/{target}"]["slots_sha256"]
+    assert lists["names"] == plan.names
 
-    # The member times a super-op's sum added are the base model's.
-    for node, name in enumerate(plan.names):
-        members = plan.member_ops.get(name) or [plan.fine.get_op(name)]
+    # The member times a node's sum added are the base model's.
+    ops = plan.fine_index.ops
+    for node, ids in enumerate(plan.member_ids):
         for device in devices:
             assert from_plan.member_times(node, device) == [
-                base.time(op, device) for op in members
+                base.time(ops[i], device) for i in ids
             ]

@@ -2,12 +2,11 @@
 
 A large graph contracts to a few hundred coarse nodes, but the tensors
 crossing between them grow with the graph: a 39.6k-op MLP has 14.5k.
-:func:`contract_graph` records what the coarse search reads in flat
-lists and builds the coarse graph, with one ``Tensor`` per boundary
-tensor, only when :attr:`CoarsePlan.coarse` is read.  So the tracked
-objects a contraction adds depend on the target, not on the number of
-boundary tensors (``tests/sim/test_allocation.py`` holds a step and a
-fit to the same rule).
+:func:`contract_graph` records one entry per coarse node in flat lists
+and makes no object per boundary tensor.  So the tracked objects a
+contraction adds depend on the target, not on the number of boundary
+tensors (``tests/sim/test_allocation.py`` holds a step and a fit to the
+same rule).
 """
 
 import gc
@@ -29,6 +28,23 @@ def _tracked() -> int:
     return len(gc.get_objects())
 
 
+def _boundary_tensors(plan) -> int:
+    """Fine tensors read by a coarse node other than their producer's."""
+    index = plan.fine_index
+    node_of = [0] * len(index.names)
+    for node, ids in enumerate(plan.member_ids):
+        for i in ids:
+            node_of[i] = node
+    cons_ptr, cons_ids = index.cons_ptr, index.cons_ids
+    return sum(
+        any(
+            node_of[c] != node_of[producer]
+            for c in cons_ids[cons_ptr[t]:cons_ptr[t + 1]]
+        )
+        for t, producer in enumerate(index.producers)
+    )
+
+
 @pytest.fixture(scope="module")
 def added_by_size():
     """Layers -> (ops, boundary tensors, objects a contraction added)."""
@@ -46,9 +62,7 @@ def added_by_size():
         before = _tracked()
         plan = contract_graph(graph)
         contract_added = _tracked() - before
-        boundary = sum(
-            len(plan.coarse.get_op(name).outputs) for name in plan.member_ops
-        )
+        boundary = _boundary_tensors(plan)
         added[layers] = (graph.num_ops, boundary, contract_added)
         del plan  # and with it this graph, before the next one is measured
     return added

@@ -29,6 +29,8 @@ from repro.graph import (
 )
 from repro.models import get_model, model_names
 
+from tests.graph.test_coarsen_properties import coarse_order
+
 ZOO = tuple(model_names())
 
 
@@ -444,8 +446,7 @@ def test_deep_chain_under_default_recursion_limit():
         assert _names(clone.topological_order()) == expected
         assert _names(clone.topological_order(canonical=True)) == expected
         plan = contract_graph(clone, target=64)
-        assert 1 <= plan.coarse.num_ops <= 64
-        coarse_order = _names(plan.coarse.topological_order(canonical=True))
-        assert plan.expand_order(coarse_order) == expected
+        assert 1 <= plan.num_ops <= 64
+        assert plan.expand_order(coarse_order(plan)) == expected
     finally:
         sys.setrecursionlimit(limit)

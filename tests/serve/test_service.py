@@ -35,12 +35,30 @@ BAD_SEARCH_OPTIONS = [
     {"split_counts": "2"}, {"split_counts": [2.5]}, {"split_counts": [True]},
     {"split_counts": [0]}, {"split_counts": [1]}, {"split_counts": [-2]},
     {"max_candidate_ops": -1},
+    {"coarsen_threshold": 2.5}, {"coarsen_threshold": True},
+    {"coarsen_threshold": 1e9}, {"coarsen_target": 2.5},
+    {"coarsen_target": True}, {"coarsen_target": 1e9},
+]
+
+#: Top-level config overrides a request is refused for: a value whose
+#: type does not match the field's default, or a non-positive
+#: stability tolerance.
+BAD_CONFIG_OPTIONS = [
+    {"profiling_steps": "abc"}, {"profiling_steps": 1.0},
+    {"profiling_steps": True}, {"max_rounds": None},
+    {"stability_tolerance": -1.0}, {"stability_tolerance": 0},
+    {"stability_tolerance": float("nan")}, {"stability_tolerance": "0.1"},
+    {"memory_fraction": False}, {"enable_rollback": "no"},
+    {"enable_order_enforcement": 0},
 ]
 
 
 def _refusal(option):
     """The start of the RequestError message ``option`` must produce."""
-    if set(option) <= {"split_counts", "max_candidate_ops"}:
+    if set(option) <= {
+        "split_counts", "max_candidate_ops", "coarsen_threshold",
+        "coarsen_target",
+    }:
         return "invalid search option"
     return "unknown search option"
 
@@ -74,6 +92,19 @@ class TestNormalize:
         config = dict(FAST_CONFIG, search={"max_candidate_ops": 2, **option})
         with pytest.raises(RequestError, match=_refusal(option)):
             normalize_request(_request(config=config))
+
+    @pytest.mark.parametrize("option", BAD_CONFIG_OPTIONS)
+    def test_rejects_ill_typed_config_options(self, option):
+        config = dict(FAST_CONFIG, **option)
+        with pytest.raises(RequestError, match=f"config option '{next(iter(option))}'"):
+            normalize_request(_request(config=config))
+
+    def test_accepts_well_typed_config_options(self):
+        config = dict(
+            FAST_CONFIG, stability_tolerance=1, memory_fraction=0.5,
+            enable_rollback=False, enable_order_enforcement=True,
+        )
+        assert normalize_request(_request(config=config))["config"] == config
 
     def test_canonical_form_is_order_insensitive(self):
         a = normalize_request(_request())
@@ -231,6 +262,17 @@ class TestErrors:
             service.submit(_request(global_batch=batch))
         assert service.stats.requests == 0
         assert service.stats.searches == 0
+
+    @pytest.mark.parametrize("option", BAD_CONFIG_OPTIONS)
+    def test_ill_typed_config_option_rejected_next_request_answered(
+        self, tmp_path, option
+    ):
+        service = _service(tmp_path)
+        with pytest.raises(RequestError, match="config option"):
+            service.submit(_request(config=dict(FAST_CONFIG, **option)))
+        assert service.stats.misses == 0
+        assert service.stats.searches == 0
+        assert service.submit(_request())["source"] == "search"
 
     @pytest.mark.parametrize("option", BAD_SEARCH_OPTIONS)
     def test_non_tenant_search_option_rejected_next_request_answered(
