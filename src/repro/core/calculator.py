@@ -64,6 +64,41 @@ class FastTConfig:
     enable_rollback: bool = True
     measure_steps: int = 3
 
+    def __post_init__(self) -> None:
+        for name in CONFIG_FIELD_TYPES:
+            check_config_value(name, getattr(self, name))
+
+
+#: Each :class:`FastTConfig` field but ``search``, with the type of its
+#: default.
+CONFIG_FIELD_TYPES = {
+    name: type(f.default)
+    for name, f in FastTConfig.__dataclass_fields__.items() if name != "search"
+}
+
+
+def check_config_value(name: str, value: object) -> None:
+    """Check ``value`` for the :class:`FastTConfig` field ``name``.
+
+    A bool field takes a bool, an int field a non-bool int and a float
+    field a non-bool int or a float (``TypeError`` otherwise);
+    ``stability_tolerance`` must be positive (``ValueError``).
+    """
+    kind = CONFIG_FIELD_TYPES[name]
+    if kind is bool:
+        fits = isinstance(value, bool)
+    else:
+        number = int if kind is int else (int, float)
+        fits = isinstance(value, number) and not isinstance(value, bool)
+    if not fits:
+        raise TypeError(
+            f"config option {name!r} must be a {kind.__name__}, got {value!r}"
+        )
+    if name == "stability_tolerance" and not value > 0:  # type: ignore[operator]
+        raise ValueError(
+            f"config option {name!r} must be positive, got {value!r}"
+        )
+
 
 @dataclass
 class RoundRecord:

@@ -503,6 +503,8 @@ def _answered(registry: MetricsRegistry, data: Dict[str, object]) -> None:
     )
     if data["outcome"] == "error":
         registry.counter("serve.errors").inc()
+        if "error_kind" in data:
+            registry.counter("serve.errors", kind=str(data["error_kind"])).inc()
 
 
 #: The one table from bus events to metric keys.  An enabled

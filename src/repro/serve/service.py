@@ -84,7 +84,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, IO, Optional, Tuple, Union
 
 from ..cluster import Topology
-from ..core.calculator import FastTConfig
+from ..core.calculator import (
+    CONFIG_FIELD_TYPES,
+    FastTConfig,
+    check_config_value,
+)
 from ..core.context import WarmStartSeed
 from ..core.os_dpos import SearchOptions
 from ..models import ModelSpec
@@ -96,6 +100,7 @@ from .store import (
     STORE_SCHEMA_VERSION,
     StoredStrategy,
     StoreSchemaError,
+    StrategyAnswer,
     StrategyStore,
     request_fingerprint,
 )
@@ -166,34 +171,9 @@ def new_request_id() -> str:
     return uuid.uuid4().hex[:16]
 
 
-#: Fields a request's ``config`` override may set, each with the type of
-#: its default, and those ``config.search`` may set.
-_CONFIG_TYPES = {
-    name: type(f.default)
-    for name, f in FastTConfig.__dataclass_fields__.items() if name != "search"
-}
+#: Fields ``config.search`` may set (the top-level ``config`` fields
+#: are :data:`~repro.core.calculator.CONFIG_FIELD_TYPES`).
 _SEARCH_FIELDS = frozenset(SearchOptions.__dataclass_fields__)
-
-
-def _config_value(key: str, value: object) -> object:
-    """``value`` if it fits the ``config`` field ``key``: a bool field
-    takes a bool, an int field a non-bool int, a float field a non-bool
-    int or float; ``stability_tolerance`` must be positive."""
-    kind = _CONFIG_TYPES[key]
-    if kind is bool:
-        fits = isinstance(value, bool)
-    else:
-        number = int if kind is int else (int, float)
-        fits = isinstance(value, number) and not isinstance(value, bool)
-    if not fits:
-        raise RequestError(
-            f"config option {key!r} must be a {kind.__name__}, got {value!r}"
-        )
-    if key == "stability_tolerance" and not value > 0:  # type: ignore[operator]
-        raise RequestError(
-            f"config option {key!r} must be positive, got {value!r}"
-        )
-    return value
 
 
 class ServeTimeout(TimeoutError):
@@ -296,8 +276,12 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
             except (TypeError, ValueError) as exc:
                 raise RequestError(f"invalid search option: {exc}") from None
             overrides["search"] = {k: value[k] for k in sorted(value)}
-        elif key in _CONFIG_TYPES:
-            overrides[key] = _config_value(key, value)
+        elif key in CONFIG_FIELD_TYPES:
+            try:
+                check_config_value(key, value)
+            except (TypeError, ValueError) as exc:
+                raise RequestError(str(exc)) from None
+            overrides[key] = value
         else:
             raise RequestError(f"unknown config option: {key!r}")
     if overrides:
@@ -563,7 +547,10 @@ class StrategyService:
 
         Returns a JSON-serializable response document with ``source``
         one of ``"cache"``, ``"warm"``, ``"search"`` — or ``"coalesced"``
-        wrapping the leader's source.
+        wrapping the leader's source.  Its ``strategy`` sub-document is
+        read-only: every response for one stored entry shares it (a
+        :class:`~repro.serve.store.StrategyAnswer`, equal to a plain
+        dict of the same keys).
 
         ``request_id`` (or a ``request_id`` key in the request dict; the
         client mints one by default) correlates events, log records, the
@@ -635,6 +622,9 @@ class StrategyService:
                 except ServeTimeout:
                     outcome = "timeout"
                     raise
+                except WorkerCrashed:
+                    span.set(error_kind="worker_crashed")
+                    raise
                 finally:
                     span.set(outcome=outcome)
             return response
@@ -684,6 +674,7 @@ class StrategyService:
         )
         try:
             with self.events.span("serve.coalesce.wait", request_id=request_id):
+                # A shallow copy: the strategy stays the leader's.
                 response = dict(future.result(timeout=timeout))
         except FutureTimeoutError:
             # On 3.11+ this is the builtin TimeoutError, so a leader's own
@@ -952,16 +943,8 @@ class StrategyService:
             "devices": entry.devices,
             "makespan": entry.makespan,
             "training_speed": entry.training_speed,
-            "strategy": {
-                "label": entry.strategy.label,
-                "splits": len(entry.strategy.split_list),
-                "placement": dict(entry.strategy.placement),
-                "order": list(entry.strategy.order),
-                "split_list": [
-                    [d.op_name, d.dim, d.num_splits]
-                    for d in entry.strategy.split_list
-                ],
-            },
+            # Shared by every response for this entry; read-only.
+            "strategy": entry.answer(),
         }
 
     # -- introspection --------------------------------------------------
@@ -1105,6 +1088,32 @@ async def _submit_in_pool(
     )
 
 
+#: A response head's strategy slot; :func:`response_line` puts the
+#: stored answer's text in place of its ``null``.
+_STRATEGY_KEY = '"strategy": '
+
+
+def response_line(response: Dict[str, object]) -> bytes:
+    """``json.dumps(response).encode() + b"\\n"``: one line of the wire.
+
+    A response that carries a stored entry's
+    :class:`~repro.serve.store.StrategyAnswer` encodes only its head,
+    in one call, with ``strategy`` set to null, and splices the
+    answer's text into that slot, wherever the key sits.  The head's
+    other values are scalars and strings, and a string escapes its
+    quotes, so the slot is found at the key.
+    """
+    answer = response.get("strategy")
+    if not isinstance(answer, StrategyAnswer):
+        return json.dumps(response).encode() + b"\n"
+    head = dict(response)
+    head["strategy"] = None
+    before, _, after = json.dumps(head).partition(_STRATEGY_KEY + "null")
+    return b"".join((
+        (before + _STRATEGY_KEY).encode(), answer.text, after.encode(), b"\n",
+    ))
+
+
 async def handle_connection(
     service: StrategyService,
     pool: ThreadPoolExecutor,
@@ -1185,7 +1194,7 @@ async def handle_connection(
                 _logger.exception("request failed")
                 response = {"status": "error",
                             "error": f"{type(exc).__name__}: {exc}"}
-            writer.write(json.dumps(response).encode() + b"\n")
+            writer.write(response_line(response))
             await writer.drain()
             if shutdown.is_set():
                 break

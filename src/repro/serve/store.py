@@ -117,6 +117,25 @@ class StoredStrategy:
     signature: Dict[str, str] = field(default_factory=dict)
     run_id: Optional[str] = None
     created_at: float = 0.0
+    _answer: Optional["StrategyAnswer"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def answer(self) -> "StrategyAnswer":
+        """The ``strategy`` sub-document of this entry's responses.
+
+        Built and encoded on the first call, then the same object on
+        every call: a searched entry encodes it for its own answer, an
+        entry read from disk on its first answer, and an entry that only
+        seeds warm starts never.
+        """
+        answer = self._answer
+        if answer is None:
+            with _ANSWER_LOCK:
+                if self._answer is None:
+                    self._answer = StrategyAnswer(self.strategy)
+                answer = self._answer
+        return answer
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -182,6 +201,37 @@ class StoredStrategy:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreSchemaError(f"malformed stored strategy: {exc}") from exc
+
+
+#: Held while an entry builds its answer, so each entry encodes once.
+_ANSWER_LOCK = threading.Lock()
+
+
+class StrategyAnswer(dict):
+    """A stored strategy as a response shows it, with its JSON text.
+
+    The keys are ``label``, ``splits``, ``placement``, ``order`` and
+    ``split_list``; ``placement`` and ``order`` are the stored
+    :class:`~repro.core.strategy.Strategy`'s own containers, not copies.
+    Every response for one entry shares this one document, so it is
+    read-only.  ``text`` is ``json.dumps(self).encode()``, made once;
+    the TCP front-end splices it into each response line instead of
+    encoding the strategy again.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, strategy: Strategy) -> None:
+        super().__init__(
+            label=strategy.label,
+            splits=len(strategy.split_list),
+            placement=strategy.placement,
+            order=strategy.order,
+            split_list=[
+                [d.op_name, d.dim, d.num_splits] for d in strategy.split_list
+            ],
+        )
+        self.text = json.dumps(self).encode()
 
 
 class StoreSchemaError(ValueError):

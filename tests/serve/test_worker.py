@@ -4,7 +4,7 @@
   same answers through the front-end's children as through in-process
   ``submit``;
 * a child killed mid-search fails its request with a typed error,
-  counted in ``serve.errors``, keeps ``/readyz`` unready until a fresh
+  counted in ``serve.errors`` and labeled ``kind="worker_crashed"``, keeps ``/readyz`` unready until a fresh
   child replaces it, and the next request succeeds;
 * no child outlives ``serve_forever``.
 """
@@ -19,6 +19,7 @@ import urllib.request
 
 import pytest
 
+from repro.obs.prometheus import parse_prometheus, sample_value
 from repro.serve import (
     Client,
     ServiceError,
@@ -221,6 +222,12 @@ class TestChildCrash:
             assert not thread.is_alive()
             assert failures and f"worker child {victim} died" in failures[0]
             assert service.stats.errors == 1
+            crashed = service.metrics.counter("serve.errors", kind="worker_crashed")
+            assert crashed.value == 1
+            samples = parse_prometheus(service.metrics_document())
+            assert sample_value(
+                samples, "repro_serve_errors_total", kind="worker_crashed"
+            ) == 1
             assert _readiness(srv) == 200
             children = service.status()["children"]
             assert victim not in {child["pid"] for child in children}

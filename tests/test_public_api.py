@@ -105,6 +105,40 @@ class TestConfigDeprecations:
             SearchOptions(False)
 
 
+class TestConfigChecks:
+    """``FastTConfig`` checks its fields when it is built, on every path."""
+
+    @pytest.mark.parametrize("option, error, message", [
+        ({"profiling_steps": "abc"}, TypeError, "'profiling_steps' must be a int"),
+        ({"max_rounds": 2.0}, TypeError, "'max_rounds' must be a int"),
+        ({"measure_steps": True}, TypeError, "'measure_steps' must be a int"),
+        ({"memory_fraction": "0.9"}, TypeError, "'memory_fraction' must be a float"),
+        ({"enable_rollback": "no"}, TypeError, "'enable_rollback' must be a bool"),
+        ({"enable_rollback": 1}, TypeError, "'enable_rollback' must be a bool"),
+        ({"stability_tolerance": -1.0}, ValueError, "must be positive"),
+        ({"stability_tolerance": 0}, ValueError, "must be positive"),
+    ])
+    def test_bad_field_fails_at_construction(self, option, error, message):
+        with pytest.raises(error, match=message):
+            FastTConfig(**option)
+
+    def test_int_fills_a_float_field(self):
+        assert FastTConfig(restart_overhead_seconds=1).restart_overhead_seconds == 1
+
+    def test_replace_checks_too(self):
+        import dataclasses
+
+        with pytest.raises(TypeError, match="'max_rounds'"):
+            dataclasses.replace(FastTConfig(), max_rounds="5")
+
+    def test_bad_config_never_reaches_optimize(self):
+        with pytest.raises(TypeError, match="'profiling_steps'"):
+            optimize(
+                "lenet", single_server(2),
+                config=FastTConfig(profiling_steps="abc"),
+            )
+
+
 class TestObservabilitySurface:
     """``Observability`` takes only ``enabled``, ``metrics`` and ``provenance``."""
 
