@@ -173,7 +173,8 @@ def render_analysis_markdown(trace_dir: Path) -> str:
             "exact" if analysis.critical_path.exact else "inferred",
         ])
     sections = [
-        f"Produced by `python -m repro.obs.analyze` over {len(paths)} "
+        f"Produced by `repro.obs.analyze`, the analyzer behind "
+        f"`python -m repro.obs show`, over {len(paths)} "
         f"step trace(s) in `{trace_dir.name}/`.",
         "**Per-device utilization** (`*` marks the straggler; the four "
         "time columns partition the step makespan):",

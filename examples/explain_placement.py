@@ -10,7 +10,7 @@ Runs ``repro.optimize`` on LeNet over 2 simulated V100s with the search
   joined against the realized simulated step: per-family residual
   quantiles, worst offenders, and cost-model drift;
 * ``run.provenance.json`` — the persisted journal, queryable offline
-  with ``python -m repro.obs.provenance <dir> --op <name>``.
+  with ``python -m repro.obs explain <dir> --op <name>``.
 
 Provenance is off by default (a shared no-op recorder); enabling it
 never changes the computed strategy — only what gets remembered.
@@ -58,7 +58,7 @@ def main() -> None:
     print(f"journal: {path} "
           f"({len(journal.searches)} search(es), "
           f"{len(journal.ops())} op(s))")
-    print(f"query:   python -m repro.obs.provenance {out} --op {focus}")
+    print(f"query:   python -m repro.obs explain {out} --op {focus}")
 
 
 if __name__ == "__main__":

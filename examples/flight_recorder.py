@@ -12,7 +12,7 @@ default; turn it on per call with ``run_dir=`` or globally with
 This script records two runs of the same model on different cluster
 sizes, watches one live via an event-bus subscriber plus the
 ``--progress`` renderer, then uses the registry API and the
-``python -m repro.obs.runs`` CLI to list, inspect, and diff them.
+``python -m repro.obs`` CLI to list, inspect, diff and validate them.
 
     python examples/flight_recorder.py [runs-dir]
 """
@@ -73,11 +73,13 @@ def main() -> None:
         ["list"],
         ["show", result_a.run_id],
         ["diff", result_a.run_id, result_b.run_id],
+        ["explain", result_a.run_id, "--op", "conv2"],
+        ["validate", runs_dir],
     ):
-        print(f"$ python -m repro.obs.runs --runs-dir {runs_dir} "
+        print(f"$ python -m repro.obs --runs-dir {runs_dir} "
               + " ".join(argv))
         subprocess.run(
-            [sys.executable, "-m", "repro.obs.runs", "--runs-dir", runs_dir]
+            [sys.executable, "-m", "repro.obs", "--runs-dir", runs_dir]
             + argv,
             check=True,
         )

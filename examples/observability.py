@@ -15,7 +15,7 @@ Runs ``repro.optimize`` on LeNet over 2 simulated V100s with an
 Open either ``*.trace.json`` in ``chrome://tracing`` or
 https://ui.perfetto.dev.  The same files are what the benchmark suite's
 ``--trace-dir`` flag writes per trial, and what CI validates with
-``python -m repro.obs.validate``.
+``python -m repro.obs validate``.
 
 It then *explains* the deployment with ``repro.obs.analyze``: the
 critical path of one simulated step with every nanosecond attributed to
@@ -75,8 +75,8 @@ def main() -> None:
         print(f"valid: {path}  {counts}")
 
     # 5. Explain the strategy: critical path + attribution + per-device
-    #    utilization.  ``trace.save`` writes the serialized StepTrace the
-    #    ``python -m repro.obs.analyze`` CLI consumes.
+    #    utilization.  ``trace.save`` writes the serialized StepTrace
+    #    that ``python -m repro.obs show`` and ``diff`` read.
     trace.save(f"{out}/step.step.json")
     analysis = result.explain()
     print()

@@ -30,7 +30,7 @@ under one registry directory (see :mod:`repro.obs.runs`)::
 
     result = repro.optimize("lenet", single_server(2), run_dir=True)
     print(result.run_id, result.run_dir)
-    # later: python -m repro.obs.runs show <run_id>
+    # later: python -m repro.obs show <run_id>
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class OptimizeResult:
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: Flight-recorder identity, set when the run was recorded
     #: (``run_dir=`` / ``REPRO_RECORD=1``); query it later with
-    #: ``python -m repro.obs.runs show <run_id>``.
+    #: ``python -m repro.obs show <run_id>``.
     run_id: Optional[str] = None
     run_dir: Optional[str] = None
 
@@ -380,7 +380,7 @@ def _record_run(
     Everything lands inside the run directory: the Chrome trace, the
     provenance journal, the calibration report, the metrics snapshot,
     and one simulated step under the surviving strategy (what
-    ``python -m repro.obs.runs diff`` re-attributes).
+    ``python -m repro.obs diff`` re-attributes).
     """
     from .obs.runs import config_fingerprints
 

@@ -180,14 +180,14 @@ def _export_trial(
             },
         )
         # Provenance journal (REPRO_TRACE_PROVENANCE=1 runs only): what
-        # `python -m repro.obs.provenance <dir> --op <name>` reads.
+        # `python -m repro.obs explain <dir> --op <name>` reads.
         obs.export_provenance(f"{base}.provenance.json")
     if calibration is not None and calibration.entries:
         calibration.save(f"{base}.calibration.json")
     if traces:
         export_step_trace(f"{base}.step.trace.json", traces[-1])
         # The analyzer's input: the same step, schema-versioned, with
-        # blocking edges — what `python -m repro.obs.analyze` reads.
+        # blocking edges — what `python -m repro.obs show` reads.
         traces[-1].save(f"{base}.step.json")
 
 

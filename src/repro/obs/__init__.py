@@ -80,8 +80,7 @@ class NullProvenance:
     into its journal at one site, and this default drops them.  (Defined
     here rather than in :mod:`repro.obs.provenance` so that importing
     ``repro.obs`` — which every run does — does not import the journal
-    machinery, and ``python -m repro.obs.provenance`` never trips
-    runpy's double-import warning.)
+    machinery.)
     """
 
     __slots__ = ()
@@ -159,10 +158,8 @@ class Observability:
 #: Shared disabled instance: the default for every ``obs=`` parameter.
 NULL_OBS = Observability(enabled=False)
 
-#: Analysis-layer names re-exported lazily (PEP 562) so that
-#: ``python -m repro.obs.analyze`` does not import the submodule twice
-#: (once as a package attribute, once as ``__main__``), which would
-#: trip runpy's double-import warning.
+#: Analysis-layer names, re-exported lazily (PEP 562) so that
+#: ``import repro.obs``, which every run does, stays cheap.
 _ANALYZE_EXPORTS = (
     "ChannelReport",
     "CriticalPath",
@@ -180,8 +177,7 @@ _ANALYZE_EXPORTS = (
     "extract_critical_path",
 )
 
-#: Provenance-journal names, lazily re-exported for the same reason
-#: (``python -m repro.obs.provenance`` is a CLI entry point).
+#: Provenance-journal names, lazily re-exported for the same reason.
 _PROVENANCE_EXPORTS = (
     "OpExplanation",
     "OpRound",
@@ -207,8 +203,7 @@ _CALIBRATION_EXPORTS = (
     "capture_predictions",
 )
 
-#: Run-registry names, lazily re-exported for the same reason
-#: (``python -m repro.obs.runs`` is a CLI entry point).
+#: Run-registry names, lazily re-exported for the same reason.
 _RUNS_EXPORTS = (
     "MANIFEST_SCHEMA_VERSION",
     "ManifestSchemaError",

@@ -24,19 +24,14 @@ asserts (``benchmarks/step_time_pins.json``).
 
 CLI::
 
-    python -m repro.obs.analyze TRACE_DIR_OR_STEP_JSON ...
-    python -m repro.obs.analyze --diff A.step.json B.step.json
+    python -m repro.obs show TRACE_DIR_OR_STEP_JSON ...
+    python -m repro.obs diff A.step.json B.step.json
 """
 
 from __future__ import annotations
 
-import argparse
-import glob
-import json
-import os
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..profiling.trace import OpRecord, StepTrace, TransferRecord
 
@@ -839,91 +834,3 @@ def diff_results(result_a, result_b, steps: int = 1) -> TraceDiff:
         label_a=f"{result_a.model_name}/{result_a.strategy.label}",
         label_b=f"{result_b.model_name}/{result_b.strategy.label}",
     )
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-def _step_trace_paths(targets: Sequence[str]) -> List[str]:
-    paths: List[str] = []
-    for target in targets:
-        if os.path.isdir(target):
-            paths.extend(
-                sorted(
-                    glob.glob(
-                        os.path.join(target, "**", "*.step.json"),
-                        recursive=True,
-                    )
-                )
-            )
-        else:
-            paths.append(target)
-    return paths
-
-
-def _analyze_command(args: argparse.Namespace) -> int:
-    paths = _step_trace_paths(args.paths)
-    if not paths:
-        print("no *.step.json step traces found", file=sys.stderr)
-        return 2
-    documents: Dict[str, object] = {}
-    for path in paths:
-        trace = StepTrace.load(path)
-        stem = os.path.basename(path)
-        if stem.endswith(".step.json"):
-            stem = stem[: -len(".step.json")]
-        analysis = analyze_step(trace, label=stem)
-        print(analysis.render())
-        print()
-        documents[stem] = analysis.to_json()
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(documents, handle, indent=1)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _diff_command(args: argparse.Namespace) -> int:
-    path_a, path_b = args.diff
-    diff = diff_traces(
-        StepTrace.load(path_a),
-        StepTrace.load(path_b),
-        label_a=os.path.basename(path_a),
-        label_b=os.path.basename(path_b),
-    )
-    print(diff.render())
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(diff.to_json(), handle, indent=1)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.analyze",
-        description=(
-            "Explain step traces (critical path + utilization) or diff "
-            "two strategies' traces."
-        ),
-    )
-    parser.add_argument(
-        "paths", nargs="*",
-        help="*.step.json files or directories containing them",
-    )
-    parser.add_argument(
-        "--diff", nargs=2, metavar=("A", "B"),
-        help="diff two serialized step traces",
-    )
-    parser.add_argument("--json", help="also write the report as JSON here")
-    args = parser.parse_args(argv)
-
-    if args.diff:
-        return _diff_command(args)
-    if not args.paths:
-        parser.error("give step traces/directories or --diff A B")
-    return _analyze_command(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

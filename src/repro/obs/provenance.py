@@ -25,7 +25,7 @@ answers "why is op X on device Y?" through
 :meth:`ProvenanceJournal.explain`, surfaced as
 ``OptimizeResult.explain_placement("op")`` and the CLI::
 
-    python -m repro.obs.provenance <trace-dir> --op <name>
+    python -m repro.obs explain <trace-dir> --op <name>
 
 The default is a shared no-op recorder (``repro.obs.NULL_PROVENANCE``),
 so un-observed runs pay nothing.
@@ -33,12 +33,10 @@ so un-observed runs pay nothing.
 
 from __future__ import annotations
 
-import argparse
-import glob
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from ..core import DPOSResult, OSDPOSResult
 from ..core.records import OpRound, PlacementDecision
@@ -440,8 +438,32 @@ class ProvenanceJournal:
 
     @classmethod
     def load(cls, path: str) -> "ProvenanceJournal":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ProvenanceSchemaError(f"{path}: invalid JSON: {exc}") from exc
+        return cls.from_json(data)
+
+    def summary(self, path: str) -> str:
+        """One line per search: decisions, rounds, commits and finish."""
+        lines = [f"{path}: {len(self.searches)} search(es)"]
+        for search in self.searches:
+            committed = len(search.committed_splits)
+            lines.append(
+                f"  #{search.search_id} {search.graph} [{search.mode}] "
+                f"{len(search.decisions)} decision(s), "
+                f"{len(search.rounds)} round(s), {committed} split(s) committed"
+                + (
+                    ""
+                    if search.initial_finish is None or search.final_finish is None
+                    else (
+                        f", finish {search.initial_finish:.6g}s"
+                        f" -> {search.final_finish:.6g}s"
+                    )
+                )
+            )
+        return "\n".join(lines)
 
 
 class ProvenanceRecorder:
@@ -481,122 +503,3 @@ class ProvenanceRecorder:
                 for name, names in members.items() if len(names) > 1
             },
         ))
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-def _journal_paths(paths: Sequence[str]) -> List[str]:
-    found: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            found.extend(
-                sorted(glob.glob(os.path.join(path, "*.provenance.json")))
-            )
-        else:
-            found.append(path)
-    return found
-
-
-def _summarize(path: str, journal: ProvenanceJournal) -> str:
-    lines = [f"{path}: {len(journal.searches)} search(es)"]
-    for search in journal.searches:
-        committed = len(search.committed_splits)
-        lines.append(
-            f"  #{search.search_id} {search.graph} [{search.mode}] "
-            f"{len(search.decisions)} decision(s), "
-            f"{len(search.rounds)} round(s), {committed} split(s) committed"
-            + (
-                ""
-                if search.initial_finish is None or search.final_finish is None
-                else (
-                    f", finish {search.initial_finish:.6g}s"
-                    f" -> {search.final_finish:.6g}s"
-                )
-            )
-        )
-    return "\n".join(lines)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.provenance",
-        description="Query search provenance journals (*.provenance.json).",
-    )
-    parser.add_argument(
-        "paths", nargs="+",
-        help="journal files or directories containing *.provenance.json",
-    )
-    parser.add_argument(
-        "--op", help="explain the decision chain of one (sub-)op"
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list every journaled op name"
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="validate journal schemas; exit non-zero on any failure",
-    )
-    parser.add_argument(
-        "--json", action="store_true", help="emit JSON instead of text"
-    )
-    args = parser.parse_args(argv)
-
-    paths = _journal_paths(args.paths)
-    if not paths:
-        print("no provenance journals found")
-        return 2
-
-    journals: List[Tuple[str, ProvenanceJournal]] = []
-    failures = 0
-    for path in paths:
-        try:
-            journals.append((path, ProvenanceJournal.load(path)))
-        except (OSError, ProvenanceSchemaError, json.JSONDecodeError) as exc:
-            failures += 1
-            print(f"INVALID {path}: {exc}")
-    if args.check:
-        for path, _ in journals:
-            print(f"ok {path}")
-        print(f"{len(journals)} valid, {failures} invalid journal(s)")
-        return 0 if failures == 0 and journals else 2
-    if failures and not journals:
-        return 2
-
-    if args.op:
-        for path, journal in journals:
-            try:
-                explanation = journal.explain(args.op)
-            except ProvenanceError:
-                continue
-            if args.json:
-                print(json.dumps(explanation.to_json(), indent=1))
-            else:
-                print(f"[{path}]")
-                print(explanation.render())
-            return 0
-        print(f"op {args.op!r} not found in any journal")
-        return 2
-
-    if args.list:
-        names = sorted({name for _, j in journals for name in j.ops()})
-        for name in names:
-            print(name)
-        return 0
-
-    for path, journal in journals:
-        print(_summarize(path, journal))
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    import sys
-
-    try:
-        code = main()
-    except BrokenPipeError:
-        # Piped into `head` etc.: exit cleanly (CI runs with pipefail).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        code = 0
-    raise SystemExit(code)

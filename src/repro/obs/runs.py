@@ -10,15 +10,15 @@ id**, gets its own directory under the registry root, and leaves behind:
   :mod:`repro.obs.events`);
 * the run's artifacts — Chrome trace, provenance journal, calibration
   report, metrics snapshot, and a simulated ``step.json`` under the
-  surviving strategy (what ``runs diff`` re-attributes).
+  surviving strategy (what ``python -m repro.obs diff`` re-attributes).
 
 The registry root is ``$REPRO_RUNS_DIR`` when set, else
 ``~/.repro/runs``.  Query it from the shell::
 
-    python -m repro.obs.runs list
-    python -m repro.obs.runs show 20260808-091500-3fa9c1
-    python -m repro.obs.runs diff <id-a> <id-b>
-    python -m repro.obs.runs gc --keep 20
+    python -m repro.obs list
+    python -m repro.obs show 20260808-091500-3fa9c1
+    python -m repro.obs diff <id-a> <id-b>
+    python -m repro.obs gc --keep 20
 
 or from Python via :class:`RunRegistry`.  Manifests are schema-versioned
 like every other persisted document in the repo: readers raise
@@ -495,10 +495,11 @@ class RunRecorder:
 
 
 # ----------------------------------------------------------------------
-# CLI: python -m repro.obs.runs {list,show,diff,gc}
+# Rendering
 # ----------------------------------------------------------------------
 
-def _render_manifest(registry: RunRegistry, manifest: RunManifest) -> str:
+def render_manifest(registry: RunRegistry, manifest: RunManifest) -> str:
+    """A run's manifest as text; replays its ``events.jsonl`` if linked."""
     run_dir = registry.run_dir(manifest.run_id)
     lines = [
         f"run        {manifest.run_id}  [{manifest.status}]",
@@ -563,178 +564,3 @@ def _render_manifest(registry: RunRegistry, manifest: RunManifest) -> str:
             f"events     {len(events)} event(s), replay-ordered, schema ok"
         )
     return "\n".join(lines)
-
-
-def _matches_fingerprint(manifest: RunManifest, prefix: str) -> bool:
-    """Does any of the run's fingerprints start with ``prefix``?
-
-    Matches the combined identity as well as the per-axis hashes, so
-    ``list --fingerprint <graph hash>`` finds every run over one model
-    regardless of cluster, and ``--fingerprint <combined>`` finds exact
-    problem repeats (the runs a strategy-store hit would answer for).
-    """
-    return any(
-        value and value.startswith(prefix)
-        for value in manifest.fingerprints.values()
-    )
-
-
-def _list_command(
-    registry: RunRegistry, fingerprint: Optional[str] = None
-) -> int:
-    manifests = registry.list_runs()
-    if fingerprint:
-        manifests = [
-            m for m in manifests if _matches_fingerprint(m, fingerprint)
-        ]
-    if not manifests:
-        if fingerprint:
-            print(f"no runs matching fingerprint {fingerprint!r} "
-                  f"under {registry.root}")
-        else:
-            print(f"no runs under {registry.root}")
-        return 0
-    print(f"{'RUN':<24} {'CREATED':<20} {'MODEL':<14} "
-          f"{'DEV':>3} {'STATUS':<10} {'MAKESPAN':>12} {'IDENTITY':<12}")
-    for manifest in manifests:
-        makespan = (
-            f"{manifest.makespan * 1e3:.3f}ms"
-            if manifest.makespan is not None
-            else "-"
-        )
-        identity = (manifest.fingerprints.get("combined") or "-")[:12]
-        print(
-            f"{manifest.run_id:<24} {manifest.created_at:<20} "
-            f"{manifest.model[:14]:<14} {manifest.devices:>3} "
-            f"{manifest.status:<10} {makespan:>12} {identity:<12}"
-        )
-    return 0
-
-
-def _show_command(registry: RunRegistry, run_id: str, as_json: bool) -> int:
-    manifest = registry.load(run_id)
-    if as_json:
-        print(json.dumps(manifest.to_json(), indent=1, default=repr))
-    else:
-        print(_render_manifest(registry, manifest))
-    return 0
-
-
-def _diff_command(registry: RunRegistry, id_a: str, id_b: str) -> int:
-    manifest_a = registry.load(id_a)
-    manifest_b = registry.load(id_b)
-    print(f"A: {manifest_a.run_id}  {manifest_a.model}  "
-          f"{manifest_a.strategy_label}")
-    print(f"B: {manifest_b.run_id}  {manifest_b.model}  "
-          f"{manifest_b.strategy_label}")
-    if manifest_a.makespan is not None and manifest_b.makespan is not None:
-        delta = manifest_b.makespan - manifest_a.makespan
-        print(
-            f"manifest makespan: {manifest_a.makespan * 1e3:.3f}ms -> "
-            f"{manifest_b.makespan * 1e3:.3f}ms ({delta * 1e3:+.3f}ms)"
-        )
-    fp_a = manifest_a.fingerprints.get("combined")
-    fp_b = manifest_b.fingerprints.get("combined")
-    if fp_a and fp_b:
-        print("config:", "identical" if fp_a == fp_b else "DIFFERENT")
-    path_a = manifest_a.artifact_path(registry.run_dir(manifest_a.run_id),
-                                      "step")
-    path_b = manifest_b.artifact_path(registry.run_dir(manifest_b.run_id),
-                                      "step")
-    if not (path_a and path_b and os.path.isfile(path_a)
-            and os.path.isfile(path_b)):
-        print("(no step traces recorded on both sides; manifest diff only)")
-        return 0
-    from ..profiling import StepTrace
-    from .analyze import diff_traces
-
-    diff = diff_traces(
-        StepTrace.load(path_a),
-        StepTrace.load(path_b),
-        label_a=manifest_a.run_id,
-        label_b=manifest_b.run_id,
-    )
-    print()
-    print(diff.render())
-    return 0
-
-
-def _gc_command(
-    registry: RunRegistry,
-    keep: Optional[int],
-    older_than_days: Optional[float],
-    dry_run: bool,
-) -> int:
-    if keep is None and older_than_days is None:
-        print("gc: pass --keep N and/or --older-than-days D", file=sys.stderr)
-        return 2
-    removed = registry.gc(
-        keep=keep, older_than_days=older_than_days, dry_run=dry_run
-    )
-    verb = "would remove" if dry_run else "removed"
-    print(f"{verb} {len(removed)} run(s)")
-    for run_id in removed:
-        print(f"  {run_id}")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.runs",
-        description="Query the flight-recorder run registry.",
-    )
-    parser.add_argument(
-        "--runs-dir",
-        default=None,
-        help=f"registry root (default ${RUNS_DIR_ENV} or ~/.repro/runs)",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    list_cmd = commands.add_parser("list", help="table of recorded runs")
-    list_cmd.add_argument(
-        "--fingerprint",
-        default=None,
-        metavar="HASH",
-        help="only runs whose graph/cluster/options/combined fingerprint "
-             "starts with HASH",
-    )
-    show = commands.add_parser("show", help="render one run's manifest")
-    show.add_argument("run_id", help="run id or unique prefix")
-    show.add_argument("--json", action="store_true", dest="as_json")
-    diff = commands.add_parser(
-        "diff", help="attribute the makespan delta between two runs"
-    )
-    diff.add_argument("run_a")
-    diff.add_argument("run_b")
-    gc = commands.add_parser("gc", help="delete old run directories")
-    gc.add_argument("--keep", type=int, default=None,
-                    help="retain only the N newest runs")
-    gc.add_argument("--older-than-days", type=float, default=None,
-                    help="remove runs older than D days")
-    gc.add_argument("--dry-run", action="store_true")
-    args = parser.parse_args(argv)
-
-    registry = RunRegistry(args.runs_dir)
-    try:
-        if args.command == "list":
-            return _list_command(registry, args.fingerprint)
-        if args.command == "show":
-            return _show_command(registry, args.run_id, args.as_json)
-        if args.command == "diff":
-            return _diff_command(registry, args.run_a, args.run_b)
-        if args.command == "gc":
-            return _gc_command(
-                registry, args.keep, args.older_than_days, args.dry_run
-            )
-    except RunNotFoundError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ManifestSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2  # pragma: no cover - argparse enforces the choices
-
-
-if __name__ == "__main__":
-    sys.exit(main())

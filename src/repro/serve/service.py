@@ -469,12 +469,11 @@ class StrategyService:
         })
 
     def _access(self, record: Dict[str, object]) -> None:
-        if self.access_log is not None:
-            try:
-                self.access_log.write(record)
-            except OSError:
-                self.metrics.counter("serve.access_log.errors").inc()
-                _logger.exception("access-log write failed")
+        try:
+            self.access_log.write(record)  # type: ignore[union-attr]
+        except OSError:
+            self.metrics.counter("serve.access_log.errors").inc()
+            _logger.exception("access-log write failed")
 
     # -- the three answer paths ----------------------------------------
     def derive(self, request: object) -> RequestKeys:
@@ -629,23 +628,25 @@ class StrategyService:
                     span.set(outcome=outcome)
             return response
         finally:
-            # A follower's response carries its leader's stage times.
-            timings = response if leader else {}
-            self._access({
-                "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "request_id": request_id,
-                "request": request_key,
-                "key": str(response.get("key", "")),
-                "run_id": str(response.get("run_id") or ""),
-                "model": str(keys.document.get("model", "")),
-                "outcome": outcome,
-                "queue_s": round(queue_wait or 0.0, 6),
-                **{
-                    field: round(float(timings.get(source) or 0.0), 6)
-                    for field, source in _ACCESS_TIMINGS
-                },
-                "total_s": round(span.seconds, 6),
-            })
+            # Built only when there is a log to write it to.
+            if self.access_log is not None:
+                # A follower's response carries its leader's stage times.
+                timings = response if leader else {}
+                self._access({
+                    "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                    "request_id": request_id,
+                    "request": request_key,
+                    "key": str(response.get("key", "")),
+                    "run_id": str(response.get("run_id") or ""),
+                    "model": str(keys.document.get("model", "")),
+                    "outcome": outcome,
+                    "queue_s": round(queue_wait or 0.0, 6),
+                    **{
+                        field: round(float(timings.get(source) or 0.0), 6)
+                        for field, source in _ACCESS_TIMINGS
+                    },
+                    "total_s": round(span.seconds, 6),
+                })
 
     def _lead(
         self, keys: RequestKeys, request_id: str, future: Future,

@@ -17,8 +17,8 @@ from repro.obs.analyze import (
     diff_strategies,
     diff_traces,
     extract_critical_path,
-    main,
 )
+from repro.obs.__main__ import main
 from repro.profiling.trace import OpRecord, StepTrace, TransferRecord
 from repro.sim import ExecutionSimulator
 
@@ -287,6 +287,8 @@ class TestTraceDiff:
 
 
 class TestCLI:
+    """``python -m repro.obs show`` / ``diff`` over bare step traces."""
+
     def _trace_dir(self, tmp_path, name="run"):
         directory = tmp_path / name
         directory.mkdir()
@@ -295,18 +297,23 @@ class TestCLI:
 
     def test_analyze_directory(self, tmp_path, capsys):
         directory = self._trace_dir(tmp_path)
-        out_json = tmp_path / "analysis.json"
-        assert main([str(directory), "--json", str(out_json)]) == 0
+        assert main(["show", str(directory)]) == 0
         assert "critical path" in capsys.readouterr().out
-        assert "diamond" in json.loads(out_json.read_text())
+        assert main(["show", str(directory), "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        path = str(directory / "diamond.step.json")
+        assert document[path]["label"] == "diamond"
 
-    def test_analyze_nothing_found(self, tmp_path):
-        assert main([str(tmp_path)]) == 2
+    def test_analyze_nothing_found(self, tmp_path, capsys):
+        assert main(["show", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_diff_two_traces(self, tmp_path, capsys):
         a = str(self._trace_dir(tmp_path, "a") / "diamond.step.json")
-        assert main(["--diff", a, a]) == 0
+        assert main(["diff", a, a]) == 0
         assert "makespan" in capsys.readouterr().out
+        assert main(["diff", a, a, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["makespan_delta"] == 0.0
 
 
 class TestLazyExports:

@@ -19,8 +19,8 @@ from repro.obs.provenance import (
     ProvenanceError,
     ProvenanceJournal,
     ProvenanceSchemaError,
-    main as provenance_cli,
 )
+from repro.obs.__main__ import main as obs_cli
 
 from tests.util import build_mlp
 
@@ -242,6 +242,15 @@ class TestPersistence:
         with pytest.raises(ProvenanceSchemaError):
             ProvenanceJournal.load(str(path))
 
+    def test_truncated_journal_is_a_schema_error_naming_the_path(
+        self, tmp_path
+    ):
+        path = tmp_path / "cut.provenance.json"
+        path.write_text('{"schema": 1, "searches": [')
+        with pytest.raises(ProvenanceSchemaError, match="invalid JSON") as info:
+            ProvenanceJournal.load(str(path))
+        assert str(info.value).startswith(str(path))
+
     def test_export_provenance_seam(self, topo4, tmp_path):
         obs = Observability(provenance=True)
         _search(topo4, heavy_matmul_graph(), obs)
@@ -314,9 +323,9 @@ class TestOldJournals:
     def test_cli_checks_and_queries_old_journal(self, tmp_path, capsys):
         path = tmp_path / "old.provenance.json"
         path.write_text(json.dumps(OLD_PRUNED_JOURNAL))
-        assert provenance_cli([str(tmp_path), "--check"]) == 0
+        assert obs_cli(["validate", str(tmp_path)]) == 0
         assert "1 valid, 0 invalid" in capsys.readouterr().out
-        assert provenance_cli([str(tmp_path), "--op", "mm/part0"]) == 0
+        assert obs_cli(["explain", str(tmp_path), "--op", "mm/part0"]) == 0
         assert "pruned" in capsys.readouterr().out
 
 
@@ -371,6 +380,8 @@ class TestOptimizeIntegration:
 
 
 class TestCli:
+    """``python -m repro.obs explain`` / ``validate`` / ``show`` on journals."""
+
     @pytest.fixture
     def journal_dir(self, journaled, tmp_path):
         journal, result = journaled
@@ -379,36 +390,37 @@ class TestCli:
 
     def test_check_ok(self, journal_dir, capsys):
         directory, _ = journal_dir
-        assert provenance_cli([directory, "--check"]) == 0
+        assert obs_cli(["validate", directory]) == 0
         assert "1 valid" in capsys.readouterr().out
 
     def test_check_flags_invalid(self, journal_dir, tmp_path, capsys):
         directory, _ = journal_dir
         (tmp_path / "bad.provenance.json").write_text("{}")
-        assert provenance_cli([directory, "--check"]) == 2
+        assert obs_cli(["validate", directory]) == 2
         assert "INVALID" in capsys.readouterr().out
 
     def test_list_and_op_query(self, journal_dir, capsys):
         directory, result = journal_dir
-        assert provenance_cli([directory, "--list"]) == 0
+        assert obs_cli(["explain", directory]) == 0
         listed = capsys.readouterr().out.split()
         assert "mm/part0" in listed
-        assert provenance_cli([directory, "--op", "mm/part0"]) == 0
+        assert obs_cli(["explain", directory, "--op", "mm/part0"]) == 0
         out = capsys.readouterr().out
         assert result.strategy.placement["mm/part0"] in out
 
-    def test_unknown_op_exits_nonzero(self, journal_dir):
+    def test_unknown_op_exits_nonzero(self, journal_dir, capsys):
         directory, _ = journal_dir
-        assert provenance_cli([directory, "--op", "no-such-op"]) == 2
+        assert obs_cli(["explain", directory, "--op", "no-such-op"]) == 2
+        assert "not found in any journal" in capsys.readouterr().err
 
     def test_no_journals_exits_nonzero(self, tmp_path):
-        assert provenance_cli([str(tmp_path)]) == 2
+        assert obs_cli(["explain", str(tmp_path)]) == 2
 
     def test_summary_and_json(self, journal_dir, capsys):
         directory, _ = journal_dir
-        assert provenance_cli([directory]) == 0
+        assert obs_cli(["show", directory]) == 0
         assert "search(es)" in capsys.readouterr().out
-        assert provenance_cli([directory, "--op", "mm", "--json"]) == 0
+        assert obs_cli(["explain", directory, "--op", "mm", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["op_name"] == "mm"
 

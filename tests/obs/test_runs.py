@@ -24,8 +24,9 @@ from repro.obs.runs import (
     RUNS_DIR_ENV,
     default_runs_dir,
     new_run_id,
-    main as runs_cli,
+    render_manifest,
 )
+from repro.obs.__main__ import main as obs_cli
 
 
 # ----------------------------------------------------------------------
@@ -246,29 +247,37 @@ def test_recording_rejects_disabled_obs(tmp_path):
 def test_cli_list_show_diff_gc(recorded, capsys):
     root, a, b = recorded
 
-    assert runs_cli(["--runs-dir", root, "list"]) == 0
+    assert obs_cli(["--runs-dir", root, "list"]) == 0
     out = capsys.readouterr().out
     assert a.run_id in out and b.run_id in out
 
-    assert runs_cli(["--runs-dir", root, "show", a.run_id]) == 0
+    assert obs_cli(["--runs-dir", root, "show", a.run_id]) == 0
     out = capsys.readouterr().out
     assert "replay-ordered, schema ok" in out
     assert "lenet" in out
 
-    assert runs_cli(["--runs-dir", root, "show", a.run_id, "--json"]) == 0
+    assert obs_cli(["--runs-dir", root, "show", a.run_id, "--json"]) == 0
     document = json.loads(capsys.readouterr().out)
-    assert document["run_id"] == a.run_id
+    assert document[a.run_id]["run_id"] == a.run_id
 
-    assert runs_cli(["--runs-dir", root, "diff", a.run_id, b.run_id]) == 0
+    assert obs_cli(["--runs-dir", root, "diff", a.run_id, b.run_id]) == 0
     out = capsys.readouterr().out
     assert "manifest makespan" in out
     assert "DIFFERENT" in out  # 2 vs 4 devices
     assert "strategy diff" in out  # step traces present on both sides
 
-    assert runs_cli(["--runs-dir", root, "gc", "--keep", "5"]) == 0
+    assert obs_cli(["--runs-dir", root, "explain", a.run_id]) == 0
+    listed = capsys.readouterr().out.split()
+    assert listed and listed == sorted(listed)
+
+    assert obs_cli(["--runs-dir", root, "validate", a.run_id, root]) == 0
+    out = capsys.readouterr().out
+    assert "0 invalid" in out and "trace.json" in out
+
+    assert obs_cli(["--runs-dir", root, "gc", "--keep", "5"]) == 0
     capsys.readouterr()
-    assert runs_cli(["--runs-dir", root, "gc"]) == 2  # no rule given
-    capsys.readouterr()
+    assert obs_cli(["--runs-dir", root, "gc"]) == 2  # no rule given
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_show_reads_version_1_event_log(tmp_path, capsys):
@@ -282,12 +291,12 @@ def test_cli_show_reads_version_1_event_log(tmp_path, capsys):
         os.path.join(os.path.dirname(__file__), "data", "events_v1.jsonl"),
         run_dir / EVENT_LOG_NAME,
     )
-    assert runs_cli(["--runs-dir", str(tmp_path), "show", run_id]) == 0
+    assert obs_cli(["--runs-dir", str(tmp_path), "show", run_id]) == 0
     assert "32 event(s), replay-ordered, schema ok" in capsys.readouterr().out
 
 
 def test_cli_unknown_run_is_an_error(tmp_path, capsys):
-    assert runs_cli(["--runs-dir", str(tmp_path), "show", "nope"]) == 2
+    assert obs_cli(["--runs-dir", str(tmp_path), "show", "nope"]) == 2
     assert "no run matches" in capsys.readouterr().err
 
 
@@ -311,18 +320,16 @@ def test_config_fingerprints_stable_for_same_problem():
 
 
 def test_manifest_request_id_roundtrips_and_renders(tmp_path, capsys):
-    from repro.obs.runs import RunRegistry, _render_manifest
-
     manifest = make_manifest()
     manifest.request_id = "req-cafe0123"
     path = manifest.save(str(tmp_path / MANIFEST_NAME))
     loaded = RunManifest.load(path)
     assert loaded.request_id == "req-cafe0123"
-    rendered = _render_manifest(RunRegistry(str(tmp_path)), loaded)
+    rendered = render_manifest(RunRegistry(str(tmp_path)), loaded)
     assert "request    req-cafe0123" in rendered
     # Absent on direct (non-service) runs, and then not rendered.
     plain = make_manifest()
     assert plain.request_id == ""
-    assert "request " not in _render_manifest(
+    assert "request " not in render_manifest(
         RunRegistry(str(tmp_path)), plain
     )

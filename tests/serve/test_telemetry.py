@@ -128,7 +128,8 @@ class TestRequestCorrelation:
     def test_request_id_flows_to_response_log_manifest_and_show(
         self, tmp_path, capsys
     ):
-        from repro.obs.runs import RunRegistry, main as runs_main
+        from repro.obs.__main__ import main as obs_cli
+        from repro.obs.runs import RunRegistry
 
         access = tmp_path / "access.jsonl"
         runs_root = str(tmp_path / "runs")
@@ -154,8 +155,8 @@ class TestRequestCorrelation:
         assert manifest.request_id == "req-abc123"
         assert manifest.status == "completed"
 
-        # `runs show` prints the originating request.
-        assert runs_main(["--runs-dir", runs_root, "show", run_id]) == 0
+        # `show` prints the originating request.
+        assert obs_cli(["--runs-dir", runs_root, "show", run_id]) == 0
         out = capsys.readouterr().out
         assert "request    req-abc123" in out
 
@@ -455,6 +456,21 @@ def _on_workers(reads):
 
 class TestEventLoopAnswers:
     """In-memory hits are answered on the event loop; the rest is pooled."""
+
+    def test_hit_without_access_log_builds_no_record(
+        self, tmp_path, monkeypatch
+    ):
+        service = _service(tmp_path)
+        assert service.access_log is None
+        service.submit(_request())  # the answer is now in memory
+        keys = service.derive(_request())
+        assert service.in_memory(keys)
+
+        def built(record):
+            raise AssertionError(f"access-log record built: {record}")
+
+        monkeypatch.setattr(service, "_access", built)
+        assert service.submit(_request(), keys=keys)["source"] == "cache"
 
     def test_hit_is_answered_while_every_worker_is_held(self, tmp_path):
         service = _service(tmp_path)
