@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .cluster import Topology, TopologyLike, topology_from
 from .core.calculator import CalculationReport, FastTConfig
-from .core.context import SearchContext
 from .core.session import FastTSession
 from .core.strategy import Strategy
 from .graph import Graph
@@ -192,7 +191,6 @@ def optimize(
     model_name: Optional[str] = None,
     run_dir: Union[None, bool, str] = None,
     progress: bool = False,
-    context: Optional[SearchContext] = None,
 ) -> OptimizeResult:
     """Find and evaluate a deployment strategy for one training job.
 
@@ -220,11 +218,6 @@ def optimize(
             defers to ``REPRO_RECORD``.
         progress: Render live search progress on stderr (the same
             renderer behind the benchmarks' ``--progress`` flag).
-        context: Explicit per-request :class:`~repro.core.SearchContext`
-            (multi-tenant callers, e.g. :mod:`repro.serve`).  The run
-            then uses the context's cost models, perf-model RNG, obs
-            sinks, and optional warm-start seed; ``config`` and
-            ``perf_model`` default to the context's when omitted.
 
     Returns:
         An :class:`OptimizeResult` with the surviving strategy, the
@@ -232,13 +225,6 @@ def optimize(
         — for recorded runs — ``run_id``/``run_dir``.
     """
     topology = topology_from(topology)
-    if context is not None:
-        if perf_model is None:
-            perf_model = context.perf_model
-        if config is None:
-            config = context.config
-        if obs is None and context.obs.enabled:
-            obs = context.obs
     if isinstance(model_or_name, str):
         spec = get_model(model_or_name)
         builder, name = spec.builder, spec.name
@@ -310,7 +296,7 @@ def optimize(
             model_name=name,
             obs=obs,
         )
-        report = session.optimize(context=context)
+        report = session.optimize()
     except BaseException as exc:
         if recorder is not None:
             recorder.finish(

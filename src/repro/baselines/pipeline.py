@@ -100,7 +100,6 @@ def build_pipeline_strategy(
         num_replicas=num_microbatches,
         global_batch=global_batch,
         name=name,
-        shared_variables=True,
     )
 
     # Stage of every op: forward ops by the map; backward ops inherit the

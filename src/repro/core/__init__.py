@@ -8,7 +8,6 @@ from .calculator import (
 )
 from .context import SearchContext, WarmStartSeed
 from .dpos import DPOS, DPOSResult
-from .order import complete_order, priorities_from_order
 from .os_dpos import OSDPOS, OSDPOSResult, SearchOptions, default_split_counts
 from .placer import PlacementError, apply_placement
 from .session import FastTSession, fits_on_single_device
@@ -30,8 +29,6 @@ __all__ = [
     "StrategyCalculator",
     "WarmStartSeed",
     "apply_placement",
-    "complete_order",
     "default_split_counts",
     "fits_on_single_device",
-    "priorities_from_order",
 ]

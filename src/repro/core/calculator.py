@@ -37,7 +37,6 @@ from ..profiling import Profiler
 from ..sim import ExecutionSimulator, SimulationOOMError
 from .context import SearchContext
 from .dpos import DPOS
-from .order import complete_order
 from .os_dpos import OSDPOS, SearchOptions
 from .placer import apply_placement
 from .strategy import Strategy
@@ -251,14 +250,11 @@ class StrategyCalculator:
         return Profiler(simulator, self.computation, self.communication)
 
     def _profile(self, graph: Graph, strategy: Strategy, steps: int):
-        profiler = self._profiler_for(graph)
-        if strategy.order and self.config.enable_order_enforcement:
-            order = complete_order(graph, strategy.order)
-            return profiler.profile(
-                strategy.placement, order=order, policy="priority",
-                num_steps=steps,
-            )
-        return profiler.profile(strategy.placement, num_steps=steps)
+        enforce = self.config.enable_order_enforcement
+        return self._profiler_for(graph).profile(
+            strategy.placement, order=strategy.order if enforce else None,
+            num_steps=steps,
+        )
 
     def _profile_alternatives(
         self,
@@ -570,18 +566,12 @@ class StrategyCalculator:
                 self.communication,
                 pair_class=self.topology.pair_class,
             )
-        profiler = self._profiler_for(graph)
+        enforce = self.config.enable_order_enforcement
         try:
-            if strategy.order and self.config.enable_order_enforcement:
-                order = complete_order(graph, strategy.order)
-                result = profiler.profile(
-                    strategy.placement, order=order, policy="priority",
-                    num_steps=1, update_models=False,
-                )
-            else:
-                result = profiler.profile(
-                    strategy.placement, num_steps=1, update_models=False
-                )
+            result = self._profiler_for(graph).profile(
+                strategy.placement, order=strategy.order if enforce else None,
+                num_steps=1, update_models=False,
+            )
         except SimulationOOMError:
             return None
         return calibrate(

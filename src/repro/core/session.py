@@ -35,7 +35,6 @@ from ..profiling import StepTrace
 from ..sim import ExecutionSimulator, SimulationOOMError
 from .calculator import CalculationReport, FastTConfig, StrategyCalculator
 from .context import SearchContext, WarmStartSeed
-from .order import complete_order
 from .placer import model_parallel_placement
 from .strategy import Strategy
 
@@ -242,18 +241,11 @@ class FastTSession:
             report.graph, self.topology, self.perf_model, obs=self.obs
         )
         strategy = report.strategy
-        traces: List[StepTrace] = []
-        for _ in range(num_steps):
-            if strategy.order and self.config.enable_order_enforcement:
-                order = complete_order(report.graph, strategy.order)
-                traces.append(
-                    simulator.run_step(
-                        strategy.placement, order=order, policy="priority"
-                    )
-                )
-            else:
-                traces.append(simulator.run_step(strategy.placement))
-        return traces
+        order = strategy.order if self.config.enable_order_enforcement else None
+        return [
+            simulator.run_step(strategy.placement, order=order)
+            for _ in range(num_steps)
+        ]
 
     def iteration_time(self) -> float:
         """Measured per-iteration time of the active strategy (seconds)."""

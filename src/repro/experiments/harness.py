@@ -28,7 +28,6 @@ from ..core import (
     FastTSession,
     SearchOptions,
     Strategy,
-    complete_order,
 )
 from ..graph import Graph, build_single_device_training_graph
 from ..hardware import PerfModel
@@ -308,16 +307,10 @@ def measure_strategy(
 ) -> List[StepTrace]:
     """Simulate ``steps`` iterations of a strategy and return the traces."""
     simulator = ExecutionSimulator(graph, topology, perf)
-    traces = []
-    for _ in range(steps):
-        if strategy.order:
-            order = complete_order(graph, strategy.order)
-            traces.append(
-                simulator.run_step(strategy.placement, order=order, policy="priority")
-            )
-        else:
-            traces.append(simulator.run_step(strategy.placement))
-    return traces
+    return [
+        simulator.run_step(strategy.placement, order=strategy.order)
+        for _ in range(steps)
+    ]
 
 
 def _fill_from_traces(result: TrialResult, traces: List[StepTrace], batch: int) -> None:

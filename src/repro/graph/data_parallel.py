@@ -95,20 +95,16 @@ def build_data_parallel_training_graph(
     num_replicas: int,
     global_batch: int,
     name: str = "dp_train",
-    shared_variables: bool = True,
 ) -> tuple:
     """Replicate a model ``num_replicas`` times with gradient aggregation.
 
-    With ``shared_variables`` (the default, matching the paper's
-    TensorFlow-slim baseline), all towers read one copy of each variable;
-    every step the weights are broadcast to the towers' devices and the
-    per-tower gradients travel back to be summed and applied where the
-    variable lives.  FastT exploits exactly this structure (Sec. 6.5):
-    placing all replicas of a large-parameter operation on the variable's
-    GPU removes the broadcast and the cross-GPU aggregation.
-
-    With ``shared_variables=False`` every tower owns mirrored variable
-    copies and only gradients cross devices (an ablation mode).
+    As in the paper's TensorFlow-slim baseline, all towers read one copy
+    of each variable; every step the weights are broadcast to the towers'
+    devices and the per-tower gradients travel back to be summed and
+    applied where the variable lives.  FastT exploits exactly this
+    structure (Sec. 6.5): placing all replicas of a large-parameter
+    operation on the variable's GPU removes the broadcast and the
+    cross-GPU aggregation.
 
     Returns ``(graph, info)``.
     """
@@ -135,17 +131,16 @@ def build_data_parallel_training_graph(
         prefix = replica_prefix(r)
         loss = model_builder(graph, prefix, tower_batches[r])
         info.losses.append(loss.name)
-        if shared_variables and r > 0:
+        if r > 0:
             _share_tower_variables(graph, prefix)
         grad_of = gradients(graph, loss)
-        var_prefix = shared_prefix if shared_variables else prefix
         for op in graph.ops:
-            if op.op_type != "Variable" or not op.name.startswith(var_prefix):
+            if op.op_type != "Variable" or not op.name.startswith(shared_prefix):
                 continue
             grad = grad_of.get(op.outputs[0].name)
             if grad is None:
                 continue
-            base = op.name[len(var_prefix):]
+            base = op.name[len(shared_prefix):]
             if base not in grads_by_base:
                 grads_by_base[base] = []
                 base_order.append(base)
@@ -173,17 +168,17 @@ def build_data_parallel_training_graph(
             update_grad = agg.outputs[0]
         else:
             update_grad = entries[0][1]
-        update_vars = {var_op.name: var_op for var_op, _ in entries}.values()
-        for var_op in update_vars:
-            group = var_op.colocation_group or var_op.name
-            var_op.colocation_group = group
-            apply_op = graph.create_op(
-                "ApplyGradient",
-                graph.unique_name(f"{var_op.name}_apply"),
-                [var_op.outputs[0], update_grad],
-                colocation_group=group,
-            )
-            keep.add(apply_op.name)
+        # Every tower's entry holds the one shared variable.
+        var_op = entries[0][0]
+        group = var_op.colocation_group or var_op.name
+        var_op.colocation_group = group
+        apply_op = graph.create_op(
+            "ApplyGradient",
+            graph.unique_name(f"{var_op.name}_apply"),
+            [var_op.outputs[0], update_grad],
+            colocation_group=group,
+        )
+        keep.add(apply_op.name)
     prune_dangling(graph, keep)
     return graph, info
 

@@ -50,7 +50,7 @@ class PathSegment:
 
     ``kind`` is one of :data:`ATTRIBUTION_KINDS`; ``detail`` refines wait
     segments (``"ready-queue"`` vs ``"channel-queue"``) and idle segments
-    (``"unexplained"`` when the walk could not follow an edge).
+    (``"unexplained"`` when the walk found no recorded edge to follow).
     """
 
     kind: str
@@ -69,15 +69,18 @@ class PathSegment:
 class CriticalPath:
     """The blocking chain of one step, covering ``[0, makespan]`` once.
 
-    ``exact`` is True when every hop followed a blocking-input edge the
-    simulator recorded (``OpRecord.blocked_by``); on legacy/v1 traces the
-    walk falls back to inferring edges from event adjacency and flips
-    this off.
+    The walk follows only edges the simulator recorded; where one is
+    missing, unparsable or dangling the chain ends, and the rest of the
+    step becomes an ``idle`` segment.
     """
 
     segments: List[PathSegment] = field(default_factory=list)
     makespan: float = 0.0
-    exact: bool = True
+
+    @property
+    def exact(self) -> bool:
+        """True when every slice of the step followed a recorded edge."""
+        return all(seg.kind != "idle" for seg in self.segments)
 
     def attribution(self) -> Dict[str, float]:
         """Total seconds per kind; keys are always all four kinds."""
@@ -129,7 +132,7 @@ def _parse_blocked_by(value: str) -> Optional[Tuple[str, ...]]:
 
 
 class _PathWalker:
-    """Backwards walk over one trace's records along blocking edges."""
+    """Backwards walk over one trace's records along recorded edges."""
 
     def __init__(self, trace: StepTrace) -> None:
         self.trace = trace
@@ -145,39 +148,12 @@ class _PathWalker:
             key = (rec.tensor_name, rec.src_device, rec.dst_device)
             self.transfers[key] = rec
             self.hop_chains.setdefault(key, []).append(rec)
-        # Fallback-inference indexes (sorted by end time).
-        self.ops_by_device: Dict[str, List[OpRecord]] = {}
-        for rec in sorted(trace.op_records, key=lambda r: r.end):
-            self.ops_by_device.setdefault(rec.device, []).append(rec)
-        self.inbound: Dict[str, List[TransferRecord]] = {}
-        for rec in sorted(trace.transfer_records, key=lambda r: r.end):
-            self.inbound.setdefault(rec.dst_device, []).append(rec)
-        self.exact = True
-
-    # -- fallback inference for traces without blocked_by -------------------
-    def _infer_op_blocker(self, rec: OpRecord) -> Optional[object]:
-        """The event on ``rec``'s device ending nearest before it was ready."""
-        ready = rec.ready if rec.ready is not None else rec.start
-        best: Optional[object] = None
-        best_end = -1.0
-        for cand in self.ops_by_device.get(rec.device, ()):  # sorted by end
-            if cand.op_name == rec.op_name or cand.end > ready + _EPS:
-                continue
-            if cand.end > best_end:
-                best, best_end = cand, cand.end
-        for cand in self.inbound.get(rec.device, ()):
-            if cand.end > ready + _EPS:
-                continue
-            if cand.end >= best_end:
-                best, best_end = cand, cand.end
-        self.exact = False
-        return best
 
     def _transfer_predecessor(self, rec: TransferRecord) -> Optional[object]:
+        """The earlier hop of the same routed transfer, else its producer."""
         anchor = rec.queued_at if rec.queued_at is not None else rec.start
-        # An earlier hop of the same routed transfer: it ends exactly
-        # when this hop was queued on the next channel.  Recorded
-        # structure, so following it keeps the walk exact.
+        # An earlier hop ends exactly when this hop was queued on the
+        # next channel.
         chain = self.hop_chains.get(
             (rec.tensor_name, rec.src_device, rec.dst_device), ()
         )
@@ -191,17 +167,7 @@ class _PathWalker:
                 break
         if previous_hop is not None:
             return previous_hop
-        if rec.producer and rec.producer in self.ops:
-            return self.ops[rec.producer]
-        best: Optional[OpRecord] = None
-        for cand in self.ops_by_device.get(rec.src_device, ()):
-            if cand.end <= anchor + _EPS:
-                best = cand
-            else:
-                break
-        if best is not None:
-            self.exact = False  # predecessor inferred, not recorded
-        return best
+        return self.ops.get(rec.producer)
 
     def walk(self) -> CriticalPath:
         trace = self.trace
@@ -226,7 +192,6 @@ class _PathWalker:
         while current is not None and frontier > _EPS:
             key = id(current)
             if key in visited:  # defensive: malformed trace with a cycle
-                self.exact = False
                 break
             visited.add(key)
             if isinstance(current, OpRecord):
@@ -240,10 +205,8 @@ class _PathWalker:
                 PathSegment("idle", 0.0, frontier, "unattributed",
                             detail="unexplained")
             )
-            self.exact = False
         segments.reverse()
         path.segments = segments
-        path.exact = self.exact
         return path
 
     def _gap(self, end: float, frontier: float,
@@ -253,7 +216,6 @@ class _PathWalker:
             segments.append(
                 PathSegment("idle", end, frontier, name, detail="unexplained")
             )
-            self.exact = False
         return min(frontier, end)
 
     def _step_op(
@@ -272,23 +234,12 @@ class _PathWalker:
                             resource=rec.device, detail="ready-queue")
             )
             frontier = ready
-        if rec.blocked_by is not None:
-            parsed = _parse_blocked_by(rec.blocked_by)
-            if parsed is None:
-                self.exact = False
-                return self._infer_op_blocker(rec), frontier
-            if parsed[0] == "op":
-                nxt = self.ops.get(parsed[1])
-                if nxt is None:
-                    self.exact = False
-                return nxt, frontier
-            nxt = self.transfers.get((parsed[1], parsed[2], parsed[3]))
-            if nxt is None:
-                self.exact = False
-            return nxt, frontier
-        if ready is None or ready <= _EPS:
-            return None, frontier  # source op: chain reaches t=0
-        return self._infer_op_blocker(rec), frontier
+        parsed = _parse_blocked_by(rec.blocked_by) if rec.blocked_by else None
+        if parsed is None:
+            return None, frontier
+        if parsed[0] == "op":
+            return self.ops.get(parsed[1]), frontier
+        return self.transfers.get((parsed[1], parsed[2], parsed[3])), frontier
 
     def _step_transfer(
         self, rec: TransferRecord, frontier: float,
@@ -319,9 +270,9 @@ def extract_critical_path(trace: StepTrace) -> CriticalPath:
     each op's recorded blocking-input edge (its last-arriving input):
     kernel time becomes ``compute`` segments, in-flight copies become
     ``transfer`` segments, ready-queue and channel-queue delays become
-    ``wait`` segments, and anything the walk cannot explain (only
-    possible on degraded/legacy traces) becomes ``idle``.  The segment
-    durations sum to the makespan.
+    ``wait`` segments.  A missing, unparsable or dangling edge ends the
+    chain, and the time before it becomes ``idle`` (only possible on
+    degraded traces).  The segment durations sum to the makespan.
     """
     return _PathWalker(trace).walk()
 

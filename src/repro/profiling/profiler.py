@@ -79,13 +79,15 @@ class Profiler:
         self,
         placement: Mapping[str, str],
         order: Optional[Sequence[str]] = None,
-        policy: str = "fifo",
         num_steps: int = 3,
         update_models: bool = True,
     ) -> ProfileResult:
-        """Run ``num_steps`` iterations; optionally update the cost models."""
+        """Run ``num_steps`` iterations; optionally update the cost models.
+
+        A non-empty ``order`` is enforced as priorities; none is FIFO.
+        """
         traces = [
-            self.simulator.run_step(placement, order=order, policy=policy)
+            self.simulator.run_step(placement, order=order)
             for _ in range(num_steps)
         ]
         if update_models:

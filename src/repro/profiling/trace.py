@@ -13,10 +13,9 @@ analyzer, the Chrome trace, calibration, serialization).
 
 Traces serialize to a versioned JSON document (``StepTrace.save`` /
 ``StepTrace.load``) so the analysis layer (``repro.obs.analyze``) works
-on traces read back from disk, not just on live objects.  Schema v1
-carried only start/end times; v2 persists ``queued_at``/``started_at``
-per op, the blocking-input edge the simulator recorded, and transfer
-queue times.
+on traces read back from disk, not just on live objects.  The document
+persists ``queued_at``/``started_at`` per op, the blocking-input edge
+the simulator recorded, and transfer queue times.
 """
 
 from __future__ import annotations
@@ -446,9 +445,8 @@ class StepTrace:
     def from_json(cls, data: Dict[str, object]) -> "StepTrace":
         """Rebuild a trace from :meth:`to_json` output.
 
-        Accepts schema 1 (no ``queued_at``/``blocked_by``/``producer``
-        keys — the per-record parsers default them) and the current
-        schema 2; anything newer or unrecognizable raises
+        Reads the current schema only; schema 1 (no recorded edges),
+        anything newer or anything unrecognizable raises
         :class:`TraceSchemaError` instead of deserializing garbage.
         """
         if not isinstance(data, dict) or "op_records" not in data:
@@ -456,10 +454,10 @@ class StepTrace:
                 "serialized StepTrace must be an object with 'op_records'"
             )
         schema = data.get("schema")
-        if schema not in (1, TRACE_SCHEMA_VERSION):
+        if schema != TRACE_SCHEMA_VERSION:
             raise TraceSchemaError(
                 f"unsupported StepTrace schema {schema!r} "
-                f"(this build reads 1..{TRACE_SCHEMA_VERSION})"
+                f"(this build reads {TRACE_SCHEMA_VERSION})"
             )
         try:
             trace = cls(

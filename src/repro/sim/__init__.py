@@ -1,17 +1,9 @@
 """Discrete-event multi-GPU training-step simulator (the testbed stand-in)."""
 
-from .runner import (
-    FIFO,
-    PRIORITY,
-    ExecutionSimulator,
-    SimulationError,
-    SimulationOOMError,
-)
+from .runner import ExecutionSimulator, SimulationError, SimulationOOMError
 
 __all__ = [
     "ExecutionSimulator",
-    "FIFO",
-    "PRIORITY",
     "SimulationError",
     "SimulationOOMError",
 ]

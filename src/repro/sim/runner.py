@@ -6,12 +6,14 @@ per-device serial kernel execution, per-channel serialized tensor
 transfers, compute/communication overlap, ref-counted memory — and
 returns a :class:`~repro.profiling.trace.StepTrace`.
 
-Two scheduling policies mirror the paper's Fig. 2 comparison:
+The execution order decides the scheduling, as in the paper's Fig. 2
+comparison:
 
-* ``"fifo"`` — TensorFlow's default: the executor pops the ready queue
-  in arrival order.
-* ``"priority"`` — FastT's order enforcement: ready ops run in the order
-  the strategy calculator computed (Sec. 6.1, Order Enforcement).
+* no order (or an empty one) — TensorFlow's default FIFO: the executor
+  pops the ready queue in arrival order;
+* an order — FastT's order enforcement: its positions are the ready
+  queue's priorities (Sec. 6.1, Order Enforcement), and ops it does not
+  list run after every listed op, in FIFO order among themselves.
 
 The executor is organized around a single global event heap: every
 op/transfer completion is one heap entry, and dispatch decisions are
@@ -43,20 +45,7 @@ from ..hardware import PerfModel
 from ..obs import Observability, get_obs
 from ..profiling.trace import StepTrace, TraceColumns
 
-FIFO = "fifo"
-PRIORITY = "priority"
 _INF = float("inf")
-
-#: Methods a perf model must expose for the batched fast path.  Test
-#: doubles that only implement ``op_time``/``transfer_time``/``link_time``
-#: fall back to the per-dispatch calls (still heap-driven).
-_FAST_PERF_METHODS = (
-    "batch_op_cost_inputs",
-    "batch_base_op_times",
-    "jittered",
-    "base_transfer_time",
-    "base_link_time",
-)
 
 #: A device pair's route: the contended links it crosses and their
 #: shared channel names, hop by hop.
@@ -113,14 +102,14 @@ class _GraphPlan:
     op's distinct input tensor ids (first-occurrence order — it decides
     the pending-input counts) and each tensor's consumer op ids, byte
     size and producer from it.  The plan adds op types, whether an op is
-    a persistent ``Variable`` and each op's output-id range, and, when the
-    perf model supports batching, the device-independent cost arrays
-    plus lazily materialized per-device base-duration lists.  Keyed by
+    a persistent ``Variable``, each op's output-id range, the
+    device-independent cost arrays and lazily materialized per-device
+    base-duration lists.  Keyed by
     :attr:`Graph.version`, so any structural mutation (including
     transaction rollbacks) invalidates the plan.
     """
 
-    def __init__(self, graph: Graph, perf: Optional[PerfModel]) -> None:
+    def __init__(self, graph: Graph, perf: PerfModel) -> None:
         self.index = index = graph.index()
         self.version = index.version
         self.ops: List[Operation] = index.ops
@@ -133,9 +122,7 @@ class _GraphPlan:
         # A range per op iterates faster than one built per visit.
         out_ptr = index.out_ptr
         self.outputs = [range(a, b) for a, b in zip(out_ptr, out_ptr[1:])]
-        self._cost_inputs = (
-            perf.batch_op_cost_inputs(self.ops) if perf is not None else None
-        )
+        self._cost_inputs = perf.batch_op_cost_inputs(self.ops)
         self._base_times: Dict[str, List[float]] = {}
 
     def base_times(self, perf: PerfModel, device) -> List[float]:
@@ -164,7 +151,6 @@ class ExecutionSimulator:
         self.perf = perf_model
         self.enforce_memory = enforce_memory
         self.obs = get_obs(obs)
-        self._fast = all(hasattr(perf_model, m) for m in _FAST_PERF_METHODS)
         self._plan: Optional[_GraphPlan] = None
         self.device_names: List[str] = topology.device_names
         # Topology is immutable, so routes and noise-free per-hop base
@@ -178,7 +164,7 @@ class ExecutionSimulator:
         """The execution plan for the graph's current revision."""
         plan = self._plan
         if plan is None or plan.version != self.graph.version:
-            plan = _GraphPlan(self.graph, self.perf if self._fast else None)
+            plan = _GraphPlan(self.graph, self.perf)
             self._plan = plan
         return plan
 
@@ -222,28 +208,26 @@ class ExecutionSimulator:
         self,
         placement: Mapping[str, str],
         order: Optional[Sequence[str]] = None,
-        policy: str = FIFO,
     ) -> StepTrace:
         """Simulate one iteration and return its trace.
 
         Args:
             placement: op name -> device name, complete over the graph.
-            order: FastT's execution order list; required when ``policy``
-                is ``"priority"`` (ops absent from the list run last).
-            policy: ``"fifo"`` or ``"priority"``.
+            order: FastT's execution order list.  A non-empty order is
+                priority scheduling (ops absent from it run after every
+                listed op); none or an empty one is FIFO.
 
         Raises:
             SimulationError: incomplete placement or scheduling deadlock.
             SimulationOOMError: a device ran out of memory (when
                 ``enforce_memory``).
         """
-        if policy not in (FIFO, PRIORITY):
-            raise SimulationError(f"unknown scheduling policy {policy!r}")
         events = self.obs.events
         with events.span(
-            "sim.step", policy=policy, graph=self.graph.name
+            "sim.step", policy="priority" if order else "fifo",
+            graph=self.graph.name,
         ) as span:
-            state = _StepState(self, placement, order, policy)
+            state = _StepState(self, placement, order)
             trace = state.run()
             if events.enabled:
                 span.set(
@@ -263,7 +247,6 @@ class _StepState:
         sim: ExecutionSimulator,
         placement: Mapping[str, str],
         order: Optional[Sequence[str]],
-        policy: str,
     ) -> None:
         self.sim = sim
         self.plan = plan = sim.plan()
@@ -285,9 +268,7 @@ class _StepState:
         self.dev = dev
 
         self.priority: Optional[List[float]] = None
-        if policy == PRIORITY:
-            if order is None:
-                raise SimulationError("priority policy requires an order list")
+        if order:
             # A name listed twice keeps its last rank.
             rank_of = dict(zip(order, itertools.count()))
             self.priority = [rank_of.get(name, _INF) for name in plan.op_names]
@@ -300,14 +281,11 @@ class _StepState:
         self.cons_ptr, self.cons_ids = index.cons_ptr, index.cons_ids
         self.deps_remaining = list(map(sub, self.in_ptr[1:], self.in_ptr))
 
-        # Per-device noise-free kernel durations; None on the scalar
-        # fallback path for perf models without batch support.
-        self.base_times: Optional[List[List[float]]] = None
-        if sim._fast:
-            topo = sim.topology
-            self.base_times = [
-                plan.base_times(sim.perf, topo.device(name)) for name in names
-            ]
+        # Per-device noise-free kernel durations.
+        topo = sim.topology
+        self.base_times = [
+            plan.base_times(sim.perf, topo.device(name)) for name in names
+        ]
 
         # Ref-counted memory over id-indexed lists (the seed's name-keyed
         # tracker, now in tests/sim, cost about a fifth of the event
@@ -435,16 +413,9 @@ class _StepState:
                 remote = self._remote_consumers(tensor, device)
                 refs += len(remote) - sum(remote.values())
             self._allocate(tensor, device, refs)
-        sim = self.sim
-        if self.base_times is not None:
-            # Same value, same jitter-stream consumption as
-            # perf.op_time — only the base lookup is precomputed.
-            duration = sim.perf.jittered(self.base_times[device][op])
-        else:
-            duration = sim.perf.op_time(
-                self.plan.ops[op], sim.topology.device(sim.device_names[device])
-            )
-        end = time + duration
+        # Same value, same jitter-stream consumption as perf.op_time —
+        # only the base lookup is precomputed.
+        end = time + self.sim.perf.jittered(self.base_times[device][op])
         cols = self.columns
         cols.op.append(op)
         cols.start.append(time)
@@ -512,18 +483,8 @@ class _StepState:
             # as receive buffers are pinned up front.
             self._allocate(tensor, dst, transfer.consumers)
         sim = self.sim
-        num_bytes = self.plan.tensor_bytes[tensor]
-        links = transfer.route[0]
-        if sim._fast:
-            base = sim.hop_base_time(src, dst, hop, num_bytes)
-            duration = sim.perf.jittered(base) if base else 0.0
-        elif len(links) == 1:
-            duration = sim.perf.transfer_time(
-                sim.device_names[src], sim.device_names[dst], num_bytes
-            )
-        else:
-            duration = sim.perf.link_time(links[hop], num_bytes)
-        end = time + duration
+        base = sim.hop_base_time(src, dst, hop, self.plan.tensor_bytes[tensor])
+        end = time + (sim.perf.jittered(base) if base else 0.0)
         # One record per hop; all hops carry the endpoint devices, so
         # per-device accounting sees one logical transfer while each
         # channel row shows its own span.

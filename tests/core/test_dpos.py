@@ -177,7 +177,7 @@ class TestOnRealGraphs:
         from repro.sim import ExecutionSimulator
 
         trace = ExecutionSimulator(graph, topo4, perf).run_step(
-            result.placement, order=result.order, policy="priority"
+            result.placement, order=result.order
         )
         assert trace.makespan > 0
         # The estimate should be in the ballpark of the simulated time

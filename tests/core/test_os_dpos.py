@@ -162,7 +162,6 @@ class TestOnTrainingGraphs:
         trace = ExecutionSimulator(result.graph, topo2, perf).run_step(
             result.strategy.placement,
             order=result.strategy.order,
-            policy="priority",
         )
         assert trace.makespan > 0
         assert len(trace.op_records) == result.graph.num_ops

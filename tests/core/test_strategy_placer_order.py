@@ -1,4 +1,4 @@
-"""Tests for Strategy, the device placer, and order enforcement helpers."""
+"""Tests for Strategy and the device placer."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.core import (
     PlacementError,
     Strategy,
     apply_placement,
-    complete_order,
-    priorities_from_order,
 )
 from repro.core.placer import model_parallel_placement
 from repro.graph import Graph, SplitDecision
@@ -126,19 +124,3 @@ class TestModelParallelPlacement:
             devices = {placement[m.name] for m in members}
             assert len(devices) == 1, f"group {group} split: {devices}"
 
-
-class TestOrderHelpers:
-    def test_priorities_from_order(self):
-        assert priorities_from_order(["x", "y", "z"]) == {"x": 0, "y": 1, "z": 2}
-
-    def test_complete_order_appends_missing(self):
-        g = diamond_graph()
-        completed = complete_order(g, ["c"])
-        assert completed[0] == "c"
-        assert sorted(completed) == sorted(op.name for op in g.ops)
-
-    def test_complete_order_drops_unknown_and_duplicates(self):
-        g = diamond_graph()
-        completed = complete_order(g, ["c", "ghost", "c"])
-        assert completed.count("c") == 1
-        assert "ghost" not in completed

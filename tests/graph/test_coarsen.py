@@ -267,7 +267,6 @@ def test_coarse_strategy_simulates_within_tolerance(model_name):
         trace = sim.run_step(
             result.strategy.placement,
             order=result.strategy.order,
-            policy="priority",
         )
         return trace.makespan
 

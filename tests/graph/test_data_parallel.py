@@ -83,19 +83,6 @@ class TestSharedVariableReplication:
         assert max(info.tower_batches) - min(info.tower_batches) <= 1
 
 
-class TestMirroredReplication:
-    def test_mirrored_keeps_per_tower_variables(self):
-        graph, info = build_data_parallel_training_graph(
-            build_mlp, 2, 32, shared_variables=False
-        )
-        graph.validate()
-        variables = [op for op in graph.ops if op.op_type == "Variable"]
-        prefixes = {v.name.split("/", 1)[0] for v in variables}
-        assert prefixes == {"replica_0", "replica_1"}
-        applies = [op for op in graph.ops if op.op_type == "ApplyGradient"]
-        assert len(applies) == len(variables)
-
-
 class TestDegenerateCases:
     def test_single_replica_has_no_aggregation(self):
         graph, info = build_data_parallel_training_graph(build_mlp, 1, 16)

@@ -22,7 +22,7 @@ from repro.obs.__main__ import main
 from repro.profiling.trace import OpRecord, StepTrace, TransferRecord
 from repro.sim import ExecutionSimulator
 
-from tests.util import diamond_graph
+from tests.util import BatchedPerf, diamond_graph
 
 G0, G1 = "/server:0/gpu:0", "/server:0/gpu:1"
 
@@ -117,7 +117,7 @@ class TestCriticalPathDiamond:
         assert [w.detail for w in waits] == ["channel-queue"]
 
     def test_legacy_trace_without_edges_is_inexact_but_complete(self):
-        # Strip v2 fields: the walk falls back to adjacency inference.
+        # Strip the recorded edges: the walk ends at the first op.
         trace = diamond_trace()
         trace.op_records = [
             OpRecord(r.op_name, r.op_type, r.device, r.start, r.end)
@@ -182,7 +182,7 @@ class TestUtilizationPartition:
         )
 
 
-class FakePerf:
+class FakePerf(BatchedPerf):
     def __init__(self, op_times=None, byte_time=0.01):
         self.op_times = op_times or {}
         self.byte_time = byte_time
@@ -352,7 +352,7 @@ class TestRoutedMultiHopTraces:
     """Attribution stays exact when transfers cross several channels."""
 
     def _trace(self, topo):
-        class RoutedPerf:
+        class RoutedPerf(BatchedPerf):
             def op_time(self, op, device):
                 return 1.0
 

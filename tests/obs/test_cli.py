@@ -105,6 +105,15 @@ def _truncated_step_file(root, scratch):
     return ["show", path]
 
 
+def _v1_step_file(root, scratch):
+    path = os.path.join(scratch, "old.step.json")
+    document = _step_trace().to_json()
+    document["schema"] = 1
+    with open(path, "w") as handle:
+        json.dump(document, handle)
+    return ["show", path]
+
+
 def _corrupt_event_log(root, scratch):
     with open(os.path.join(root, RUN_A, EVENT_LOG_NAME), "a") as handle:
         handle.write('{"seq": 99, "ki')
@@ -131,6 +140,7 @@ def _truncated_manifest(root, scratch):
 
 BAD_INPUTS = {
     "truncated-step-trace": _truncated_step_file,
+    "v1-step-trace": _v1_step_file,
     "corrupt-event-log": _corrupt_event_log,
     "truncated-run-step-trace": _truncated_run_step,
     "truncated-journal": _truncated_journal,

@@ -1,4 +1,4 @@
-"""Versioned StepTrace serialization: round-trips, v1 compat, rejects."""
+"""Versioned StepTrace serialization: round-trips and rejects."""
 
 import json
 
@@ -56,8 +56,10 @@ class TestRoundTrip:
         assert StepTrace.from_json(document).makespan == pytest.approx(4.0)
 
 
-class TestV1Compatibility:
-    def test_v1_document_loads_with_defaults(self):
+class TestRejects:
+    def test_v1_document_rejected(self):
+        # Schema 1 recorded no blocking edges; this build reads only the
+        # current schema.
         document = {
             "schema": 1,
             "op_records": [
@@ -70,17 +72,9 @@ class TestV1Compatibility:
                  "started_at": 2.0, "finished_at": 3.0},
             ],
         }
-        trace = StepTrace.from_json(document)
-        rec = trace.op_records[0]
-        assert rec.queued_at is None and rec.blocked_by is None
-        assert rec.queue_wait == 0.0
-        xfer = trace.transfer_records[0]
-        assert xfer.queued_at is None and xfer.producer == ""
-        assert xfer.channel_wait == 0.0
-        assert trace.makespan == pytest.approx(3.0)
+        with pytest.raises(TraceSchemaError, match="unsupported StepTrace schema 1"):
+            StepTrace.from_json(document)
 
-
-class TestRejects:
     def test_unknown_schema(self):
         with pytest.raises(TraceSchemaError, match="unsupported"):
             StepTrace.from_json({"schema": 99, "op_records": []})

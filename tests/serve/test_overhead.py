@@ -8,6 +8,7 @@ purpose (CI hosts are noisy); the strategy-identity check is the sharp
 edge — any behavioural leak from instrumentation shows up there.
 """
 
+import gc
 import time
 
 from repro.obs import NullMetricsRegistry
@@ -26,6 +27,11 @@ BATCHES = (64, 96)
 
 
 def _run_requests(service):
+    # Start each side with no collection pending.  Inside the whole suite
+    # the heap holds ~120k tracked objects left by earlier tests, and a
+    # full collection over them (~70 ms) otherwise lands on one timed
+    # side at random.
+    gc.collect()
     start = time.perf_counter()
     responses = []
     for batch in BATCHES + BATCHES:

@@ -19,7 +19,7 @@ from repro.costmodel import ComputationCostModel
 from repro.graph import build_single_device_training_graph
 from repro.hardware import PerfModel
 from repro.sim import ExecutionSimulator
-from repro.sim.runner import FIFO, _StepState
+from repro.sim.runner import _StepState
 
 from tests.util import build_mlp
 
@@ -60,7 +60,7 @@ def added_by_size():
         assert trace.num_transfers > 0
 
         before = _tracked()
-        state = _StepState(sim, placement, None, FIFO)
+        state = _StepState(sim, placement, None)
         step_added = _tracked() - before
 
         model = ComputationCostModel()

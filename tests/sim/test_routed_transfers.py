@@ -12,10 +12,10 @@ import pytest
 from repro.cluster import multi_server, pcie_server, single_server
 from repro.sim import ExecutionSimulator
 
-from tests.util import chain_graph, diamond_graph
+from tests.util import BatchedPerf, chain_graph, diamond_graph
 
 
-class RoutedFakePerf:
+class RoutedFakePerf(BatchedPerf):
     """Unit op times; transfer math straight from the topology."""
 
     def __init__(self, topo, op_time=1.0):

@@ -11,10 +11,10 @@ from repro.cluster import single_server
 from repro.graph import Graph
 from repro.sim import ExecutionSimulator, SimulationError, SimulationOOMError
 
-from tests.util import chain_graph, diamond_graph
+from tests.util import BatchedPerf, chain_graph, diamond_graph
 
 
-class FakePerf:
+class FakePerf(BatchedPerf):
     """Deterministic per-op durations and byte-proportional transfers."""
 
     def __init__(self, op_times, byte_time=0.0, default=1.0):
@@ -135,7 +135,7 @@ class TestSchedulingPolicies:
         d0 = topo2.device_names[0]
         placement = {"src": d0, "x": d0, "y": d0}
         trace = _sim(g, topo2, perf).run_step(
-            placement, order=["src", "y", "x"], policy="priority"
+            placement, order=["src", "y", "x"]
         )
         records = {r.op_name: r for r in trace.op_records}
         assert records["y"].start < records["x"].start
@@ -148,21 +148,21 @@ class TestSchedulingPolicies:
         records = {r.op_name: r for r in trace.op_records}
         assert records["x"].start < records["y"].start
 
-    def test_priority_requires_order(self, topo2):
+    def test_unlisted_ops_run_after_every_listed_op(self, topo2):
+        # src fans out to x, y and z, all ready at once on one device.
+        # The order lists only z, so z runs right after src, then the
+        # unlisted x and y in FIFO (graph) order.
         g = self._two_ready_graph()
-        perf = FakePerf({})
+        g.create_op(
+            "Generic", "z", [g.get_op("src").outputs[0]],
+            attrs={"output_shapes": [(4,)]},
+        )
+        perf = FakePerf({"src": 1.0, "x": 1.0, "y": 1.0, "z": 1.0})
         d0 = topo2.device_names[0]
-        with pytest.raises(SimulationError, match="order"):
-            _sim(g, topo2, perf).run_step(
-                {"src": d0, "x": d0, "y": d0}, policy="priority"
-            )
-
-    def test_unknown_policy_rejected(self, topo2):
-        g = chain_graph(1)
-        with pytest.raises(SimulationError, match="policy"):
-            _sim(g, topo2, FakePerf({})).run_step(
-                {"op0": topo2.device_names[0]}, policy="lifo"
-            )
+        placement = {name: d0 for name in ("src", "x", "y", "z")}
+        trace = _sim(g, topo2, perf).run_step(placement, order=["z"])
+        ran = [r.op_name for r in sorted(trace.op_records, key=lambda r: r.start)]
+        assert ran == ["src", "z", "x", "y"]
 
 
 class TestInputValidation:

@@ -33,7 +33,7 @@ def test_estimate_tracks_simulation(builder, batch, num_gpus):
         topo, OracleComputationModel(perf), OracleCommunicationModel(perf)
     ).run(graph)
     trace = ExecutionSimulator(graph, topo, perf).run_step(
-        result.placement, order=result.order, policy="priority"
+        result.placement, order=result.order
     )
     # The simulator can only be slower (contention), and not wildly so.
     assert trace.makespan >= result.finish_time * 0.80
@@ -57,7 +57,7 @@ def test_estimate_tracks_simulation_random_mlps(layers, hidden, num_gpus):
         topo, OracleComputationModel(perf), OracleCommunicationModel(perf)
     ).run(graph)
     trace = ExecutionSimulator(graph, topo, perf).run_step(
-        result.placement, order=result.order, policy="priority"
+        result.placement, order=result.order
     )
     assert trace.makespan >= result.finish_time * 0.80
     assert trace.makespan <= result.finish_time * 3.0

@@ -1,8 +1,36 @@
-"""Graph and model factories shared across the test suite."""
+"""Graph and model factories and perf doubles shared across the tests."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.graph import Graph
+
+
+class BatchedPerf:
+    """The simulator's batched perf-model calls over scalar test methods.
+
+    A double defines ``op_time(op, device)`` and ``transfer_time(src,
+    dst, num_bytes)``, plus ``link_time(link, num_bytes)`` for routed
+    topologies; subclassing this derives the batched, noise-free calls
+    :class:`~repro.sim.ExecutionSimulator` makes from them.
+    """
+
+    def batch_op_cost_inputs(self, ops):
+        return (ops,)
+
+    def batch_base_op_times(self, ops, device):
+        return np.array([self.op_time(op, device) for op in ops], dtype=float)
+
+    def jittered(self, base):
+        return base
+
+    def base_transfer_time(self, src, dst, num_bytes):
+        return self.transfer_time(src, dst, num_bytes)
+
+    def base_link_time(self, link, num_bytes):
+        return self.link_time(link, num_bytes)
+
 
 def build_mlp(graph: Graph, prefix: str, batch: int, hidden: int = 64,
               layers: int = 2, num_classes: int = 10):
