@@ -170,7 +170,7 @@ def render_analysis_markdown(trace_dir: Path) -> str:
             f"{attribution['transfer'] * 1000:.3f}",
             f"{attribution['wait'] * 1000:.3f}",
             f"{attribution['idle'] * 1000:.3f}",
-            "exact" if analysis.critical_path.exact else "inferred",
+            "exact" if analysis.critical_path.exact else "incomplete",
         ])
     sections = [
         f"Produced by `repro.obs.analyze`, the analyzer behind "

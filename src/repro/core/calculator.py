@@ -249,11 +249,14 @@ class StrategyCalculator:
             self._simulators[id(graph)] = simulator
         return Profiler(simulator, self.computation, self.communication)
 
-    def _profile(self, graph: Graph, strategy: Strategy, steps: int):
+    def _profile(
+        self, graph: Graph, strategy: Strategy, steps: int,
+        update_models: bool = True,
+    ):
         enforce = self.config.enable_order_enforcement
         return self._profiler_for(graph).profile(
             strategy.placement, order=strategy.order if enforce else None,
-            num_steps=steps,
+            num_steps=steps, update_models=update_models,
         )
 
     def _profile_alternatives(
@@ -566,12 +569,8 @@ class StrategyCalculator:
                 self.communication,
                 pair_class=self.topology.pair_class,
             )
-        enforce = self.config.enable_order_enforcement
         try:
-            result = self._profiler_for(graph).profile(
-                strategy.placement, order=strategy.order if enforce else None,
-                num_steps=1, update_models=False,
-            )
+            result = self._profile(graph, strategy, 1, update_models=False)
         except SimulationOOMError:
             return None
         return calibrate(

@@ -303,5 +303,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
 
+def retired(module: str) -> int:
+    """Exit of ``python -m <module>``, a command line this one replaced."""
+    print(
+        f"error: python -m {module} has no command line; "
+        "use python -m repro.obs",
+        file=sys.stderr,
+    )
+    return 2
+
+
 if __name__ == "__main__":
     raise SystemExit(main())

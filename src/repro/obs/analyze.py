@@ -785,3 +785,9 @@ def diff_results(result_a, result_b, steps: int = 1) -> TraceDiff:
         label_a=f"{result_a.model_name}/{result_a.strategy.label}",
         label_b=f"{result_b.model_name}/{result_b.strategy.label}",
     )
+
+
+if __name__ == "__main__":
+    from repro.obs.__main__ import retired
+
+    raise SystemExit(retired("repro.obs.analyze"))

@@ -11,8 +11,8 @@ placement progress) or ``span`` for a timed block::
 A span emits ``<name>.start`` with its opening attributes and, on
 leaving (exceptions included), ``<name>.finish`` with ``seconds``, the
 attributes :meth:`Span.set` recorded and ``error`` if the block raised.
-Both carry the ``span`` id and the ``parent`` span id open on the same
-thread.  Every enabled :class:`~repro.obs.Observability` carries a live
+Both carry the ``span`` id and the ``parent`` span id open in the same
+context: the same thread, or the same asyncio task.  Every enabled :class:`~repro.obs.Observability` carries a live
 bus; the Chrome-trace recorder
 (:class:`~repro.obs.chrome_trace.ChromeTraceRecorder`), the metrics
 registry (:data:`~repro.obs.metrics.METRIC_RULES`), a recorded run's
@@ -68,6 +68,7 @@ The stable vocabulary (a span is listed by name and emits ``.start`` and
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import json
 import threading
@@ -152,6 +153,7 @@ class Span:
 
     __slots__ = (
         "_bus", "name", "id", "parent", "_attrs", "_done", "_start", "seconds",
+        "_token",
     )
 
     def __init__(self, bus: "EventBus", name: str, attrs: Dict[str, object]) -> None:
@@ -165,10 +167,10 @@ class Span:
         self._done.update(attrs)
 
     def __enter__(self) -> "Span":
-        stack = self._bus._open.stack
+        current = self._bus._current
         self.id = next(self._bus._span_ids)
-        self.parent = stack[-1] if stack else None
-        stack.append(self.id)
+        self.parent = current.get()
+        self._token = current.set(self.id)
         self._bus.emit(
             f"{self.name}.start", span=self.id, parent=self.parent, **self._attrs
         )
@@ -177,7 +179,7 @@ class Span:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.seconds = time.perf_counter() - self._start
-        self._bus._open.stack.pop()
+        self._bus._current.reset(self._token)
         if exc_type is not None:
             self._done["error"] = exc_type.__name__
         self._bus.emit(
@@ -185,13 +187,6 @@ class Span:
             seconds=self.seconds, **self._done,
         )
         return False
-
-
-class _OpenSpans(threading.local):
-    """Each thread's stack of open span ids (its parent chain)."""
-
-    def __init__(self) -> None:
-        self.stack: List[int] = []
 
 
 class _NullSpan:
@@ -220,8 +215,9 @@ class EventBus:
     Subscribers must be cheap and must not raise (an exception
     propagates into the engine that emitted, by design: a broken sink is
     a bug, not a condition to paper over).  Span parent chains are
-    per thread, so concurrent searches sharing one bus keep separate
-    trees.
+    per context (each thread starts its own, and each asyncio task runs
+    in a copy of its creator's), so concurrent searches and interleaved
+    requests sharing one bus keep separate trees.
     """
 
     enabled = True
@@ -231,7 +227,10 @@ class EventBus:
         self._seq = 0
         self._epoch = time.perf_counter()
         self._span_ids = itertools.count(1)
-        self._open = _OpenSpans()
+        #: The innermost open span's id in the running context.
+        self._current: "contextvars.ContextVar[Optional[int]]" = (
+            contextvars.ContextVar("repro.obs.events.span", default=None)
+        )
         # Emission is serialized: ``seq`` must stay strictly increasing
         # and unique even when concurrent service requests share one bus
         # (duplicate seqs would make a persisted log unreadable — see

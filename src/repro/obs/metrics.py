@@ -474,12 +474,6 @@ def _stability(registry: MetricsRegistry, data: Dict[str, object]) -> None:
         registry.gauge("costmodel.stability.max_drift").set(data["drift"])
 
 
-def _accepted(registry: MetricsRegistry, data: Dict[str, object]) -> None:
-    registry.counter("serve.requests").inc()
-    if data["queue_wait"] is not None:
-        registry.histogram("serve.queue.wait").observe(data["queue_wait"])
-
-
 def _search_started(registry: MetricsRegistry, data: Dict[str, object]) -> None:
     registry.counter("serve.searches").inc()
     registry.gauge("serve.inflight").inc()
@@ -497,6 +491,8 @@ def _answered(registry: MetricsRegistry, data: Dict[str, object]) -> None:
     # The unlabeled series' _count is the CI cross-check against
     # serve.requests.
     outcome = str(data["outcome"])
+    if data["queue_wait"] is not None:
+        registry.histogram("serve.queue.wait").observe(data["queue_wait"])
     registry.histogram("serve.request.latency").observe(data["seconds"])
     registry.histogram("serve.request.latency", outcome=outcome).observe(
         data["seconds"]
@@ -518,7 +514,7 @@ METRIC_RULES: Dict[str, Rule] = {
     "search.osdpos.finish": _completed(_osdpos),
     "calculator.run.finish": _completed(_calculator),
     "round.finish": _stability,
-    "serve.submit.start": _accepted,
+    "serve.submit.start": _count("serve.requests"),
     "serve.submit.finish": _answered,
     "serve.hit": _count("serve.hits"),
     "serve.miss": _count("serve.misses"),

@@ -503,3 +503,9 @@ class ProvenanceRecorder:
                 for name, names in members.items() if len(names) > 1
             },
         ))
+
+
+if __name__ == "__main__":
+    from repro.obs.__main__ import retired
+
+    raise SystemExit(retired("repro.obs.provenance"))

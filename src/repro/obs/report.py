@@ -59,7 +59,7 @@ def render_critical_path(path: "CriticalPath", limit: int = 12) -> str:
     lines = [
         "critical path "
         f"(makespan {_ms(path.makespan):.3f} ms, "
-        f"{'exact' if path.exact else 'inferred'}): "
+        f"{'exact' if path.exact else 'incomplete'}): "
         + "  ".join(
             f"{kind}={_ms(attribution[kind]):.3f}ms"
             for kind in ("compute", "transfer", "wait", "idle")

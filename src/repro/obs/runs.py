@@ -564,3 +564,9 @@ def render_manifest(registry: RunRegistry, manifest: RunManifest) -> str:
             f"events     {len(events)} event(s), replay-ordered, schema ok"
         )
     return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    from repro.obs.__main__ import retired
+
+    raise SystemExit(retired("repro.obs.runs"))

@@ -80,7 +80,8 @@ def default_service(**kwargs: object) -> StrategyService:
     """The process-wide shared service (created on first use).
 
     Keyword arguments are honored only on the call that creates it;
-    pass none to just fetch the existing instance.
+    pass none to just fetch the existing instance.  Like every service,
+    it belongs to one thread at a time.
     """
     global _default_service
     with _default_lock:

@@ -9,9 +9,7 @@ process, concurrently, with three progressively cheaper paths:
    A hit does not even build the session: the input graph's fingerprint
    is memoized per (model, batch, cluster fingerprint), in memory and
    persisted by the store under the source fingerprint, so a restarted
-   server answers stored problems without one.  A hit whose memo entry
-   and stored strategy are both in memory is answered on the asyncio
-   front-end's event loop, without a thread hop.
+   server answers stored problems without one.
 2. **Warm start** — a stored entry for the same cluster/options is a
    small graph edit away (:mod:`repro.graph.delta`), found by the
    store's indexed :meth:`~repro.serve.store.StrategyStore.find_similar`;
@@ -21,28 +19,27 @@ process, concurrently, with three progressively cheaper paths:
 3. **Cold search** — the full reentrant pipeline on a fresh
    :class:`~repro.core.SearchContext`.
 
-Identical requests *in flight* are **coalesced**: the second caller
-blocks on the first's future instead of spawning a duplicate search.
+Identical requests *in flight* are **coalesced**: the second request
+awaits the first's future instead of spawning a duplicate search.
 
-The service core is synchronous and thread-safe (reentrancy comes from
-per-request contexts); in-process callers use
-:meth:`StrategyService.submit` directly.  The CPU work of a miss — the
-session build and the search — is two stages (:mod:`repro.serve.worker`)
-that run in the calling thread for those callers.  The asyncio TCP
-front-end (:func:`serve_forever` / ``python -m repro.serve``) forks
-``workers`` children before it binds its sockets and runs the stages
-there instead: each worker thread borrows an idle child for one request,
-so searches no longer share the server's interpreter lock.  The parent
-keeps the queue, coalescing, the store and the fingerprint memo.  It
-derives each request's keys once, on its event loop
+One request has one implementation, the coroutine
+:meth:`StrategyService.answer`: derive the request's keys
 (:meth:`StrategyService.derive`: normalized request, request
 fingerprint, topology, model, batch, memoized options and graph
-fingerprints, combined key).  When the answer is already in memory and
-no identical request is in flight (:meth:`StrategyService.in_memory`),
-the loop calls ``submit`` itself; the call reads only memory and closes
-its spans before the loop awaits again.  Everything that can block — a
-memo or store read from disk, a search, a follower's wait on its leader
-— runs ``submit`` on the worker pool, with the keys already derived.
+fingerprints, combined key), look the answer up in memory and on disk,
+coalesce onto an identical leader, or find the warm seed, await the
+session build and the search, and store the answer.  The CPU work of a
+miss, the session build and the search, is two stages
+(:mod:`repro.serve.worker`).  The asyncio TCP front-end
+(:func:`serve_forever` / ``python -m repro.serve``) forks ``workers``
+children before it binds its sockets, and a miss awaits its stages in
+one of them on the child's pipe, so searches do not share the server's
+interpreter lock.  Everything else (the store, the fingerprint memos,
+coalescing, telemetry) runs on the front-end's one event loop, the only
+thread of the server process.  In-process callers use the synchronous
+:meth:`StrategyService.submit`, which runs ``answer`` on a fresh event
+loop and the stages in the calling thread.  A service belongs to one
+thread: its front-end's loop or one direct caller.
 
 Every decision is recorded once, on the service's private event bus:
 ``serve.*`` facts (request/hit/miss/coalesce/warm/complete/timeout/
@@ -74,14 +71,13 @@ import asyncio
 import functools
 import json
 import os
+import socket
 import threading
 import time
 import uuid
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
-from typing import Callable, Dict, IO, Optional, Tuple, Union
+from typing import Awaitable, Callable, Dict, IO, List, Optional, Tuple, Union
 
 from ..cluster import Topology
 from ..core.calculator import (
@@ -141,8 +137,8 @@ METRIC_HELP = {
     "serve.store.lookup": "Strategy-store lookup time per request",
     "serve.coalesce.wait": "Time followers spent waiting on their leader",
     "serve.queue.wait": (
-        "Time requests waited for a worker thread "
-        "(hits answered on the event loop never queue)"
+        "Time requests waited for a worker child "
+        "(requests that need no session never queue)"
     ),
 }
 
@@ -180,8 +176,8 @@ class ServeTimeout(TimeoutError):
     """A request exceeded its deadline while waiting for an answer.
 
     Raised to *followers* of a coalesced request whose leader has not
-    finished within the deadline, so a wedged search hangs one worker
-    thread, not every caller piled onto it.  The leader itself cannot be
+    finished within the deadline, so a wedged search hangs one request,
+    not every caller piled onto it.  The leader itself cannot be
     interrupted mid-search; the slow-request watchdog
     (:meth:`StrategyService.health`) degrades ``/healthz`` instead.
     """
@@ -200,8 +196,8 @@ class AccessLog:
     durations — the reverse half of the request<->run correlation
     (``runs show`` prints the forward half from the manifest).
 
-    Writes are line-buffered under a lock, so concurrent worker threads
-    interleave whole lines, never fragments.
+    Writes are line-buffered under a lock, so services on several
+    threads sharing one log interleave whole lines, never fragments.
     """
 
     def __init__(self, target: Union[str, IO[str]]) -> None:
@@ -293,13 +289,12 @@ def normalize_request(request: Dict[str, object]) -> Dict[str, object]:
 class RequestKeys:
     """What one request is looked up by: :meth:`StrategyService.derive`.
 
-    Derived once per request and carried with it, from the event loop to
-    the worker pool.  ``fingerprints`` is empty until the graph
-    fingerprint is known (from the in-memory memo, or filled in on a
-    worker); ``entry`` is the answer when the event loop found it in the
-    store's memory tier.  ``failure`` is the :class:`RequestError` the
-    request gets instead of an answer; ``request`` is None when the
-    request is not even well formed.
+    Derived once per request and carried with it.  ``fingerprints`` is
+    empty until the graph fingerprint is known (from the in-memory memo,
+    or filled in from the persisted memo or a session build).
+    ``failure`` is the :class:`RequestError` the request gets instead of
+    an answer; ``request`` is None when the request is not even well
+    formed.
     """
 
     failure: Optional[RequestError] = None
@@ -312,7 +307,6 @@ class RequestKeys:
     cluster: str = ""
     options: str = ""
     fingerprints: Dict[str, str] = field(default_factory=dict)
-    entry: Optional[StoredStrategy] = None
 
     @property
     def memo_key(self) -> Tuple[str, int, str]:
@@ -354,15 +348,17 @@ class ServiceStats:
 
 
 class StrategyService:
-    """Thread-safe strategy server over one :class:`StrategyStore`.
+    """Strategy server over one :class:`StrategyStore`, owned by one
+    thread: its front-end's event loop or one direct caller.
 
     Args:
         store: Answer cache; defaults to a persistent store under the
             run-registry root.
         config: Service-wide :class:`FastTConfig` baseline; per-request
             ``config`` overrides are applied on top.
-        workers: Size of the search worker pool used by the async
-            front-end (``submit`` itself runs in the caller's thread).
+        workers: Number of worker children the TCP front-end forks for
+            session builds and searches (``submit`` runs them in the
+            caller's thread).
         metrics: Registry receiving the service's counters and latency
             histograms, subscribed to the service's private event bus
             (``service.events``).  A private enabled registry is created
@@ -419,13 +415,12 @@ class StrategyService:
             self.access_log = AccessLog(access_log)
         self.record_runs = record_runs
         self.runs_root = runs_root
-        self._inflight: Dict[str, Future] = {}
+        #: request_key -> the leader's future, on the loop answering it.
+        self._inflight: Dict[str, "asyncio.Future[Dict[str, object]]"] = {}
         #: request_key -> monotonic start time of the leader's search;
         #: the slow-request watchdog reads it.
         self._inflight_started: Dict[str, float] = {}
-        self._inflight_lock = threading.Lock()
         self._graph_fps: "OrderedDict[Tuple[str, int, str], str]" = OrderedDict()
-        self._graph_fps_lock = threading.Lock()
         #: The worker children while :func:`serve_forever` runs; without
         #: them, stages run in the calling thread.
         self.children: Optional[Children] = None
@@ -479,8 +474,8 @@ class StrategyService:
     def derive(self, request: object) -> RequestKeys:
         """Everything ``request`` is looked up by, read from memory only.
 
-        The one derivation of a request, shared by the event loop's
-        in-memory check and :meth:`submit`: normalize the request, take
+        The one derivation of a request, the first step of
+        :meth:`answer`: normalize the request, take
         its fingerprint, resolve topology, model and batch, take the
         options fingerprint (memoized per override document), read the
         graph fingerprint from the in-memory memo and, when it is
@@ -512,27 +507,10 @@ class StrategyService:
         return keys
 
     def _memoized_graph(self, memo_key: Tuple[str, int, str]) -> Optional[str]:
-        with self._graph_fps_lock:
-            graph_fp = self._graph_fps.get(memo_key)
-            if graph_fp is not None:
-                self._graph_fps.move_to_end(memo_key)
-            return graph_fp
-
-    def in_memory(self, keys: RequestKeys) -> bool:
-        """Whether ``keys`` can be answered without blocking.
-
-        True when the combined key is known, no identical request is in
-        flight (a follower must wait on its leader), and the store's
-        memory tier holds the answer, which is then set on
-        ``keys.entry``.  Reads no file.
-        """
-        if keys.key is None:
-            return False
-        with self._inflight_lock:
-            if keys.request in self._inflight:
-                return False
-        keys.entry = self.store.cached(keys.key)
-        return keys.entry is not None
+        graph_fp = self._graph_fps.get(memo_key)
+        if graph_fp is not None:
+            self._graph_fps.move_to_end(memo_key)
+        return graph_fp
 
     def submit(
         self,
@@ -540,9 +518,25 @@ class StrategyService:
         *,
         request_id: Optional[str] = None,
         queued_at: Optional[float] = None,
-        keys: Optional[RequestKeys] = None,
     ) -> Dict[str, object]:
-        """Answer one request (blocking; coalesces with identical peers).
+        """:meth:`answer` for synchronous callers, on a fresh event loop.
+
+        The session build and the search run in the calling thread.  Not
+        for use from a coroutine (await :meth:`answer` there) or while
+        :func:`serve_forever` runs this service.
+        """
+        return asyncio.run(
+            self.answer(request, request_id=request_id, queued_at=queued_at)
+        )
+
+    async def answer(
+        self,
+        request: Dict[str, object],
+        *,
+        request_id: Optional[str] = None,
+        queued_at: Optional[float] = None,
+    ) -> Dict[str, object]:
+        """Answer one request; coalesces with identical peers in flight.
 
         Returns a JSON-serializable response document with ``source``
         one of ``"cache"``, ``"warm"``, ``"search"`` — or ``"coalesced"``
@@ -556,15 +550,13 @@ class StrategyService:
         access log, and — with ``record_runs`` — the run manifest.  A
         ``timeout`` key (or the service-wide ``request_timeout``) bounds
         how long a *coalesced follower* waits before failing with
-        :class:`ServeTimeout`.  ``queued_at`` is a ``time.monotonic()``
-        stamp taken when the request was accepted (the async front-end
-        passes it so worker-pool queueing shows up in
-        ``serve.queue.wait``).  Neither ``request_id`` nor ``timeout``
-        participates in the coalescing identity.  ``keys`` is the
-        request's :meth:`derive`, when the caller already made it; with
-        ``keys.entry`` set (by :meth:`in_memory`) the request is answered
-        from that entry and coalesces with nothing, as nothing is
-        searched.
+        :class:`ServeTimeout`; a leader's connection gets an error
+        :data:`_BACKSTOP_GRACE` seconds later.  ``queued_at`` is a
+        ``time.monotonic()`` stamp taken when the request was accepted;
+        with it, ``serve.queue.wait`` observes the time from then until
+        the request started, plus its wait for a worker child.  Neither
+        ``request_id`` nor ``timeout`` participates in the coalescing
+        identity.
         """
         start = time.monotonic()
         raw_timeout: object = None
@@ -582,42 +574,57 @@ class StrategyService:
                 raise RequestError(
                     f"'timeout' must be a number, got {raw_timeout!r}"
                 )
-        queue_wait = None if queued_at is None else max(0.0, start - queued_at)
-
-        if keys is None:
-            keys = self.derive(request)
-        request_key = keys.request
-        if request_key is None:  # malformed: not counted as a request
+        keys = self.derive(request)
+        if keys.request is None:  # malformed: not counted as a request
             raise keys.failure  # type: ignore[misc]
-        future: Optional[Future] = None
-        leader = True
-        if keys.entry is None:
-            with self._inflight_lock:
-                future = self._inflight.get(request_key)
-                leader = future is None
-                if leader:
-                    future = self._inflight[request_key] = Future()
-                    self._inflight_started[request_key] = start
+        future = self._inflight.get(keys.request)
+        if future is not None:
+            return await self._submitted(
+                keys, request_id, start, queued_at,
+                self._follow(future, keys.request, request_id, timeout),
+            )
+        future = self._inflight[keys.request] = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._inflight_started[keys.request] = start
+        # While serve_forever runs, the session build and the search run
+        # in a worker child lent to this request; otherwise here.
+        stages = LocalStages() if self.children is None else self.children.lease()
+        lead = self._submitted(
+            keys, request_id, start, queued_at,
+            self._lead(keys, request_id, future, stages), stages,
+        )
+        if timeout is None:
+            return await lead
+        # Backstop for a wedged leader: nothing interrupts its search,
+        # which goes on answering its followers and the store, but its
+        # own caller gets an error.
+        return await asyncio.wait_for(
+            asyncio.shield(lead), timeout=timeout + _BACKSTOP_GRACE,
+        )
+
+    async def _submitted(
+        self, keys: RequestKeys, request_id: str, start: float,
+        queued_at: Optional[float], work: Awaitable[Dict[str, object]],
+        stages: Optional[Union[LocalStages, Lease]] = None,
+    ) -> Dict[str, object]:
+        """Await ``work``, one request's answer, inside its
+        ``serve.submit`` span and access-log record; a leader passes its
+        ``stages``."""
         outcome = "error"
         response: Dict[str, object] = {}
+        queue_wait: Optional[float] = None
         span = self.events.span(
-            "serve.submit", request=request_key, request_id=request_id,
-            queue_wait=queue_wait,
+            "serve.submit", request=keys.request, request_id=request_id,
         )
         try:
             with span, obs_log.request_id_context(request_id):
                 try:
-                    if leader:
-                        response = (
-                            self._answer(keys, request_id) if future is None
-                            else self._lead(keys, request_id, future)
-                        )
-                        outcome = str(response.get("source", "search"))
-                    else:
-                        response = self._follow(
-                            future, request_key, request_id, timeout
-                        )
-                        outcome = "coalesced"
+                    response = await work
+                    outcome = (
+                        "coalesced" if stages is None
+                        else str(response.get("source", "search"))
+                    )
                 except ServeTimeout:
                     outcome = "timeout"
                     raise
@@ -625,17 +632,21 @@ class StrategyService:
                     span.set(error_kind="worker_crashed")
                     raise
                 finally:
-                    span.set(outcome=outcome)
+                    if queued_at is not None:
+                        queue_wait = max(0.0, start - queued_at) + (
+                            0.0 if stages is None else stages.waited
+                        )
+                    span.set(outcome=outcome, queue_wait=queue_wait)
             return response
         finally:
             # Built only when there is a log to write it to.
             if self.access_log is not None:
                 # A follower's response carries its leader's stage times.
-                timings = response if leader else {}
+                timings = response if stages is not None else {}
                 self._access({
                     "ts": time.strftime("%Y-%m-%dT%H:%M:%S"),
                     "request_id": request_id,
-                    "request": request_key,
+                    "request": keys.request,
                     "key": str(response.get("key", "")),
                     "run_id": str(response.get("run_id") or ""),
                     "model": str(keys.document.get("model", "")),
@@ -648,26 +659,29 @@ class StrategyService:
                     "total_s": round(span.seconds, 6),
                 })
 
-    def _lead(
-        self, keys: RequestKeys, request_id: str, future: Future,
+    async def _lead(
+        self, keys: RequestKeys, request_id: str,
+        future: "asyncio.Future[Dict[str, object]]",
+        stages: Union[LocalStages, Lease],
     ) -> Dict[str, object]:
         """Answer a request no identical peer is in flight for."""
-        request_key = keys.request
         try:
-            response = self._answer(keys, request_id)
+            with stages:
+                response = await self._answer(keys, request_id, stages)
             future.set_result(response)
             return response
         except BaseException as exc:
             future.set_exception(exc)
+            # Its followers read it too; one nobody followed is not lost.
+            future.exception()
             raise
         finally:
-            with self._inflight_lock:
-                self._inflight.pop(request_key, None)
-                self._inflight_started.pop(request_key, None)
+            self._inflight.pop(keys.request, None)  # type: ignore[arg-type]
+            self._inflight_started.pop(keys.request, None)  # type: ignore[arg-type]
 
-    def _follow(
-        self, future: Future, request_key: str, request_id: str,
-        timeout: Optional[float],
+    async def _follow(
+        self, future: "asyncio.Future[Dict[str, object]]", request_key: str,
+        request_id: str, timeout: Optional[float],
     ) -> Dict[str, object]:
         """Wait for an identical in-flight leader's answer."""
         self.events.emit(
@@ -675,9 +689,12 @@ class StrategyService:
         )
         try:
             with self.events.span("serve.coalesce.wait", request_id=request_id):
-                # A shallow copy: the strategy stays the leader's.
-                response = dict(future.result(timeout=timeout))
-        except FutureTimeoutError:
+                # Shielded: a follower's timeout must not cancel its
+                # leader.  A shallow copy: the strategy stays the leader's.
+                response = dict(
+                    await asyncio.wait_for(asyncio.shield(future), timeout)
+                )
+        except asyncio.TimeoutError:
             # On 3.11+ this is the builtin TimeoutError, so a leader's own
             # TimeoutError also ends the wait as a timeout.
             self.events.emit(
@@ -693,8 +710,9 @@ class StrategyService:
         response["request_id"] = request_id
         return response
 
-    def _answer(
+    async def _answer(
         self, keys: RequestKeys, request_id: str,
+        stages: Union[LocalStages, Lease],
     ) -> Dict[str, object]:
         request_key = keys.request
         self.events.emit(
@@ -703,31 +721,23 @@ class StrategyService:
         )
         if keys.failure is not None:
             raise keys.failure
-        # While serve_forever runs, the session build and the search run
-        # in a worker child lent to this request; otherwise here.
-        stages = LocalStages() if self.children is None else self.children.lease()
-        with stages:
-            return self._answer_with(stages, keys, request_id)
-
-    def _answer_with(
-        self, stages: Union[LocalStages, Lease], keys: RequestKeys,
-        request_id: str,
-    ) -> Dict[str, object]:
-        request_key = keys.request
         # The problem identity needs the input graph's fingerprint,
-        # which depends on (model, batch, cluster) only — never on the
-        # config.  It is memoized in memory and persisted by the store,
-        # so a session (two graph builds and a fit check) is built only
-        # for a triple no server of this source tree has seen, or on a
-        # store miss.
-        prepared = None if keys.key is not None else self._fill_graph(stages, keys)
+        # which depends on (model, batch, cluster) only — never on
+        # the config.  It is memoized in memory and persisted by the
+        # store, so a session (two graph builds and a fit check) is
+        # built only for a triple no server of this source tree has
+        # seen, or on a store miss.
+        prepared = (
+            None if keys.key is not None
+            else await self._fill_graph(stages, keys)
+        )
         fingerprints = keys.fingerprints
         key = fingerprints["combined"]
 
         with self.events.span(
             "serve.store.lookup", request_id=request_id
         ) as lookup:
-            cached = keys.entry or self.store.get(key, self.events)
+            cached = self.store.get(key, self.events)
             lookup.set(result="miss" if cached is None else "hit")
         if cached is not None:
             self.events.emit(
@@ -745,7 +755,7 @@ class StrategyService:
         )
 
         if prepared is None:
-            prepared = self._prepare(stages, keys)
+            prepared = await self._prepare(stages, keys)
         spec, topology, batch = keys.spec, keys.topology, keys.batch
         warm_start, warm_source = self._warm_seed(
             prepared.signature, fingerprints, batch
@@ -760,14 +770,16 @@ class StrategyService:
         if self.record_runs:
             recorder = self._begin_run(request_id)
         try:
-            with self.events.span("serve.search", request_id=request_id) as span:
+            with self.events.span(
+                "serve.search", request_id=request_id
+            ) as span:
                 span.set(
                     seed="cold" if warm_start is None else "warm",
                     result="error",
                     build_s=round(prepared.wall_s, 6),
                     build_cpu_s=round(prepared.cpu_s, 6),
                 )
-                searched = stages.search(warm_start)
+                searched = await stages.search(warm_start)
                 span.set(result="ok", cpu_s=round(searched.cpu_s, 6))
         except BaseException as exc:
             if recorder is not None:
@@ -831,36 +843,31 @@ class StrategyService:
 
     def _prepare(
         self, stages: Union[LocalStages, Lease], keys: RequestKeys,
-    ) -> Prepared:
+    ) -> Awaitable[Prepared]:
         """Build the request's session (in ``stages``, which keep it)."""
         return stages.prepare(keys.document, self.config)
 
-    def _fill_graph(
+    async def _fill_graph(
         self, stages: Union[LocalStages, Lease], keys: RequestKeys,
     ) -> Optional[Prepared]:
-        """Complete ``keys`` after a memo miss: the in-memory memo again
-        (another request may have filled it since), the persisted memo,
-        else a session build.  Returns the build's report, if one ran."""
+        """Complete ``keys`` after a memo miss: the persisted memo, else a
+        session build.  Returns the build's report, if one ran."""
         prepared = None
-        graph_fp = self._memoized_graph(keys.memo_key)
-        if graph_fp is not None:
-            keys.know_graph(graph_fp)
-            return None
+        graph_fp = None
         try:
             graph_fp = self.store.graph_fingerprint(*keys.memo_key)
         except StoreSchemaError:
             self.metrics.counter("serve.store.memo_errors").inc()
         if graph_fp is None:
-            prepared = self._prepare(stages, keys)
+            prepared = await self._prepare(stages, keys)
             graph_fp = prepared.graph_fp
             if not self.store.remember_graph_fingerprint(
                 *keys.memo_key, graph_fp
             ):
                 self.metrics.counter("serve.store.memo_errors").inc()
-        with self._graph_fps_lock:
-            self._graph_fps[keys.memo_key] = graph_fp
-            while len(self._graph_fps) > GRAPH_MEMO_CAPACITY:
-                self._graph_fps.popitem(last=False)
+        self._graph_fps[keys.memo_key] = graph_fp
+        while len(self._graph_fps) > GRAPH_MEMO_CAPACITY:
+            self._graph_fps.popitem(last=False)
         keys.know_graph(graph_fp)
         return prepared
 
@@ -950,12 +957,10 @@ class StrategyService:
 
     # -- introspection --------------------------------------------------
     def status(self) -> Dict[str, object]:
-        with self._inflight_lock:
-            inflight = len(self._inflight)
         return {
             "status": "ok",
             "workers": self.workers,
-            "inflight": inflight,
+            "inflight": len(self._inflight),
             # Each worker child's pid, liveness and peak RSS (VmHWM, MB);
             # empty while no front-end runs.
             "children": [] if self.children is None else self.children.status(),
@@ -978,18 +983,16 @@ class StrategyService:
         Shutting down is reported but still healthy (clean exit).
         """
         now = time.monotonic()
-        with self._inflight_lock:
-            started = dict(self._inflight_started)
         stuck = {
             key[:12]: round(now - begun, 3)
-            for key, begun in started.items()
+            for key, begun in self._inflight_started.items()
             if now - begun > self.watchdog_deadline
         }
         healthy = not stuck
         return {
             "status": "ok" if healthy else "degraded",
             "healthy": healthy,
-            "inflight": len(started),
+            "inflight": len(self._inflight_started),
             "stuck": stuck,
             "watchdog_deadline": self.watchdog_deadline,
             "shutting_down": self._shutting_down,
@@ -1022,7 +1025,7 @@ class StrategyService:
             ):
                 store_ok = False
                 reasons.append(f"store root not writable: {self.store.root}")
-        except Exception as exc:  # pragma: no cover - corrupt store
+        except OSError as exc:  # the store's directory cannot be listed
             store_ok = False
             entries = -1
             reasons.append(f"store unusable: {type(exc).__name__}: {exc}")
@@ -1051,42 +1054,23 @@ class StrategyService:
 # asyncio TCP front-end: one JSON document per line, one back.
 # ----------------------------------------------------------------------
 
-#: Grace added to a request's deadline for the event-loop backstop: the
-#: follower-side ServeTimeout should fire first; wait_for only catches a
-#: wedged *leader*, whose worker thread waits on a search in its child
-#: that nothing interrupts.
+#: Grace added to a request's deadline for a leader's backstop: the
+#: follower-side ServeTimeout should fire first; the backstop only
+#: catches a wedged *leader*, whose search in its child nothing
+#: interrupts.
 _BACKSTOP_GRACE = 30.0
 
 
-async def _submit_in_pool(
-    service: StrategyService,
-    pool: ThreadPoolExecutor,
-    request: object,
-    queued_at: float,
-    keys: RequestKeys,
-) -> Dict[str, object]:
-    """Run :meth:`StrategyService.submit` on a worker thread."""
-    call = functools.partial(
-        service.submit, request, queued_at=queued_at, keys=keys,
+def _addresses(host: Optional[str]) -> List[str]:
+    """``host``'s numeric addresses, resolved in the calling thread.
+
+    asyncio would resolve a host name on a thread of its default
+    executor, and the server process runs no thread but its event loop.
+    """
+    infos = socket.getaddrinfo(
+        host or None, None, type=socket.SOCK_STREAM, flags=socket.AI_PASSIVE,
     )
-    deadline = None
-    raw = request.get("timeout") if isinstance(request, dict) else None
-    if raw is not None:
-        try:
-            deadline = float(raw)
-        except (TypeError, ValueError):
-            deadline = None
-    elif service.request_timeout is not None:
-        deadline = service.request_timeout
-    task = asyncio.get_running_loop().run_in_executor(pool, call)
-    if deadline is None:
-        return await task
-    # Backstop for a wedged leader: the worker thread keeps running (it
-    # cannot be cancelled), but the connection gets its error instead of
-    # hanging.
-    return await asyncio.wait_for(
-        asyncio.shield(task), timeout=deadline + _BACKSTOP_GRACE,
-    )
+    return list(dict.fromkeys(str(info[4][0]) for info in infos))
 
 
 #: A response head's strategy slot; :func:`response_line` puts the
@@ -1117,7 +1101,6 @@ def response_line(response: Dict[str, object]) -> bytes:
 
 async def handle_connection(
     service: StrategyService,
-    pool: ThreadPoolExecutor,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     shutdown: asyncio.Event,
@@ -1158,19 +1141,10 @@ async def handle_connection(
                     service._shutting_down = True
                     shutdown.set()
                 elif op == "optimize":
-                    request = message.get("request") or {}
-                    queued_at = time.monotonic()
-                    keys = service.derive(request)
-                    if service.in_memory(keys):
-                        # Answered here: nothing on this path blocks,
-                        # and its spans close before the next await.
-                        response = service.submit(
-                            request, queued_at=queued_at, keys=keys
-                        )
-                    else:
-                        response = await _submit_in_pool(
-                            service, pool, request, queued_at, keys
-                        )
+                    response = await service.answer(
+                        message.get("request") or {},
+                        queued_at=time.monotonic(),
+                    )
                 else:
                     response = {"status": "error",
                                 "error": f"unknown op {op!r}"}
@@ -1281,7 +1255,7 @@ async def serve_metrics_http(
 ) -> "asyncio.AbstractServer":
     """Bind the GET /metrics + /healthz + /readyz listener; returns it."""
     server = await asyncio.start_server(
-        lambda r, w: _handle_http_scrape(service, r, w), host, port,
+        lambda r, w: _handle_http_scrape(service, r, w), _addresses(host), port,
     )
     bound = server.sockets[0].getsockname()
     _logger.info("metrics on http://%s:%s/metrics", bound[0], bound[1])
@@ -1307,20 +1281,19 @@ async def serve_forever(
     ``/readyz``) on the same host; ``metrics_ready`` learns its port.
 
     First it forks ``service.workers`` worker children (see
-    :mod:`repro.serve.worker`), before it binds a socket or starts a
-    pool thread, so they inherit neither; each pool thread borrows one
-    for the session build and search of a request.  Every child is
-    reaped before this returns.
+    :mod:`repro.serve.worker`), before it binds a socket, so they
+    inherit none; a request that needs a session borrows one for its
+    build and search.  Everything else runs on the calling event loop,
+    which starts no thread, so a replacement child is forked from a
+    process with that one thread.  Every child is reaped before this
+    returns.
     """
     shutdown = asyncio.Event()
     service.children = Children(service.workers)
     try:
-        pool = ThreadPoolExecutor(
-            max_workers=service.workers, thread_name_prefix="repro-serve"
-        )
         server = await asyncio.start_server(
-            lambda r, w: handle_connection(service, pool, r, w, shutdown),
-            host, port,
+            lambda r, w: handle_connection(service, r, w, shutdown),
+            _addresses(host), port,
         )
         metrics_server = None
         if metrics_port is not None:
@@ -1338,7 +1311,6 @@ async def serve_forever(
             if metrics_server is not None:
                 metrics_server.close()
                 await metrics_server.wait_closed()
-            pool.shutdown(wait=False)
             service.close()
     finally:
         service.children.close()

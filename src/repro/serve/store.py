@@ -241,7 +241,8 @@ class StoreSchemaError(ValueError):
 class StrategyStore:
     """Two-tier (memory LRU + disk) store of :class:`StoredStrategy`.
 
-    Thread-safe: the service's worker threads put/get concurrently.
+    Thread-safe: services on several threads may share one store and
+    put/get concurrently.
     An enabled :class:`~repro.obs.events.EventBus` receives
     ``serve.evict`` when the LRU spills an entry or a corrupt disk entry
     is deleted: the ``events`` a call passes (each service passes its
@@ -422,11 +423,11 @@ class StrategyStore:
         size = len(signature)
         with self._lock:
             index = dict(self._index)
-            in_memory = dict(self._lru)
+            resident = dict(self._lru)
         best: Optional[Tuple[StoredStrategy, GraphDelta]] = None
         best_edits = -1
         for key in self.keys():
-            entry = in_memory.get(key)
+            entry = resident.get(key)
             row = index.get(key)
             if row is None:
                 entry = entry or self._load(key, events)

@@ -11,32 +11,30 @@ Python work:
   whether the warm start fell back.
 
 Each stage reports its wall and CPU seconds (``time.process_time()``).
-:class:`LocalStages` runs the two stages in the calling thread and keeps
-the session between them; that is how :meth:`StrategyService.submit
-<repro.serve.StrategyService.submit>` answers its direct callers.
-:class:`Children` is the front-end's pool of forked children: each child
-runs the same :class:`LocalStages` behind a
+A request awaits its stages.  :class:`LocalStages` runs the two stages
+in the calling thread and keeps the session between them; that is how
+:meth:`StrategyService.submit <repro.serve.StrategyService.submit>`
+answers its direct callers.  :class:`Children` is the front-end's pool
+of forked children: each child runs the same two functions behind a
 :func:`multiprocessing.connection.Pipe`, so the stages take the
 interpreter lock of their own process instead of the server's, and a
-:class:`Lease` lends one child to one request.  A child that dies
-mid-request fails that request with :class:`WorkerCrashed` and is
-replaced by a fresh fork.
+:class:`Lease` lends one child to one request, which awaits each reply
+on the running event loop.  A child that dies mid-request fails that
+request with :class:`WorkerCrashed` and is replaced by a fresh fork.
 
-The lock rule: a child resolves model, topology and config from the
-request document alone, and takes no lock of the service it was forked
-from.  A replacement is forked while the server's threads run, and a
-lock one of them held at that moment stays held in the child forever.
+The server process runs one thread, its event loop, so every child,
+replacements included, is forked from a single-threaded process and
+inherits no lock that another thread held.
 """
 
 from __future__ import annotations
 
+import asyncio
 import functools
 import multiprocessing
 import os
-import queue
 import signal
 import stat
-import threading
 import time
 from dataclasses import dataclass, replace
 from multiprocessing.connection import Connection, Pipe
@@ -179,16 +177,24 @@ def search(
 
 
 class LocalStages:
-    """The two stages in the calling thread; keeps the session between."""
+    """The two stages in the calling thread; keeps the session between.
+
+    Awaited like a :class:`Lease`, but never suspends.
+    """
+
+    #: Seconds spent waiting for a worker child: none here.
+    waited = 0.0
 
     def __init__(self) -> None:
         self._session: Optional[FastTSession] = None
 
-    def prepare(self, document: Dict[str, object], base: FastTConfig) -> Prepared:
+    async def prepare(
+        self, document: Dict[str, object], base: FastTConfig,
+    ) -> Prepared:
         self._session, prepared = prepare(document, base)
         return prepared
 
-    def search(self, warm_start: Optional[WarmStartSeed]) -> Searched:
+    async def search(self, warm_start: Optional[WarmStartSeed]) -> Searched:
         session, self._session = self._session, None
         return search(session, warm_start)  # type: ignore[arg-type]
 
@@ -248,21 +254,28 @@ def _release_inherited_sockets(keep: int) -> None:
 
 def _child_main(conn: Connection) -> None:
     """A child's loop: run each stage its parent sends until the pipe
-    closes.  ``release`` gets no reply."""
+    closes, keeping the session between.  ``release`` drops it and gets
+    no reply."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the server handles ^C
     _release_inherited_sockets(conn.fileno())
-    stages = LocalStages()
+    session: Optional[FastTSession] = None
     while True:
         try:
             stage, args = conn.recv()
         except (EOFError, OSError):
             return
+        if stage == "release":
+            session = None
+            continue
         try:
-            reply = ("ok", getattr(stages, stage)(*args))
+            if stage == "prepare":
+                session, value = prepare(*args)
+            else:
+                current, session = session, None
+                value = search(current, *args)  # type: ignore[arg-type]
+            reply = ("ok", value)
         except Exception as exc:
             reply = ("error", exc)
-        if stage == "release":
-            continue
         try:
             conn.send(reply)
         except OSError:
@@ -272,7 +285,7 @@ def _child_main(conn: Connection) -> None:
 
 
 class Child:
-    """One forked child running :class:`LocalStages` behind a pipe."""
+    """One forked child running the two stages behind a pipe."""
 
     def __init__(self) -> None:
         conn, child_end = Pipe()
@@ -290,21 +303,32 @@ class Child:
     def pid(self) -> int:
         return self.process.pid  # type: ignore[return-value]
 
-    def call(self, stage: str, *args: object) -> object:
-        """Run ``stage`` in the child; its exceptions are re-raised here."""
+    async def call(self, stage: str, *args: object) -> object:
+        """Run ``stage`` in the child, awaiting its reply on the running
+        loop; its exceptions are re-raised here."""
         try:
             self.conn.send((stage, args))
-            if stage == "release":
-                return None
+            await _readable(self.conn)
             status, value = self.conn.recv()
         except (EOFError, OSError):
             self.lost = True
             raise WorkerCrashed(
                 f"worker child {self.pid} died during {stage}"
             ) from None
+        except BaseException:
+            # Cancelled mid-stage: the reply would answer the next caller.
+            self.lost = True
+            raise
         if status == "error":
             raise value  # type: ignore[misc]
         return value
+
+    def release(self) -> None:
+        """Have the child drop its session (no reply)."""
+        try:
+            self.conn.send(("release", ()))
+        except OSError:
+            self.lost = True
 
     def reap(self, timeout: float) -> None:
         """Wait for the child to exit, terminating it after ``timeout``
@@ -313,6 +337,18 @@ class Child:
         if self.process.is_alive():
             self.process.terminate()
             self.process.join()
+
+
+async def _readable(conn: Connection) -> None:
+    """Return once ``conn`` has data or is at EOF; the loop runs meanwhile."""
+    loop = asyncio.get_running_loop()
+    ready = loop.create_future()
+    fd = conn.fileno()
+    loop.add_reader(fd, lambda: ready.done() or ready.set_result(None))
+    try:
+        await ready
+    finally:
+        loop.remove_reader(fd)
 
 
 class Lease:
@@ -325,14 +361,20 @@ class Lease:
     def __init__(self, children: "Children") -> None:
         self._children = children
         self._child: Optional[Child] = None
+        #: Seconds this request waited for an idle child.
+        self.waited = 0.0
 
-    def prepare(self, document: Dict[str, object], base: FastTConfig) -> Prepared:
+    async def prepare(
+        self, document: Dict[str, object], base: FastTConfig,
+    ) -> Prepared:
         if self._child is None:
-            self._child = self._children.take()
-        return self._child.call("prepare", document, base)  # type: ignore[return-value]
+            began = time.monotonic()
+            self._child = await self._children.take()
+            self.waited = time.monotonic() - began
+        return await self._child.call("prepare", document, base)  # type: ignore[return-value]
 
-    def search(self, warm_start: Optional[WarmStartSeed]) -> Searched:
-        return self._child.call("search", warm_start)  # type: ignore[union-attr,return-value]
+    async def search(self, warm_start: Optional[WarmStartSeed]) -> Searched:
+        return await self._child.call("search", warm_start)  # type: ignore[union-attr,return-value]
 
     def release(self) -> None:
         if self._child is not None:
@@ -349,39 +391,38 @@ class Lease:
 class Children:
     """``count`` forked children, each lent to one request at a time.
 
-    Fork them before the process starts any thread of its own.  A child
-    found dead when it is taken or given back is replaced by a fresh
-    fork; :meth:`close` reaps them all.
+    Build it on the event loop that lends them, in a process that runs
+    no other thread.  A child found dead when it is taken or given back
+    is replaced by a fresh fork; :meth:`close` reaps them all.
     """
 
     def __init__(self, count: int) -> None:
-        self._lock = threading.Lock()
         self._closed = False
         #: Idle children, the most recently given back first, so misses
         #: that come one at a time reuse the child whose heap and caches
         #: they already warmed; after :meth:`close`, a None that each
         #: taker passes on.
-        self._idle: "queue.LifoQueue[Optional[Child]]" = queue.LifoQueue()
+        self._idle: "asyncio.LifoQueue[Optional[Child]]" = asyncio.LifoQueue()
         #: Every child, lent or idle, in a fixed slot each.
         self.members: List[Child] = []
         for _ in range(count):
             child = Child()
             self.members.append(child)
-            self._idle.put(child)
+            self._idle.put_nowait(child)
 
     def lease(self) -> Lease:
         return Lease(self)
 
-    def take(self) -> Child:
-        child = self._idle.get()
+    async def take(self) -> Child:
+        child = await self._idle.get()
         if child is None:
-            self._idle.put(None)
+            self._idle.put_nowait(None)
             raise WorkerCrashed("worker children are shut down")
         if child.lost or not child.process.is_alive():
             try:
                 child = self._replace(child)
             except OSError as exc:
-                self._idle.put(child)
+                self._idle.put_nowait(child)
                 raise WorkerCrashed(
                     f"could not replace worker child {child.pid}: {exc}"
                 ) from exc
@@ -392,28 +433,24 @@ class Children:
             child.conn.close()  # close() has reaped it
             return
         if not child.lost:
-            try:
-                child.call("release")
-            except WorkerCrashed:
-                pass
+            child.release()
         if child.lost:
             try:
                 child = self._replace(child)
             except OSError:
                 _logger.exception("could not replace worker child %s", child.pid)
-        self._idle.put(child)
+        self._idle.put_nowait(child)
 
     def _replace(self, child: Child) -> Child:
         """Reap a dead ``child`` and fork its successor into its slot."""
-        with self._lock:
-            if self._closed:
-                return child
-            child.lost = True
-            child.process.kill()
-            child.reap(CLOSE_GRACE)
-            child.conn.close()
-            successor = Child()
-            self.members[self.members.index(child)] = successor
+        if self._closed:
+            return child
+        child.lost = True
+        child.process.kill()
+        child.reap(CLOSE_GRACE)
+        child.conn.close()
+        successor = Child()
+        self.members[self.members.index(child)] = successor
         _logger.warning(
             "worker child %s exited (code %s); forked %s",
             child.pid, child.process.exitcode, successor.pid,
@@ -428,7 +465,7 @@ class Children:
                 "alive": not child.lost and child.process.is_alive(),
                 "peak_rss_mb": peak_rss_mb(child.pid),
             }
-            for child in list(self.members)
+            for child in self.members
         ]
 
     def close(self) -> None:
@@ -438,16 +475,14 @@ class Children:
         :data:`CLOSE_GRACE` seconds to finish its stage, then terminated,
         and its borrower gets :class:`WorkerCrashed`.
         """
-        with self._lock:
-            self._closed = True
-            members = list(self.members)
+        self._closed = True
         while True:
             try:
                 idle = self._idle.get_nowait()
-            except queue.Empty:
+            except asyncio.QueueEmpty:
                 break
             if idle is not None:
                 idle.conn.close()
-        self._idle.put(None)
-        for child in members:
+        self._idle.put_nowait(None)
+        for child in self.members:
             child.reap(CLOSE_GRACE)

@@ -19,6 +19,7 @@ from repro.obs.analyze import (
     extract_critical_path,
 )
 from repro.obs.__main__ import main
+from repro.obs.report import render_critical_path
 from repro.profiling.trace import OpRecord, StepTrace, TransferRecord
 from repro.sim import ExecutionSimulator
 
@@ -131,6 +132,24 @@ class TestCriticalPathDiamond:
         path = extract_critical_path(trace)
         assert not path.exact
         assert path.attributed_total == pytest.approx(trace.makespan)
+
+    def test_render_labels_a_path_missing_an_edge_incomplete(self):
+        assert "exact)" in render_critical_path(
+            extract_critical_path(diamond_trace())
+        ).splitlines()[0]
+        # d loses its recorded edge: the walk stops at d, and the time
+        # before it is idle, not inferred from adjacency.
+        trace = diamond_trace()
+        d = trace.op_records[-1]
+        trace.op_records[-1] = OpRecord(
+            d.op_name, d.op_type, d.device, d.start, d.end, ready=d.ready
+        )
+        path = extract_critical_path(trace)
+        assert not path.exact
+        assert [s.kind for s in path.segments].count("idle") == 1
+        head = render_critical_path(path).splitlines()[0]
+        assert "incomplete)" in head and "inferred" not in head
+        assert "idle=6000.000ms" in head
 
     def test_empty_trace(self):
         path = extract_critical_path(StepTrace())

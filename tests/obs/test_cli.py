@@ -159,6 +159,27 @@ def test_bad_input_is_one_error_line(case, runs, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _env():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    ))
+
+
+@pytest.mark.parametrize("module", ["analyze", "provenance", "runs"])
+def test_retired_module_command_lines_fail(module):
+    proc = subprocess.run(
+        [sys.executable, "-m", f"repro.obs.{module}", "list"],
+        capture_output=True, text=True, env=_env(), timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: python -m repro.obs.{module} has no command line; "
+        "use python -m repro.obs"
+    ]
+
+
 def test_module_entry_stops_quietly_on_a_closed_pipe(tmp_path):
     """``explain ... | head -1``: the reader leaves, the exit stays 0."""
     path = tmp_path / "wide.provenance.json"
@@ -166,13 +187,9 @@ def test_module_entry_stops_quietly_on_a_closed_pipe(tmp_path):
     path.write_text(json.dumps(
         {"schema": 1, "searches": [{"search_id": 0, "rounds": rounds}]}
     ))
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    ))
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.obs", "explain", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
     )
     assert proc.stdout.readline() == b"op00000\n"
     proc.stdout.close()

@@ -21,11 +21,11 @@ Regenerate (only when a change to the metrics is intended) with::
     PYTHONPATH=src python tests/obs/test_metrics_golden.py --write
 """
 
+import asyncio
 import hashlib
 import json
 import os
 import sys
-from concurrent.futures import Future
 
 import pytest
 
@@ -107,22 +107,28 @@ def _serve_mix():
     import time
 
     service = StrategyService(store=StrategyStore(persist=False, capacity=1))
-    responses = [
-        service.submit(_request(batch), queued_at=time.monotonic())
-        for batch in (64, 64, 96, 64)
-    ]
-    assert [r["source"] for r in responses] == [
-        "search", "cache", "warm", "search",
-    ]
-    # A follower of a leader that has already answered.
-    leader = Future()
-    leader.set_result(responses[-1])
-    service._inflight[_request_key(_request(128))] = leader
-    assert service.submit(_request(128))["coalesced"] is True
-    # A follower of a wedged leader gives up at its deadline.
-    service._inflight[_request_key(_request(32))] = Future()
-    with pytest.raises(ServeTimeout):
-        service.submit(_request(32, timeout=0.05))
+
+    async def mix():
+        responses = [
+            await service.answer(_request(batch), queued_at=time.monotonic())
+            for batch in (64, 64, 96, 64)
+        ]
+        assert [r["source"] for r in responses] == [
+            "search", "cache", "warm", "search",
+        ]
+        # The follower futures belong to the loop that drives answer.
+        loop = asyncio.get_running_loop()
+        # A follower of a leader that has already answered.
+        leader = loop.create_future()
+        leader.set_result(responses[-1])
+        service._inflight[_request_key(_request(128))] = leader
+        assert (await service.answer(_request(128)))["coalesced"] is True
+        # A follower of a wedged leader gives up at its deadline.
+        service._inflight[_request_key(_request(32))] = loop.create_future()
+        with pytest.raises(ServeTimeout):
+            await service.answer(_request(32, timeout=0.05))
+
+    asyncio.run(mix())
     return service
 
 

@@ -19,6 +19,7 @@ front-end splices that text into every response line for the entry
   encoded.
 """
 
+import asyncio
 import json
 import socket
 import sys
@@ -118,13 +119,13 @@ def _hold_until_coalesced(service, request):
     held = request_fingerprint(normalize_request(request), STORE_SCHEMA_VERSION)
     answer = service._answer
 
-    def holding(keys, request_id):
+    async def holding(keys, request_id, stages):
         if keys.request == held:
             deadline = time.monotonic() + 60
             while service.stats.coalesced < 1:
                 assert time.monotonic() < deadline, "follower never coalesced"
-                time.sleep(0.005)
-        return answer(keys, request_id)
+                await asyncio.sleep(0.005)
+        return await answer(keys, request_id, stages)
 
     service._answer = holding
 

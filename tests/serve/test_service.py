@@ -1,8 +1,8 @@
 """StrategyService: hit / coalesce / warm-start semantics, counter-verified."""
 
+import asyncio
 import errno
 import os
-import threading
 
 import pytest
 
@@ -146,51 +146,43 @@ class TestCachePath:
 
 
 class TestCoalescing:
-    def test_identical_inflight_requests_share_one_search(self, tmp_path):
+    def test_identical_inflight_requests_share_one_search(
+        self, tmp_path, monkeypatch
+    ):
         service = _service(tmp_path)
-        original_answer = service._answer
-        leader_started = threading.Event()
-        release = threading.Event()
+        search = worker_module.LocalStages.search
 
-        def gated_answer(*args):
-            leader_started.set()
-            assert release.wait(30)
-            return original_answer(*args)
+        async def drive():
+            # A gated stage: the leader's search waits on the loop until
+            # its follower has coalesced onto it.
+            started, release = asyncio.Event(), asyncio.Event()
 
-        service._answer = gated_answer
-        results = []
-        errors = []
+            async def gated_search(stages, warm_start):
+                started.set()
+                await release.wait()
+                return await search(stages, warm_start)
 
-        def submit():
-            try:
-                results.append(service.submit(_request()))
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+            monkeypatch.setattr(
+                worker_module.LocalStages, "search", gated_search
+            )
+            leader = asyncio.ensure_future(service.answer(_request()))
+            await started.wait()
+            follower = asyncio.ensure_future(service.answer(_request()))
+            while not service.stats.coalesced:
+                await asyncio.sleep(0.001)
+            release.set()
+            return await asyncio.gather(leader, follower)
 
-        leader = threading.Thread(target=submit)
-        leader.start()
-        assert leader_started.wait(30)
-        follower = threading.Thread(target=submit)
-        follower.start()
-        # Wait until the follower is registered as coalesced, then let
-        # the leader's search run.
-        for _ in range(3000):
-            if service.stats.coalesced:
-                break
-            threading.Event().wait(0.01)
-        release.set()
-        leader.join(60)
-        follower.join(60)
-
-        assert not errors
+        results = asyncio.run(asyncio.wait_for(drive(), 120))
         assert service.stats.coalesced == 1
         assert service.stats.searches == 1  # one search served both
         assert service.stats.requests == 2  # ...for two submissions
-        flags = sorted(bool(r.get("coalesced")) for r in results)
+        flags = [bool(r.get("coalesced")) for r in results]
         assert flags == [False, True]
         strategies = {str(sorted(r["strategy"]["placement"].items()))
                       for r in results}
         assert len(strategies) == 1
+        assert service._inflight == {}
 
     def test_sequential_requests_do_not_coalesce(self, tmp_path):
         service = _service(tmp_path)
@@ -442,9 +434,9 @@ class TestInflightGauge:
         seen = []
         answer = service._answer
 
-        def recording(keys, request_id):
+        def recording(*args):
             seen.append(service.metrics.gauge("serve.inflight").value)
-            return answer(keys, request_id)
+            return answer(*args)
 
         service._answer = recording
         return seen

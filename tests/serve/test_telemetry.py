@@ -20,12 +20,14 @@ document-verified:
 import asyncio
 import json
 import logging
+import os
 import socket
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -41,6 +43,8 @@ from repro.serve import (
     request_fingerprint,
     serve_forever,
 )
+from repro.serve import store as store_module
+from repro.serve import worker as worker_module
 from repro.serve.store import STORE_SCHEMA_VERSION
 
 FAST_CONFIG = {
@@ -202,20 +206,27 @@ class TestRequestCorrelation:
         assert "logme9876" in logged
 
 
+def _behind_stuck_leader(service, request):
+    """``service.answer(request)`` on a fresh loop, behind an identical
+    leader whose future, on that loop, never resolves."""
+    key = request_fingerprint(normalize_request(request), STORE_SCHEMA_VERSION)
+
+    async def follow():
+        service._inflight[key] = asyncio.get_running_loop().create_future()
+        service._inflight_started[key] = time.monotonic()
+        return await service.answer(request)
+
+    return asyncio.run(follow())
+
+
 class TestDeadlines:
     def test_follower_times_out_with_typed_error(self, tmp_path):
         service = _service(tmp_path)
-        document = normalize_request(_request())
-        key = request_fingerprint(document, STORE_SCHEMA_VERSION)
-        # Wedge a leader by hand: a future that never resolves.
-        from concurrent.futures import Future
-
-        stuck = Future()
-        service._inflight[key] = stuck
-        service._inflight_started[key] = time.monotonic()
         start = time.monotonic()
         with pytest.raises(ServeTimeout) as excinfo:
-            service.submit(_request(request_id="late1", timeout=0.2))
+            _behind_stuck_leader(
+                service, _request(request_id="late1", timeout=0.2)
+            )
         assert time.monotonic() - start < 5.0
         assert excinfo.value.request_id == "late1"
         assert service.stats.timeouts == 1
@@ -226,24 +237,14 @@ class TestDeadlines:
 
     def test_service_wide_default_timeout_applies(self, tmp_path):
         service = _service(tmp_path, request_timeout=0.2)
-        document = normalize_request(_request())
-        key = request_fingerprint(document, STORE_SCHEMA_VERSION)
-        from concurrent.futures import Future
-
-        service._inflight[key] = Future()
         with pytest.raises(ServeTimeout):
-            service.submit(_request())
+            _behind_stuck_leader(service, _request())
 
     def test_timeout_outcome_reaches_the_access_log(self, tmp_path):
         access = tmp_path / "access.jsonl"
         service = _service(tmp_path, access_log=str(access))
-        document = normalize_request(_request())
-        key = request_fingerprint(document, STORE_SCHEMA_VERSION)
-        from concurrent.futures import Future
-
-        service._inflight[key] = Future()
         with pytest.raises(ServeTimeout):
-            service.submit(_request(timeout=0.1))
+            _behind_stuck_leader(service, _request(timeout=0.1))
         record = json.loads(access.read_text().splitlines()[-1])
         assert record["outcome"] == "timeout"
 
@@ -256,16 +257,30 @@ class TestHealthAndReadiness:
 
     def test_watchdog_degrades_health_on_stuck_request(self, tmp_path):
         service = _service(tmp_path, watchdog_deadline=0.05)
-        with service._inflight_lock:
-            service._inflight_started["deadbeef" * 5] = (
-                time.monotonic() - 10.0
-            )
+        service._inflight_started["deadbeef" * 5] = time.monotonic() - 10.0
         health = service.health()
         assert health["status"] == "degraded"
         assert health["healthy"] is False
         assert health["stuck"]
         # Readiness is orthogonal: the service can still answer.
         assert service.readiness()["ready"] is True
+
+    def test_unlistable_store_is_not_ready(self, tmp_path, monkeypatch):
+        service = _service(tmp_path)
+        os.makedirs(service.store.root)
+
+        def denied(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(store_module.os, "listdir", denied)
+        readiness = service.readiness()
+        monkeypatch.undo()
+        assert readiness["ready"] is False
+        assert readiness["store"] == {"ok": False, "entries": -1}
+        assert readiness["reasons"] == [
+            "store unusable: PermissionError: [Errno 13] Permission "
+            f"denied: '{service.store.root}'"
+        ]
 
     def test_shutdown_flips_readiness(self, tmp_path):
         service = _service(tmp_path)
@@ -293,6 +308,8 @@ class _Server:
         ))
 
     def _on_ready(self, host, port):
+        #: The event loop the service runs on.
+        self.loop = asyncio.get_running_loop()
         self.addr["tcp"] = (host, port)
         self._ready.set()
 
@@ -370,9 +387,7 @@ class TestHttpListener:
         service = server.service
         document = normalize_request(_request())
         key = request_fingerprint(document, STORE_SCHEMA_VERSION)
-        from concurrent.futures import Future
-
-        service._inflight[key] = Future()
+        service._inflight[key] = server.loop.create_future()
         host, port = server.addr["tcp"]
         try:
             with Client(host, port) as client:
@@ -435,27 +450,53 @@ class TestProtocolInput:
 
 @pytest.fixture
 def store_reads(monkeypatch):
-    """(method, thread name) of every store and memo file read."""
+    """The name of every store and memo file read, in order."""
     reads = []
     for name in ("_load", "graph_fingerprint"):
         original = getattr(StrategyStore, name)
 
         def recording(self, *args, _name=name, _original=original, **kwargs):
-            reads.append((_name, threading.current_thread().name))
+            reads.append(_name)
             return _original(self, *args, **kwargs)
 
         monkeypatch.setattr(StrategyStore, name, recording)
     return reads
 
 
-def _on_workers(reads):
-    return bool(reads) and all(
-        thread.startswith("repro-serve") for _, thread in reads
-    )
+@pytest.fixture
+def held_searches(tmp_path, monkeypatch):
+    """Hold every search in a worker child until ``open_gate()``.
+
+    Patched before a server forks its children, so they inherit it; a
+    search in the test process itself is not held.  Each held child
+    leaves a file named by its pid.
+    """
+    held, gate = tmp_path / "held", tmp_path / "gate"
+    held.mkdir()
+    search = worker_module.search
+    parent = os.getpid()
+
+    def gated(*args):
+        if os.getpid() != parent:
+            (held / str(os.getpid())).touch()
+            while not gate.exists():
+                time.sleep(0.01)
+        return search(*args)
+
+    monkeypatch.setattr(worker_module, "search", gated)
+
+    def wait_held(count):
+        deadline = time.monotonic() + 60
+        while len(os.listdir(held)) < count:
+            assert time.monotonic() < deadline, "children never held"
+            time.sleep(0.01)
+        return len(os.listdir(held))
+
+    return SimpleNamespace(wait_held=wait_held, open_gate=gate.touch, gate=gate)
 
 
 class TestEventLoopAnswers:
-    """In-memory hits are answered on the event loop; the rest is pooled."""
+    """Every request is answered by one coroutine on the event loop."""
 
     def test_hit_without_access_log_builds_no_record(
         self, tmp_path, monkeypatch
@@ -463,29 +504,18 @@ class TestEventLoopAnswers:
         service = _service(tmp_path)
         assert service.access_log is None
         service.submit(_request())  # the answer is now in memory
-        keys = service.derive(_request())
-        assert service.in_memory(keys)
 
         def built(record):
             raise AssertionError(f"access-log record built: {record}")
 
         monkeypatch.setattr(service, "_access", built)
-        assert service.submit(_request(), keys=keys)["source"] == "cache"
+        assert service.submit(_request())["source"] == "cache"
 
-    def test_hit_is_answered_while_every_worker_is_held(self, tmp_path):
+    def test_hit_is_answered_while_every_worker_is_held(
+        self, tmp_path, held_searches
+    ):
         service = _service(tmp_path)
         service.submit(_request())  # the answer is now in memory
-        gate = threading.Event()
-        held = threading.Semaphore(0)
-        answer = service._answer
-
-        def gated(keys, request_id):
-            if "global_batch" in keys.document:  # the searches, not the hit
-                held.release()
-                assert gate.wait(60)
-            return answer(keys, request_id)
-
-        service._answer = gated
         with _Server(service) as srv:
             clients = [Client(*srv.addr["tcp"]) for _ in range(service.workers)]
             pending = [
@@ -498,14 +528,13 @@ class TestEventLoopAnswers:
             try:
                 for thread in pending:
                     thread.start()
-                for _ in pending:
-                    assert held.acquire(timeout=60)
+                held_searches.wait_held(service.workers)
                 with Client(*srv.addr["tcp"], timeout=30) as client:
                     hit = client.optimize(**_request())
-                assert not gate.is_set()
+                assert not held_searches.gate.exists()
                 assert hit["source"] == "cache"
             finally:
-                gate.set()
+                held_searches.open_gate()
                 for thread in pending:
                     thread.join(60)
                 for client in clients:
@@ -524,7 +553,7 @@ class TestEventLoopAnswers:
             with Client(*srv.addr["tcp"]) as client:
                 hit = client.optimize(**_request(request_id="loop-hit"))
                 exposition = client.metrics()
-        assert store_reads == []  # no store or memo file was read
+        assert store_reads == []  # a memory hit reads no file
         assert hit["request_id"] == "loop-hit"
         assert {k: v for k, v in hit.items() if k != "request_id"} == {
             k: v for k, v in in_process.items() if k != "request_id"
@@ -601,7 +630,7 @@ class TestEventLoopAnswers:
         assert len(strategies) == 3
         assert all(len(seen) == 1 for seen in strategies.values())
 
-    def test_fresh_service_reads_the_disk_on_a_worker(
+    def test_fresh_service_hit_reads_the_memo_and_the_entry(
         self, tmp_path, store_reads
     ):
         first = _service(tmp_path).submit(_request())
@@ -610,12 +639,9 @@ class TestEventLoopAnswers:
             with Client(*srv.addr["tcp"]) as client:
                 hit = client.optimize(**_request())
         assert hit["source"] == "cache" and hit["key"] == first["key"]
-        assert {name for name, _ in store_reads} == {
-            "graph_fingerprint", "_load",
-        }
-        assert _on_workers(store_reads)
+        assert store_reads == ["graph_fingerprint", "_load"]
 
-    def test_lru_miss_reads_the_disk_on_a_worker(self, tmp_path, store_reads):
+    def test_lru_miss_reads_only_the_entry_file(self, tmp_path, store_reads):
         service = _service(tmp_path)
         service.submit(_request())
         service.store.clear_memory()  # the memo stays in memory
@@ -624,59 +650,125 @@ class TestEventLoopAnswers:
             with Client(*srv.addr["tcp"]) as client:
                 hit = client.optimize(**_request())
         assert hit["source"] == "cache"
-        assert [name for name, _ in store_reads] == ["_load"]
-        assert _on_workers(store_reads)
+        assert store_reads == ["_load"]
 
-    def test_inflight_duplicate_coalesces_on_a_worker(
-        self, tmp_path, store_reads
+    def test_inflight_duplicate_waits_on_the_loop(
+        self, tmp_path, monkeypatch, held_searches
     ):
-        service = _service(tmp_path)
-        service.submit(_request())  # the answer is now in memory
-        started = threading.Event()
-        gate = threading.Event()
-        answer, follow = service._answer, service._follow
+        # One child, held by the leader's search: a follower that took a
+        # child could not coalesce before the gate opens.
+        service = _service(tmp_path, workers=1)
+        takes = []
+        take = worker_module.Children.take
+
+        async def counting_take(children):
+            takes.append(threading.current_thread())
+            return await take(children)
+
+        monkeypatch.setattr(worker_module.Children, "take", counting_take)
+        follow = service._follow
         followed_on = []
 
-        def gated_answer(*args):
-            started.set()
-            assert gate.wait(60)
-            return answer(*args)
-
         def recording_follow(*args):
-            followed_on.append(threading.current_thread().name)
+            followed_on.append(threading.current_thread())
             return follow(*args)
 
-        service._answer = gated_answer
         service._follow = recording_follow
-        leader = threading.Thread(target=service.submit, args=(_request(),))
+        replies = [None, None]
         with _Server(service) as srv:
-            leader.start()
+            clients = [Client(*srv.addr["tcp"]) for _ in replies]
+
+            def send(index):
+                replies[index] = clients[index].optimize(**_request())
+
+            threads = [
+                threading.Thread(target=send, args=(index,))
+                for index in range(2)
+            ]
             try:
-                assert started.wait(60)
-                del store_reads[:]
-                with Client(*srv.addr["tcp"]) as client:
-                    replies = []
-                    follower = threading.Thread(
-                        target=lambda: replies.append(
-                            client.optimize(**_request())
-                        )
-                    )
-                    follower.start()
-                    for _ in range(3000):
-                        if service.stats.coalesced:
-                            break
-                        time.sleep(0.01)
-                    gate.set()
-                    follower.join(60)
+                threads[0].start()
+                held_searches.wait_held(1)
+                threads[1].start()
+                deadline = time.monotonic() + 60
+                while not service.stats.coalesced:
+                    assert time.monotonic() < deadline, "never coalesced"
+                    time.sleep(0.01)
+                assert not held_searches.gate.exists()
             finally:
-                gate.set()
-                leader.join(60)
-        assert not leader.is_alive() and not follower.is_alive()
-        assert replies[0]["coalesced"] is True
-        assert replies[0]["source"] == "cache"
-        assert store_reads == []
-        assert len(followed_on) == 1
-        assert followed_on[0].startswith("repro-serve")
+                held_searches.open_gate()
+                for thread in threads:
+                    thread.join(60)
+                for client in clients:
+                    client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        leader, follower = replies
+        assert leader["source"] == "search" and "coalesced" not in leader
+        assert follower["coalesced"] is True
+        assert follower["source"] == "search"
+        assert follower["key"] == leader["key"]
+        assert takes == [srv.thread]  # the leader's, on the loop
+        assert followed_on == [srv.thread]
+        snap = service.metrics.snapshot()
+        assert snap["serve.coalesce.wait.count"] == 1
+        assert service.stats.searches == 1
+
+    def test_interleaved_requests_keep_their_own_span_parents(
+        self, tmp_path, monkeypatch
+    ):
+        service = _service(tmp_path)
+        events = []
+        service.events.subscribe(events.append)
+        search = worker_module.LocalStages.search
+
+        async def drive():
+            parked, release = asyncio.Event(), asyncio.Event()
+
+            async def gated_search(stages, warm_start):
+                if not parked.is_set():  # the first search parks
+                    parked.set()
+                    await release.wait()
+                return await search(stages, warm_start)
+
+            monkeypatch.setattr(
+                worker_module.LocalStages, "search", gated_search
+            )
+            leader = asyncio.ensure_future(service.answer(
+                _request(global_batch=16, request_id="parked")
+            ))
+            await parked.wait()
+            second = await service.answer(
+                _request(global_batch=32, request_id="second")
+            )
+            release.set()
+            return await leader, second
+
+        responses = asyncio.run(asyncio.wait_for(drive(), 120))
+        assert [r["source"] for r in responses] == ["search", "search"]
+        # Finish events name their request by the span id its start had.
+        request_of = {
+            e.data["span"]: e.data["request_id"]
+            for e in events if e.kind.endswith(".start")
+        }
+        kinds = [(e.kind, request_of.get(e.data.get("span"))) for e in events]
+        # The second request ran while the parked one's search was open.
+        assert (
+            kinds.index(("serve.search.start", "parked"))
+            < kinds.index(("serve.submit.start", "second"))
+            < kinds.index(("serve.submit.finish", "second"))
+            < kinds.index(("serve.search.finish", "parked"))
+        )
+        submits = {
+            e.data["request_id"]: e.data["span"]
+            for e in events if e.kind == "serve.submit.start"
+        }
+        assert set(submits) == {"parked", "second"}
+        for kind in ("serve.store.lookup", "serve.search"):
+            for phase in ("start", "finish"):
+                parents = {
+                    request_of[e.data["span"]]: e.data["parent"]
+                    for e in events if e.kind == f"{kind}.{phase}"
+                }
+                assert parents == submits, (kind, phase)
 
 
 class TestTopDashboard:

@@ -1,17 +1,25 @@
 """Worker children: the TCP front-end's session builds and searches.
 
 * a churn mix (misses, coalesced pairs, warm starts, disk hits) gets the
-  same answers through the front-end's children as through in-process
-  ``submit``;
+  same answers through the front-end's children as through
+  ``StrategyService.answer`` run in process on one loop;
 * a child killed mid-search fails its request with a typed error,
-  counted in ``serve.errors`` and labeled ``kind="worker_crashed"``, keeps ``/readyz`` unready until a fresh
-  child replaces it, and the next request succeeds;
-* no child outlives ``serve_forever``.
+  counted in ``serve.errors`` and labeled ``kind="worker_crashed"``,
+  and is replaced; an idle child killed keeps ``/readyz`` unready until
+  a fresh child replaces it, and the next request succeeds;
+* no child outlives ``serve_forever``;
+* a ``python -m repro.serve serve`` process runs one thread through a
+  miss, a coalesced pair and a killed child.
 """
 
+import asyncio
+import json
 import multiprocessing
 import os
 import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -19,6 +27,7 @@ import urllib.request
 
 import pytest
 
+import repro
 from repro.obs.prometheus import parse_prometheus, sample_value
 from repro.serve import (
     Client,
@@ -73,15 +82,30 @@ def _hold_pair_leaders(service):
             expected[key] = len(expected) + 1
     answer = service._answer
 
-    def held(keys, request_id):
+    async def held(keys, request_id, stages):
         if keys.request in expected:
             deadline = time.monotonic() + 60
             while service.stats.coalesced < expected[keys.request]:
                 assert time.monotonic() < deadline, "follower never coalesced"
-                time.sleep(0.005)
-        return answer(keys, request_id)
+                await asyncio.sleep(0.005)
+        return await answer(keys, request_id, stages)
 
     service._answer = held
+
+
+def _play_on_loop(service):
+    """Every round's responses, its requests answered together on one
+    event loop in this process."""
+
+    async def play():
+        return [
+            list(await asyncio.gather(*(
+                service.answer(_request(*request)) for request in round_
+            )))
+            for round_ in CHURN_ROUNDS
+        ]
+
+    return asyncio.run(play())
 
 
 def _play(send):
@@ -118,7 +142,7 @@ class TestSameAnswers:
     def test_churn_mix_matches_the_in_process_path(self, tmp_path):
         local = _service(tmp_path / "local")
         _hold_pair_leaders(local)
-        expected = _play(lambda index, request: local.submit(request))
+        expected = _play_on_loop(local)
 
         served = _service(tmp_path / "served")
         _hold_pair_leaders(served)
@@ -178,16 +202,6 @@ class TestChildCrash:
             return search(*args)
 
         monkeypatch.setattr(worker_module, "search", first_search_hangs)
-        replacing = threading.Event()
-        may_replace = threading.Event()
-        replace = worker_module.Children._replace
-
-        def held_replace(self, child):
-            replacing.set()
-            assert may_replace.wait(60)
-            return replace(self, child)
-
-        monkeypatch.setattr(worker_module.Children, "_replace", held_replace)
         service = _service(tmp_path)
         request = _request("lenet", "pcie:2", 16)
         with _Server(service) as srv:
@@ -212,12 +226,7 @@ class TestChildCrash:
                 victim = int(searching.read_text())
                 assert victim in pids
                 os.kill(victim, signal.SIGKILL)
-                assert replacing.wait(60)
-                assert _readiness(srv) == 503
-                reasons = service.readiness()["reasons"]
-                assert reasons == [f"worker child {victim} is not running"]
             finally:
-                may_replace.set()
                 thread.join(60)
             assert not thread.is_alive()
             assert failures and f"worker child {victim} died" in failures[0]
@@ -228,15 +237,39 @@ class TestChildCrash:
             assert sample_value(
                 samples, "repro_serve_errors_total", kind="worker_crashed"
             ) == 1
+            # The crashed request gave its child back, which forked the
+            # replacement at once.
             assert _readiness(srv) == 200
             children = service.status()["children"]
             assert victim not in {child["pid"] for child in children}
             assert all(child["alive"] for child in children)
+
+            # An idle child killed between requests: the next request
+            # takes it (the last one given back is lent first) and
+            # replaces it.
+            (idle,) = {child["pid"] for child in children} - pids
+            os.kill(idle, signal.SIGKILL)
+            assert _wait_readiness(srv, 503)
+            reasons = service.readiness()["reasons"]
+            assert reasons == [f"worker child {idle} is not running"]
             with Client(*srv.addr["tcp"]) as client:
                 answer = client.optimize(**request)
+            assert _readiness(srv) == 200
+            children = service.status()["children"]
+            assert idle not in {child["pid"] for child in children}
+            assert all(child["alive"] for child in children)
         assert answer["source"] == "search"
         assert service.stats.errors == 1
         assert service.stats.searches == 2
+
+
+def _wait_readiness(srv, status):
+    deadline = time.monotonic() + 60
+    while _readiness(srv) != status:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 class TestShutdown:
@@ -261,3 +294,101 @@ def _no_stray_children():
         child for child in multiprocessing.active_children()
         if child.name == "repro-serve-child"
     ]
+
+
+def _threads(pid):
+    """The ``Threads:`` count of process ``pid``."""
+    with open(f"/proc/{pid}/status") as handle:
+        for line in handle:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    raise AssertionError(f"no Threads line for {pid}")
+
+
+def _http_status(port, path):
+    try:
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}{path}", timeout=30
+        ) as response:
+            return response.status
+    except urllib.error.HTTPError as exc:
+        return exc.code
+
+
+class TestOneThread:
+    """The server process runs one thread: every replacement child is
+    forked from a single-threaded process."""
+
+    def test_server_process_runs_one_thread(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serve", "serve",
+                "--host", "127.0.0.1", "--port", "0", "--metrics-port", "0",
+                "--workers", "1", "--store", str(tmp_path / "strategies"),
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+            text=True,
+        )
+        try:
+            ports = {}
+            while len(ports) < 2:
+                line = proc.stdout.readline()
+                assert line, "server exited before listening"
+                what, _, address = line.strip().rpartition(" ")
+                ports[what] = int(address.rpartition(":")[2])
+            port, http = ports["listening on"], ports["metrics on"]
+            assert _threads(proc.pid) == 1
+
+            with Client("127.0.0.1", port) as client:
+                miss = client.optimize(**_request("lenet", "pcie:2", 16))
+            assert miss["source"] == "search"
+            assert _threads(proc.pid) == 1
+
+            # Both lines are sent before either is answered: the second
+            # arrives while the first waits on the child's pipe.
+            line = json.dumps({
+                "op": "optimize",
+                "request": _request("alexnet", "pcie:2", 32),
+            }).encode() + b"\n"
+            socks = [
+                socket.create_connection(("127.0.0.1", port), timeout=120)
+                for _ in range(2)
+            ]
+            try:
+                for sock in socks:
+                    sock.sendall(line)
+                pair = [json.loads(sock.makefile("rb").readline()) for sock in socks]
+            finally:
+                for sock in socks:
+                    sock.close()
+            assert sorted(bool(r.get("coalesced")) for r in pair) == [False, True]
+            assert _threads(proc.pid) == 1
+
+            with Client("127.0.0.1", port) as client:
+                (child,) = client.status()["children"]
+                os.kill(child["pid"], signal.SIGKILL)
+                deadline = time.monotonic() + 60
+                while _http_status(http, "/readyz") != 503:
+                    assert time.monotonic() < deadline, "still ready"
+                    time.sleep(0.01)
+                assert _threads(proc.pid) == 1
+                answer = client.optimize(**_request("lenet", "pcie:2", 64))
+                assert answer["source"] in ("search", "warm")
+                assert _http_status(http, "/readyz") == 200
+                (replacement,) = client.status()["children"]
+                assert replacement["pid"] != child["pid"]
+                assert replacement["alive"]
+                assert _threads(proc.pid) == 1
+                stats = client.stats()["stats"]
+                assert (stats["searches"], stats["coalesced"]) == (3, 1)
+                assert stats["errors"] == 0
+                client.shutdown()
+            assert proc.wait(timeout=60) == 0
+            assert not os.path.exists(f"/proc/{replacement['pid']}")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=60)
+            proc.stdout.close()
