@@ -12,8 +12,9 @@ A span emits ``<name>.start`` with its opening attributes and, on
 leaving (exceptions included), ``<name>.finish`` with ``seconds``, the
 attributes :meth:`Span.set` recorded and ``error`` if the block raised.
 Both carry the ``span`` id and the ``parent`` span id open in the same
-context: the same thread, or the same asyncio task.  Every enabled :class:`~repro.obs.Observability` carries a live
-bus; the Chrome-trace recorder
+context (thread or asyncio task).  Every enabled
+:class:`~repro.obs.Observability` carries a live bus; the Chrome-trace
+recorder
 (:class:`~repro.obs.chrome_trace.ChromeTraceRecorder`), the metrics
 registry (:data:`~repro.obs.metrics.METRIC_RULES`), a recorded run's
 ``events.jsonl`` and manifest ``phases`` (:mod:`repro.obs.runs`) and the

@@ -23,22 +23,17 @@ Identical requests *in flight* are **coalesced**: the second request
 awaits the first's future instead of spawning a duplicate search.
 
 One request has one implementation, the coroutine
-:meth:`StrategyService.answer`: derive the request's keys
-(:meth:`StrategyService.derive`: normalized request, request
-fingerprint, topology, model, batch, memoized options and graph
-fingerprints, combined key), look the answer up in memory and on disk,
-coalesce onto an identical leader, or find the warm seed, await the
-session build and the search, and store the answer.  The CPU work of a
-miss, the session build and the search, is two stages
-(:mod:`repro.serve.worker`).  The asyncio TCP front-end
-(:func:`serve_forever` / ``python -m repro.serve``) forks ``workers``
-children before it binds its sockets, and a miss awaits its stages in
-one of them on the child's pipe, so searches do not share the server's
-interpreter lock.  Everything else (the store, the fingerprint memos,
-coalescing, telemetry) runs on the front-end's one event loop, the only
-thread of the server process.  In-process callers use the synchronous
-:meth:`StrategyService.submit`, which runs ``answer`` on a fresh event
-loop and the stages in the calling thread.  A service belongs to one
+:meth:`StrategyService.answer`: derive its keys once
+(:meth:`StrategyService.derive`), look the answer up in memory and on
+disk, coalesce onto an identical leader or find the warm seed, await
+the session build and the search, and store the answer.  The TCP
+front-end (:func:`serve_forever` / ``python -m repro.serve``) forks
+``workers`` children before it binds its sockets; a miss awaits its two
+stages (:mod:`repro.serve.worker`) in one of them, on the child's pipe,
+and everything else runs on the front-end's one event loop, the only
+thread of the server process.  The synchronous
+:meth:`StrategyService.submit` runs ``answer`` on a fresh event loop,
+with the stages in the calling thread.  A service belongs to one
 thread: its front-end's loop or one direct caller.
 
 Every decision is recorded once, on the service's private event bus:
@@ -501,16 +496,11 @@ class StrategyService:
         keys.options = self._options(
             json.dumps(document.get("config") or {}, sort_keys=True)
         )
-        graph_fp = self._memoized_graph(keys.memo_key)
+        graph_fp = self._graph_fps.get(keys.memo_key)
         if graph_fp is not None:
+            self._graph_fps.move_to_end(keys.memo_key)
             keys.know_graph(graph_fp)
         return keys
-
-    def _memoized_graph(self, memo_key: Tuple[str, int, str]) -> Optional[str]:
-        graph_fp = self._graph_fps.get(memo_key)
-        if graph_fp is not None:
-            self._graph_fps.move_to_end(memo_key)
-        return graph_fp
 
     def submit(
         self,
@@ -589,7 +579,7 @@ class StrategyService:
         self._inflight_started[keys.request] = start
         # While serve_forever runs, the session build and the search run
         # in a worker child lent to this request; otherwise here.
-        stages = LocalStages() if self.children is None else self.children.lease()
+        stages = LocalStages() if self.children is None else Lease(self.children)
         lead = self._submitted(
             keys, request_id, start, queued_at,
             self._lead(keys, request_id, future, stages), stages,
@@ -666,8 +656,7 @@ class StrategyService:
     ) -> Dict[str, object]:
         """Answer a request no identical peer is in flight for."""
         try:
-            with stages:
-                response = await self._answer(keys, request_id, stages)
+            response = await self._answer(keys, request_id, stages)
             future.set_result(response)
             return response
         except BaseException as exc:
@@ -676,6 +665,7 @@ class StrategyService:
             future.exception()
             raise
         finally:
+            stages.release()
             self._inflight.pop(keys.request, None)  # type: ignore[arg-type]
             self._inflight_started.pop(keys.request, None)  # type: ignore[arg-type]
 

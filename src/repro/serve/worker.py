@@ -177,10 +177,8 @@ def search(
 
 
 class LocalStages:
-    """The two stages in the calling thread; keeps the session between.
-
-    Awaited like a :class:`Lease`, but never suspends.
-    """
+    """The two stages in the calling thread (they never suspend);
+    keeps the session between."""
 
     #: Seconds spent waiting for a worker child: none here.
     waited = 0.0
@@ -200,12 +198,6 @@ class LocalStages:
 
     def release(self) -> None:
         self._session = None
-
-    def __enter__(self) -> "LocalStages":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
 
 
 # -- worker children -----------------------------------------------------
@@ -264,14 +256,13 @@ def _child_main(conn: Connection) -> None:
             stage, args = conn.recv()
         except (EOFError, OSError):
             return
+        current, session = session, None  # no session outlives a stage
         if stage == "release":
-            session = None
             continue
         try:
             if stage == "prepare":
                 session, value = prepare(*args)
             else:
-                current, session = session, None
                 value = search(current, *args)  # type: ignore[arg-type]
             reply = ("ok", value)
         except Exception as exc:
@@ -322,13 +313,6 @@ class Child:
         if status == "error":
             raise value  # type: ignore[misc]
         return value
-
-    def release(self) -> None:
-        """Have the child drop its session (no reply)."""
-        try:
-            self.conn.send(("release", ()))
-        except OSError:
-            self.lost = True
 
     def reap(self, timeout: float) -> None:
         """Wait for the child to exit, terminating it after ``timeout``
@@ -381,12 +365,6 @@ class Lease:
             child, self._child = self._child, None
             self._children.give(child)
 
-    def __enter__(self) -> "Lease":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
-
 
 class Children:
     """``count`` forked children, each lent to one request at a time.
@@ -410,9 +388,6 @@ class Children:
             self.members.append(child)
             self._idle.put_nowait(child)
 
-    def lease(self) -> Lease:
-        return Lease(self)
-
     async def take(self) -> Child:
         child = await self._idle.get()
         if child is None:
@@ -433,7 +408,10 @@ class Children:
             child.conn.close()  # close() has reaped it
             return
         if not child.lost:
-            child.release()
+            try:
+                child.conn.send(("release", ()))  # drop the session
+            except OSError:
+                child.lost = True
         if child.lost:
             try:
                 child = self._replace(child)
@@ -476,11 +454,8 @@ class Children:
         and its borrower gets :class:`WorkerCrashed`.
         """
         self._closed = True
-        while True:
-            try:
-                idle = self._idle.get_nowait()
-            except asyncio.QueueEmpty:
-                break
+        while not self._idle.empty():
+            idle = self._idle.get_nowait()
             if idle is not None:
                 idle.conn.close()
         self._idle.put_nowait(None)
